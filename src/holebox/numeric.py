@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -23,8 +24,7 @@ from .basis import BasisCutoff
 from .constants import CONST
 from .hamiltonian import (BoxGeometry, FieldConfig, HamiltonianMatrix,
                           Orientation, StrainConfig, assemble_paramagnetic,
-                          assemble_static, assemble_zeeman, bhat_from_angles,
-                          dipole_y)
+                          assemble_static, assemble_zeeman, dipole_y)
 from .materials import MaterialParams
 from .minimal import DegenerateQubitError
 
@@ -32,6 +32,8 @@ DENSE_LIMIT = 4096
 PAIRING_TOL = 1e-8      # meV
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
 DEFAULT_N_EXCITED = 40
+MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
+GRID_BLOCK = 1024       # field directions per batched step of rabi_grid
 
 TIER_LABELS = ("analytic2", "analytic4", "linearized", "renormalized",
                "minimal_exact", "converged_zeeman", "converged_full")
@@ -184,7 +186,7 @@ def rabi_sum_over_states(doublets: list[KramersDoublet],
     H1 = qubit_h1(ground, Hm_prime)
     w, U = np.linalg.eigh(H1)
     split = w[1] - w[0]
-    if split < 1e-12:
+    if split < MIN_SPLIT:
         raise DegenerateQubitError(
             f"qubit splitting {split:.3e} meV too small; Rabi frequency "
             "ill-defined for this field direction")
@@ -276,7 +278,10 @@ class ReducedModel:
 
     The B = 0 problem is solved once; the Zeeman and paramagnetic parts are
     linear in B b_hat, so their projections on the kept eigenvectors let an
-    angle grid be swept with small-matrix algebra only.
+    angle grid be swept with small-matrix algebra only. In this basis the
+    ground doublet is the first two unit vectors, so a field direction needs
+    only the first two columns of each generator, and a whole grid of
+    directions is evaluated as one batched sum over states.
     """
     energies: np.ndarray
     zeeman: tuple[np.ndarray, np.ndarray, np.ndarray]        # unit-B, axes x,y,z
@@ -284,26 +289,101 @@ class ReducedModel:
     dipole: np.ndarray
     cutoff: BasisCutoff
 
-    def doublets(self) -> list[KramersDoublet]:
+    @cached_property
+    def _doublet_energies(self) -> np.ndarray:
+        # pairing depends on the energies only, so it runs once per model
         n = self.energies.shape[0]
-        eye = np.eye(n, dtype=complex)
-        spectrum = SpinorSpectrum(energies=self.energies, vectors=eye,
+        spectrum = SpinorSpectrum(energies=self.energies,
+                                  vectors=np.eye(n, dtype=complex),
                                   cutoff=None, included_terms=("reduced",))
-        return pair_doublets(spectrum)
+        return np.array([d.E for d in pair_doublets(spectrum)])
+
+    def _excited_gaps(self, n_excited: int) -> np.ndarray:
+        """E_ground - E_d for the excited doublets in the sum."""
+        E = self._doublet_energies
+        if E.shape[0] < 2:
+            raise ValueError("need the ground doublet plus at least one excited")
+        gaps = E[0] - E[1:1 + n_excited]
+        degenerate = np.flatnonzero(np.abs(gaps) <= PAIRING_TOL)
+        if degenerate.size:
+            k = degenerate[0] + 1
+            raise DegenerateQubitError(
+                f"excited doublet {k} at E = {E[k]:.9f} meV degenerate "
+                "with the ground doublet; first-order sum invalid")
+        return gaps
+
+    def _drive_terms(self, B: float, thetas: np.ndarray, phis: np.ndarray,
+                     include_paramagnetic: bool, n_excited: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Qubit splitting (meV) and the per-state terms of the drive sum,
+        for the field directions of the 1-D angle arrays."""
+        gaps = self._excited_gaps(n_excited)
+        columns = np.array([Z[:, :2] for Z in self.zeeman])      # (3, n, 2)
+        if include_paramagnetic:
+            columns = columns + np.array([P[:, :2] for P in self.paramagnetic])
+        bhat = np.stack([np.sin(thetas) * np.cos(phis),
+                         np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
+        M = B * np.einsum("pi,ijk->pjk", bhat, columns)         # (k, n, 2)
+        w, U = np.linalg.eigh(M[:, :2, :])
+        # Y s_a and M s_a on the excited states, s_a = U[:, a] the qubit states
+        excited = slice(2, 2 + 2 * gaps.shape[0])
+        m_s = np.einsum("pjk,pka->pja", M[:, excited, :], U)
+        y_s = np.einsum("jk,pka->pja", self.dipole[excited, :2], U)
+        # Y and M are Hermitian: <s1|Y|v><v|M|s0> + <s1|M|v><v|Y|s0>
+        terms = (y_s[..., 1].conj() * m_s[..., 0]
+                 + m_s[..., 1].conj() * y_s[..., 0]) / np.repeat(gaps, 2)
+        return w[:, 1] - w[:, 0], terms
+
+    @staticmethod
+    def _frequencies(split: np.ndarray, terms: np.ndarray,
+                     E_ac: float) -> tuple[np.ndarray, np.ndarray]:
+        ok = split >= MIN_SPLIT
+        f_L = np.where(ok, split / CONST.h_planck, np.nan)
+        f_R = CONST.e_scale * E_ac * np.abs(terms.sum(axis=-1)) / CONST.h_planck
+        return f_L, np.where(ok, f_R, np.nan)
+
+    def rabi_grid(self, B: float, thetas, phis, E_ac: float, *,
+                  include_paramagnetic: bool = True,
+                  n_excited: int = DEFAULT_N_EXCITED,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """f_L and f_R (GHz) for every direction of the broadcast
+        (thetas, phis), NaN where the qubit splitting is below MIN_SPLIT.
+
+        Directions are processed GRID_BLOCK at a time, so memory does not
+        grow with the grid. Raises PairingError or DegenerateQubitError
+        when the spectrum makes every direction ill-defined.
+        """
+        thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float),
+                                           np.asarray(phis, dtype=float))
+        t, p = thetas.ravel(), phis.ravel()
+        f_L, f_R = np.empty(t.shape), np.empty(t.shape)
+        for start in range(0, t.shape[0], GRID_BLOCK):
+            block = slice(start, start + GRID_BLOCK)
+            split, terms = self._drive_terms(B, t[block], p[block],
+                                             include_paramagnetic, n_excited)
+            f_L[block], f_R[block] = self._frequencies(split, terms, E_ac)
+        return f_L.reshape(thetas.shape), f_R.reshape(thetas.shape)
 
     def rabi(self, B: float, theta: float, phi: float, E_ac: float, *,
              include_paramagnetic: bool = True,
              n_excited: int = DEFAULT_N_EXCITED) -> RabiResult:
-        bx, by, bz = bhat_from_angles(theta, phi)
-        M = B * (bx * self.zeeman[0] + by * self.zeeman[1] + bz * self.zeeman[2])
-        if include_paramagnetic:
-            M = M + B * (bx * self.paramagnetic[0] + by * self.paramagnetic[1]
-                         + bz * self.paramagnetic[2])
+        """One direction of rabi_grid, with the tail fraction."""
+        split, terms = self._drive_terms(B, np.array([theta]), np.array([phi]),
+                                         include_paramagnetic, n_excited)
+        if split[0] < MIN_SPLIT:
+            raise DegenerateQubitError(
+                f"qubit splitting {split[0]:.3e} meV too small; Rabi frequency "
+                "ill-defined for this field direction")
+        f_L, f_R = self._frequencies(split, terms, E_ac)
+        # tail: weight of the last 10% of the excited doublets, as in
+        # rabi_sum_over_states; each doublet has two terms
+        terms = terms[0]
+        total = abs(terms.sum())
+        tail_n = 2 * max(1, terms.shape[0] // 20)
+        tail = abs(terms[-tail_n:].sum()) / total if total > 0 else 0.0
         tier = "converged_full" if include_paramagnetic else "converged_zeeman"
-        Hm = HamiltonianMatrix(matrix=M, cutoff=None, terms=("reduced",))
-        Y = HamiltonianMatrix(matrix=self.dipole, cutoff=None, terms=("reduced",))
-        return rabi_sum_over_states(self.doublets(), Hm, Y, E_ac, n_excited,
-                                    tier=tier)
+        return RabiResult(f_L=float(f_L[0]), f_R=float(f_R[0]),
+                          g_principal=None, tier=tier, tail_fraction=tail)
 
 
 def reduce_model(material: MaterialParams, geometry: BoxGeometry,

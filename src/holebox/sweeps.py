@@ -21,7 +21,6 @@ from math import inf, radians, sqrt
 from pathlib import Path
 
 import numpy as np
-import scipy.optimize
 
 from .basis import BasisCutoff
 from .hamiltonian import BoxGeometry, FieldConfig, Orientation, StrainConfig
@@ -386,17 +385,34 @@ def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
                        spec.grid["theta_count"])
     phis = _linspace(spec.grid["phi_min_deg"], spec.grid["phi_max_deg"],
                      spec.grid["phi_count"])
-    reduced = None
-    if any(t.startswith("converged") for t in spec.tiers):
+    points = [(float(t), float(p)) for t in thetas for p in phis]
+    # converged tiers: one static solve, then one batched pass over the grid
+    converged_f_R: dict[str, list[float | None]] = {}
+    converged = [t for t in spec.tiers if t.startswith("converged")]
+    if converged:
         reduced = reduce_model(spec.material, spec.geometry, spec.orientation,
                                spec.cutoff, spec.fields.E0,
                                n_excited=spec.n_excited)
+        th = np.array([radians(t) for t, _ in points])
+        ph = np.array([radians(p) for _, p in points])
+        for tier in converged:
+            try:
+                _, f_R = reduced.rabi_grid(
+                    spec.fields.B, th, ph, spec.fields.E_ac,
+                    include_paramagnetic=(tier == "converged_full"),
+                    n_excited=spec.n_excited)
+                converged_f_R[tier] = [None if np.isnan(v) else float(v)
+                                       for v in f_R]
+            except _POINT_ERRORS:
+                converged_f_R[tier] = [None] * len(points)
 
-    def point(angles: tuple[float, float]) -> list:
-        t_deg, p_deg = angles
+    def point(k: int) -> list:
+        t_deg, p_deg = points[k]
         fields = replace(spec.fields, theta=radians(t_deg), phi=radians(p_deg))
-        cells: dict[str, float | None] = {}
+        cells = {tier: values[k] for tier, values in converged_f_R.items()}
         for tier in spec.tiers:
+            if tier in cells:
+                continue
             try:
                 if tier == "analytic2":
                     cells[tier] = rabi_thin_dot(spec.material, spec.geometry,
@@ -404,24 +420,19 @@ def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
                 elif tier == "analytic4":
                     cells[tier] = rabi_thin_dot(spec.material, spec.geometry,
                                                 spec.orientation, fields, 4)
-                elif tier == "minimal_exact":
+                else:
                     cells[tier] = minimal_exact_rabi(
                         spec.material, spec.geometry, spec.orientation, fields)
-                else:
-                    cells[tier] = reduced.rabi(
-                        fields.B, fields.theta, fields.phi, fields.E_ac,
-                        include_paramagnetic=(tier == "converged_full"),
-                        n_excited=spec.n_excited).f_R
             except _POINT_ERRORS:
                 cells[tier] = None
-        return [t_deg, p_deg] + [cells.get(t) for t in spec.tiers]
+        return [t_deg, p_deg] + [cells[t] for t in spec.tiers]
 
-    points = [(float(t), float(p)) for t in thetas for p in phis]
+    # threads spread the closed-form tiers; the converged cells are known
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            rows = list(pool.map(point, points))
+            rows = list(pool.map(point, range(len(points))))
     else:
-        rows = [point(p) for p in points]
+        rows = [point(k) for k in range(len(points))]
     columns = ["theta_deg", "phi_deg"] + [f"f_R_{t}" for t in spec.tiers]
     return _write_csv(out, spec, columns, rows)
 
@@ -430,6 +441,8 @@ def _optimal_direction(spec: SweepSpec,
                        strain: StrainConfig) -> tuple[float, float, float]:
     """(f_R, theta_deg, phi_deg) maximizing the exact minimal-basis Rabi
     frequency; coarse 10-degree scan, then local refinement."""
+    # imported here: no other command needs it, and it is slow to load
+    import scipy.optimize
 
     def f_of(theta_deg: float, phi_deg: float) -> float:
         fields = replace(spec.fields, theta=radians(theta_deg),

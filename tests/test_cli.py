@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import holebox
 import holebox.cli as cli
 from holebox.numeric import SolverError
 
@@ -84,4 +89,42 @@ def test_threads_flag_gives_identical_angle_map(tmp_path):
     a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
     assert cli.main(base + ["--out", str(a)]) == 0
     assert cli.main(base + ["--out", str(b), "--threads", "4"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only strain-sweep needs the optimizer; every command pays the import
+    src = str(Path(holebox.__file__).resolve().parents[1])
+    code = ("import sys, holebox.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
+
+
+_SMALL_CONVERGED_MAP = ["angle-map", "--set", "solver.cutoff=3,3,2",
+                        "--set", "sweep.theta_count=3",
+                        "--set", "sweep.phi_count=4"]
+
+
+def test_converged_angle_map_empty_at_zero_field(tmp_path):
+    out = tmp_path / "b0.csv"
+    rc = cli.main(_SMALL_CONVERGED_MAP + [
+        "--out", str(out), "--tier", "minimal_exact,converged_full",
+        "--set", "fields.B=0"])
+    assert rc == 0
+    lines = out.read_text("utf-8").splitlines()
+    header = lines[4].split(",")
+    rows = [line.split(",") for line in lines[5:]]
+    assert len(rows) == 12
+    col = header.index("f_R_converged_full")
+    assert all(row[col] == "" for row in rows)
+
+
+def test_threads_flag_gives_identical_converged_angle_map(tmp_path):
+    base = _SMALL_CONVERGED_MAP + [
+        "--tier", "minimal_exact,converged_zeeman,converged_full"]
+    a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    assert cli.main(base + ["--out", str(a), "--threads", "1"]) == 0
+    assert cli.main(base + ["--out", str(b), "--threads", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()

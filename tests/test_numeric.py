@@ -180,6 +180,61 @@ def test_reduced_model_matches_direct_pipeline():
             assert got.f_L == approx(want.f_L, rel=1e-10)
 
 
+def test_rabi_grid_matches_full_basis_pipeline():
+    """The batched grid agrees with the full-basis route point by point,
+    on a grid with theta = 0 and both phi endpoints, and equals the scalar
+    reduced-model call exactly."""
+    cut = BasisCutoff(4, 4, 3)
+    red = reduce_model(SI, BOX, D110, cut, E0=0.1, n_excited=20)
+    thetas = np.radians([0.0, 45.0, 90.0])
+    phis = np.radians([0.0, 70.0, 180.0])
+    for flag in (False, True):
+        f_L, f_R = red.rabi_grid(REF_FIELDS.B, thetas[:, None], phis[None, :],
+                                 REF_FIELDS.E_ac, include_paramagnetic=flag,
+                                 n_excited=20)
+        assert f_L.shape == f_R.shape == (3, 3)
+        for i, theta in enumerate(thetas):
+            for j, phi in enumerate(phis):
+                f = replace(REF_FIELDS, theta=float(theta), phi=float(phi))
+                want = converged_rabi(SI, BOX, D110, f, cut,
+                                      include_paramagnetic=flag, n_excited=20)
+                assert f_R[i, j] == approx(want.f_R, rel=1e-10, abs=1e-14)
+                assert f_L[i, j] == approx(want.f_L, rel=1e-10)
+                one = red.rabi(f.B, f.theta, f.phi, f.E_ac,
+                               include_paramagnetic=flag, n_excited=20)
+                assert (f_R[i, j], f_L[i, j]) == (one.f_R, one.f_L)
+
+
+def test_rabi_grid_blocks_and_degenerate_cells(monkeypatch):
+    """Results do not depend on the block size, and a vanishing splitting
+    gives NaN in the grid where the scalar call raises."""
+    red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
+                       n_excited=10)
+    thetas = np.linspace(0.0, pi / 2, 7)
+    phis = np.linspace(0.0, pi, 5)
+    args = (1.0, thetas[:, None], phis[None, :], 0.03)
+    whole = red.rabi_grid(*args)
+    monkeypatch.setattr(numeric, "GRID_BLOCK", 4)
+    blocked = red.rabi_grid(*args)
+    assert np.array_equal(whole, blocked)
+    f_L, f_R = red.rabi_grid(0.0, thetas, 0.0, 0.03)
+    assert np.all(np.isnan(f_L)) and np.all(np.isnan(f_R))
+    with pytest.raises(DegenerateQubitError):
+        red.rabi(0.0, 0.3, 0.0, 0.03)
+
+
+def test_rabi_grid_rejects_unusable_spectrum():
+    red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
+                       n_excited=10)
+    split = replace(red, energies=red.energies + np.arange(red.energies.size))
+    with pytest.raises(PairingError, match="differ by"):
+        split.rabi_grid(1.0, 0.3, 0.2, 0.03)
+    e = red.energies.copy()
+    e[2:4] = e[0]
+    with pytest.raises(PairingError, match="ambiguous"):
+        replace(red, energies=e).rabi_grid(1.0, 0.3, 0.2, 0.03)
+
+
 def test_reduced_model_scales_linearly_in_b():
     red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
                        n_excited=10)
