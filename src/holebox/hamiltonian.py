@@ -1,4 +1,4 @@
-"""Dense Hamiltonian assembly over the product sine basis.
+"""Hamiltonian assembly over the product sine basis.
 
 Terms: four-band kinetic part (P, Q, R, S structure), static electric
 potential -e E0 y, Zeeman coupling 2 kappa mu_B B.J, paramagnetic coupling
@@ -12,6 +12,11 @@ Conventions fixed here and inherited everywhere:
   y || [010]; the two differ only by exchanging gamma2 and gamma3 inside
   the R term;
 - b_hat = (sin t cos p, sin t sin p, cos t) for polar angle t, azimuth p.
+
+Every operator is a sum of Kronecker products of the per-axis 1D tables of
+basis.py with a 4x4 spin matrix. The products are formed sparse and each
+assembler densifies its sum once, so a dense N x N matrix is allocated
+only for the result.
 """
 from __future__ import annotations
 
@@ -20,13 +25,17 @@ from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import (BasisCutoff, derivative_matrix, ksquared_matrix,
                     posderiv_matrix, position_matrix)
 from .constants import CONST
 from .materials import MaterialParams
 
-MAX_DIMENSION = 16384
+# A dense N x N complex matrix takes 16 N^2 bytes. At its peak reduce_model
+# holds about two of them and converged_rabi about four, which at 8192 is
+# 2.1 and 4.3 GB.
+MAX_DIMENSION = 8192
 
 
 class AssemblyError(ValueError):
@@ -156,33 +165,38 @@ def _spin_weights(material: MaterialParams, orientation: Orientation) -> dict[st
     }
 
 
-def _kron3(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> np.ndarray:
-    """Orbital kron with n_x fastest (to match the flat-index ordering)."""
-    return np.kron(az, np.kron(ay, ax))
+def _kron3(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> sp.sparray:
+    """Sparse orbital kron with n_x fastest (to match the flat-index
+    ordering) of the dense 1D tables."""
+    return sp.kron(az, sp.kron(ay, sp.csr_array(ax)))
 
 
-def _embed(orbital: np.ndarray, spin: np.ndarray) -> np.ndarray:
-    return np.kron(orbital, spin)
+def _embed(orbital: sp.sparray, spin: np.ndarray) -> sp.sparray:
+    return sp.kron(orbital, spin, format="csr")
+
+
+def _orbital_identity(cutoff: BasisCutoff) -> sp.sparray:
+    return sp.eye_array(cutoff.n_orbital, format="csr")
+
+
+def _wrap(H: sp.sparray, cutoff: BasisCutoff,
+          *terms: str) -> HamiltonianMatrix:
+    """Densify a summed sparse operator once."""
+    return HamiltonianMatrix(matrix=H.toarray().astype(complex, copy=False),
+                             cutoff=cutoff, terms=terms)
 
 
 def _check_dimension(cutoff: BasisCutoff, max_dimension: int) -> None:
     if cutoff.dimension > max_dimension:
+        gb = 16 * cutoff.dimension ** 2 / 1e9
         raise AssemblyError(
             f"cutoff {cutoff} gives dimension {cutoff.dimension} "
-            f"> max_dimension {max_dimension}")
+            f"> max_dimension {max_dimension}; one dense complex matrix "
+            f"would take 16 N^2 bytes = {gb:.2f} GB")
 
 
-def assemble_lk(material: MaterialParams, geometry: BoxGeometry,
-                orientation: Orientation, cutoff: BasisCutoff,
-                max_dimension: int = MAX_DIMENSION) -> HamiltonianMatrix:
-    """Kinetic four-band Hamiltonian at zero fields.
-
-    Cross products k_i k_j on different axes factorize exactly in the
-    product basis, so the symmetrization (k_i k_j + k_j k_i)/2 is the
-    identity here; k_i^2 uses the exact diagonal element, not the squared
-    truncated derivative matrix.
-    """
-    _check_dimension(cutoff, max_dimension)
+def _lk(material: MaterialParams, geometry: BoxGeometry,
+        orientation: Orientation, cutoff: BasisCutoff) -> sp.sparray:
     Nx, Ny, Nz = cutoff.N_x, cutoff.N_y, cutoff.N_z
     Ix, Iy, Iz = np.eye(Nx), np.eye(Ny), np.eye(Nz)
     Kx = ksquared_matrix(Nx, geometry.L_x)
@@ -202,28 +216,55 @@ def assemble_lk(material: MaterialParams, geometry: BoxGeometry,
         "yz": -_kron3(Ix, Dy, Dz),
     }
     spin = _spin_weights(material, orientation)
-    dim = cutoff.dimension
-    H = np.zeros((dim, dim), dtype=complex)
-    for ch, orb in orbital.items():
-        H += CONST.hbar2_over_2m0 * _embed(orb, spin[ch])
-    return HamiltonianMatrix(matrix=H, cutoff=cutoff, terms=("lk",))
+    return sum(CONST.hbar2_over_2m0 * _embed(orb, spin[ch])
+               for ch, orb in orbital.items())
+
+
+def _dipole(geometry: BoxGeometry, cutoff: BasisCutoff) -> sp.sparray:
+    Y = position_matrix(cutoff.N_y, geometry.L_y)
+    return _embed(_kron3(np.eye(cutoff.N_x), Y, np.eye(cutoff.N_z)), _I4)
+
+
+def _electric(E0: float, geometry: BoxGeometry,
+              cutoff: BasisCutoff) -> sp.sparray:
+    return -CONST.e_scale * E0 * _dipole(geometry, cutoff)
+
+
+def _strain(material: MaterialParams, strain: StrainConfig,
+            cutoff: BasisCutoff) -> sp.sparray:
+    material.require_strain()
+    eps = strain.eps_parallel
+    a_v_meV = material.a_v * 1e3
+    b_v_meV = material.b_v * 1e3
+    nu = material.nu
+    d_hh = ((nu - 2) * a_v_meV - (nu + 1) * b_v_meV) * eps
+    d_lh = ((nu - 2) * a_v_meV + (nu + 1) * b_v_meV) * eps
+    return _embed(_orbital_identity(cutoff), np.diag([d_hh, d_lh, d_lh, d_hh]))
+
+
+def assemble_lk(material: MaterialParams, geometry: BoxGeometry,
+                orientation: Orientation, cutoff: BasisCutoff,
+                max_dimension: int = MAX_DIMENSION) -> HamiltonianMatrix:
+    """Kinetic four-band Hamiltonian at zero fields.
+
+    Cross products k_i k_j on different axes factorize exactly in the
+    product basis, so the symmetrization (k_i k_j + k_j k_i)/2 is the
+    identity here; k_i^2 uses the exact diagonal element, not the squared
+    truncated derivative matrix.
+    """
+    _check_dimension(cutoff, max_dimension)
+    return _wrap(_lk(material, geometry, orientation, cutoff), cutoff, "lk")
 
 
 def dipole_y(geometry: BoxGeometry, cutoff: BasisCutoff) -> HamiltonianMatrix:
     """The y position operator (nm), spin-diagonal."""
-    Nx, Ny, Nz = cutoff.N_x, cutoff.N_y, cutoff.N_z
-    Y = position_matrix(Ny, geometry.L_y)
-    orb = _kron3(np.eye(Nx), Y, np.eye(Nz))
-    return HamiltonianMatrix(matrix=_embed(orb, _I4).astype(complex),
-                             cutoff=cutoff, terms=("dipole_y",))
+    return _wrap(_dipole(geometry, cutoff), cutoff, "dipole_y")
 
 
 def assemble_electric(E0: float, geometry: BoxGeometry,
                       cutoff: BasisCutoff) -> HamiltonianMatrix:
     """Static potential -e E0 y; couples n_y of opposite parity only."""
-    y = dipole_y(geometry, cutoff)
-    return HamiltonianMatrix(matrix=-CONST.e_scale * E0 * y.matrix,
-                             cutoff=cutoff, terms=("electric",))
+    return _wrap(_electric(E0, geometry, cutoff), cutoff, "electric")
 
 
 def zeeman_spin_block(kappa: float, B: float, bhat: np.ndarray) -> np.ndarray:
@@ -242,8 +283,7 @@ def zeeman_spin_block(kappa: float, B: float, bhat: np.ndarray) -> np.ndarray:
 def assemble_zeeman(material: MaterialParams, B: float, theta: float, phi: float,
                     cutoff: BasisCutoff) -> HamiltonianMatrix:
     block = zeeman_spin_block(material.kappa, B, bhat_from_angles(theta, phi))
-    H = _embed(np.eye(cutoff.n_orbital), block)
-    return HamiltonianMatrix(matrix=H, cutoff=cutoff, terms=("zeeman",))
+    return _wrap(_embed(_orbital_identity(cutoff), block), cutoff, "zeeman")
 
 
 def assemble_paramagnetic(material: MaterialParams, geometry: BoxGeometry,
@@ -283,27 +323,15 @@ def assemble_paramagnetic(material: MaterialParams, geometry: BoxGeometry,
         - by * _kron3(Xx, Dy, Iz) + bz * _kron3(Xx, Iy, Dz),
     }
     spin = _spin_weights(material, orientation)
-    dim = cutoff.dimension
-    H = np.zeros((dim, dim), dtype=complex)
-    for ch, orb in ops.items():
-        factor = -1j if ch in ("xx", "yy", "zz") else -0.5j
-        H += CONST.mu_B * B * factor * _embed(orb, spin[ch])
-    return HamiltonianMatrix(matrix=H, cutoff=cutoff, terms=("paramagnetic",))
+    H = sum(CONST.mu_B * B * (-1j if ch in ("xx", "yy", "zz") else -0.5j)
+            * _embed(orb, spin[ch]) for ch, orb in ops.items())
+    return _wrap(H, cutoff, "paramagnetic")
 
 
 def assemble_strain(material: MaterialParams, strain: StrainConfig,
                     cutoff: BasisCutoff) -> HamiltonianMatrix:
     """Biaxial Bir-Pikus shifts: rigid HH and LH diagonal offsets in meV."""
-    material.require_strain()
-    eps = strain.eps_parallel
-    a_v_meV = material.a_v * 1e3
-    b_v_meV = material.b_v * 1e3
-    nu = material.nu
-    d_hh = ((nu - 2) * a_v_meV - (nu + 1) * b_v_meV) * eps
-    d_lh = ((nu - 2) * a_v_meV + (nu + 1) * b_v_meV) * eps
-    block = np.diag([d_hh, d_lh, d_lh, d_hh]).astype(complex)
-    H = _embed(np.eye(cutoff.n_orbital), block)
-    return HamiltonianMatrix(matrix=H, cutoff=cutoff, terms=("strain",))
+    return _wrap(_strain(material, strain, cutoff), cutoff, "strain")
 
 
 def assemble_static(material: MaterialParams, geometry: BoxGeometry,
@@ -311,9 +339,10 @@ def assemble_static(material: MaterialParams, geometry: BoxGeometry,
                     E0: float = 0.0, strain: StrainConfig | None = None,
                     max_dimension: int = MAX_DIMENSION) -> HamiltonianMatrix:
     """LK + electric (+ strain): the B-independent part of the Hamiltonian."""
-    H = assemble_lk(material, geometry, orientation, cutoff, max_dimension)
+    _check_dimension(cutoff, max_dimension)
+    H, terms = _lk(material, geometry, orientation, cutoff), ("lk",)
     if E0 != 0.0:
-        H = H + assemble_electric(E0, geometry, cutoff)
+        H, terms = H + _electric(E0, geometry, cutoff), terms + ("electric",)
     if strain is not None and strain.eps_parallel != 0.0:
-        H = H + assemble_strain(material, strain, cutoff)
-    return H
+        H, terms = H + _strain(material, strain, cutoff), terms + ("strain",)
+    return _wrap(H, cutoff, *terms)

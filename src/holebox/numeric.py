@@ -6,6 +6,16 @@ in B, is then treated at first order: its 2x2 projection on the ground
 doublet gives the Larmor frequency, and the drive matrix element between
 the split qubit states comes from a sum over excited doublets.
 
+The static problem is solved in one mirror sector. H0 commutes with
+M_z = P_z exp(-i pi J_z) (P_z: z parity, which is (-1)^(n_z + 1) on the
+sine basis), so it is block diagonal in the M_z = +i sector
+(n_z odd, j_z in {+3/2, -1/2}) and (n_z even, j_z in {+1/2, -3/2}) and the
+-i sector holding the rest. Time reversal T = K antidiag(1, -1, 1, -1)
+(complex conjugation K, spin order +3/2..-3/2) commutes with H0 and maps
+one sector onto the other. Only the N/2 + sector is diagonalized; the
+partner of each of its states v is T v, so Kramers doublets come out
+exactly degenerate, interleaved as (v, T v), by construction.
+
 All physical outputs are invariant under the pseudo-spin gauge (unitary
 rotations within each doublet); eigenvector phases are nevertheless fixed
 deterministically so that intermediate dumps are reproducible.
@@ -18,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .basis import BasisCutoff
 from .constants import CONST
@@ -94,31 +103,73 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
-    """Lowest n_states eigenpairs, ascending and deterministically phased.
+def _mirror_sectors(cutoff: BasisCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the M_z = +i and -i sectors: a state is in the + sector
+    when n_z - 1 and its spin slot (0..3 for +3/2..-3/2) have equal parity."""
+    flat = np.arange(cutoff.dimension)
+    n_z = flat // (4 * cutoff.N_x * cutoff.N_y)    # n_z - 1
+    plus = (n_z + flat % 4) % 2 == 0
+    return np.flatnonzero(plus), np.flatnonzero(~plus)
+
+
+_T_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _time_reversed(vectors: np.ndarray) -> np.ndarray:
+    """T v = K antidiag(1, -1, 1, -1) v on every orbital, column by column."""
+    dim, k = vectors.shape
+    spin = vectors.reshape(dim // 4, 4, k)[:, ::-1, :].conj()
+    return (spin * _T_SIGNS[:, None]).reshape(dim, k)
+
+
+def _lowest(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of the Hermitian A, ascending.
 
     Dense decomposition up to DENSE_LIMIT; above that an iterative extremal
     solver with a fixed-seed starting vector keeps runs reproducible.
+    """
+    dim = A.shape[0]
+    if dim <= DENSE_LIMIT or k >= dim - 1:
+        return scipy.linalg.eigh(A, subset_by_index=[0, k - 1])
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    v0 = np.random.default_rng(1234).standard_normal(dim)
+    try:
+        energies, vectors = eigsh(A, k=k, which="SA", v0=v0)
+    except ArpackNoConvergence as err:
+        raise SolverError(
+            f"iterative eigensolver stalled: {len(err.eigenvalues)} of "
+            f"{k} pairs converged") from err
+    order = np.argsort(energies)
+    return energies[order], vectors[:, order]
+
+
+def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
+    """Lowest n_states eigenpairs, ascending and deterministically phased.
+
+    With a basis cutoff, H must commute with the mirror M_z (a static
+    Hamiltonian does; any B component off z breaks it) and only the + sector
+    is diagonalized; the states come out as exactly degenerate (v, T v)
+    pairs. Without one, H is diagonalized whole.
     """
     dim = H.dimension
     n = min(n_states, dim)
     if n < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     A = H.matrix
-    if dim <= DENSE_LIMIT or n >= dim - 1:
-        energies, vectors = scipy.linalg.eigh(A, subset_by_index=[0, n - 1])
+    if H.cutoff is None:
+        energies, vectors = _lowest(A, n)
     else:
-        rng = np.random.default_rng(1234)
-        v0 = rng.standard_normal(dim)
-        try:
-            energies, vectors = scipy.sparse.linalg.eigsh(
-                A, k=n, which="SA", v0=v0)
-        except scipy.sparse.linalg.ArpackNoConvergence as err:
-            raise SolverError(
-                f"iterative eigensolver stalled: {len(err.eigenvalues)} of "
-                f"{n} pairs converged") from err
-        order = np.argsort(energies)
-        energies, vectors = energies[order], vectors[:, order]
+        plus, minus = _mirror_sectors(H.cutoff)
+        if np.any(A[np.ix_(plus, minus)]):
+            raise SolverError("H couples the two mirror (M_z) sectors; the "
+                              "sector solver needs a static Hamiltonian")
+        k = (n + 1) // 2
+        e, w = _lowest(A[np.ix_(plus, plus)], k)
+        v = np.zeros((dim, k), dtype=complex)
+        v[plus] = w
+        vectors = np.empty((dim, 2 * k), dtype=complex)
+        vectors[:, 0::2], vectors[:, 1::2] = v, _time_reversed(v)
+        energies, vectors = np.repeat(e, 2)[:n], vectors[:, :n]
     scale = np.linalg.norm(A, np.inf)
     residual = np.max(np.linalg.norm(A @ vectors - vectors * energies, axis=0))
     if scale > 0 and residual > RESIDUAL_TOL * scale:
@@ -390,10 +441,12 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
                  orientation: Orientation, cutoff: BasisCutoff, E0: float, *,
                  strain: StrainConfig | None = None,
                  n_excited: int = DEFAULT_N_EXCITED) -> ReducedModel:
-    H0 = assemble_static(material, geometry, orientation, cutoff,
-                         E0=E0, strain=strain)
-    n_states = min(2 * (n_excited + 1), H0.dimension)
-    spectrum = solve_spectrum(H0, n_states)
+    # H0 is released once solved, so the generators below are assembled
+    # with no other dense N x N matrix alive
+    n_states = min(2 * (n_excited + 1), cutoff.dimension)
+    spectrum = solve_spectrum(assemble_static(material, geometry, orientation,
+                                              cutoff, E0=E0, strain=strain),
+                              n_states)
     V = spectrum.vectors
     n = V.shape[1] - (V.shape[1] % 2)
     V = V[:, :n]

@@ -71,8 +71,7 @@ def _default_config(command: str) -> dict[str, dict[str, str]]:
                      "orientation": "110"},
         "fields": {"B": "1.0", "theta_deg": "45", "phi_deg": "90",
                    "E0": "0.1", "E_ac": "0.03"},
-        "solver": {"cutoff": "8,8,5", "n_excited": "40",
-                   "paramagnetic": "true"},
+        "solver": {"cutoff": "8,8,5", "n_excited": "40"},
     }
     if command == "materials-table":
         cfg["materials"] = {"names": "Si,Ge,InP,GaAs,InAs,InSb", "file": ""}
@@ -101,7 +100,6 @@ class SweepSpec:
     fields: FieldConfig
     cutoff: BasisCutoff
     n_excited: int
-    include_paramagnetic: bool
     grid: dict[str, float]
     threads: int
     resolved_text: str
@@ -121,15 +119,6 @@ def _parse_int(section: str, key: str, raw: str) -> int:
         return int(raw)
     except ValueError as err:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from err
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
 
 
 def _canonical_text(cfg: dict[str, dict[str, str]]) -> str:
@@ -258,7 +247,6 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
     n_excited = _parse_int("solver", "n_excited", s["n_excited"])
     if n_excited < 1:
         raise ConfigError(f"[solver] n_excited must be >= 1, got {n_excited}")
-    paramagnetic = _parse_bool("solver", "paramagnetic", s["paramagnetic"])
 
     grid: dict[str, float] = {}
     if "sweep" in cfg:
@@ -273,7 +261,7 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
     return SweepSpec(
         kind=command, tiers=tier_tuple, material=material, geometry=geometry,
         orientation=orientation, fields=fields, cutoff=cutoff,
-        n_excited=n_excited, include_paramagnetic=paramagnetic, grid=grid,
+        n_excited=n_excited, grid=grid,
         threads=threads, resolved_text=text,
         config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest()[:12],
         table_materials=table)

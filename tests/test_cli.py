@@ -93,13 +93,16 @@ def test_threads_flag_gives_identical_angle_map(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only strain-sweep needs the optimizer; every command pays the import
+    # only strain-sweep needs the optimizer, and only the iterative branch
+    # of solve_spectrum needs scipy.sparse.linalg; every command pays the
+    # import
     src = str(Path(holebox.__file__).resolve().parents[1])
     code = ("import sys, holebox.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, "
+            "'scipy.sparse.linalg' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], cwd=src,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "False False"
 
 
 _SMALL_CONVERGED_MAP = ["angle-map", "--set", "solver.cutoff=3,3,2",

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,10 @@ from holebox import (AssemblyError, BasisCutoff, BoxGeometry, FieldConfig,
                      assemble_paramagnetic, assemble_static, assemble_strain,
                      assemble_zeeman, bhat_from_angles, dipole_y, get_material,
                      mixed_subbands, subband_params)
-from holebox.hamiltonian import zeeman_spin_block
+from holebox.basis import (derivative_matrix, ksquared_matrix,
+                           posderiv_matrix, position_matrix)
+from holebox.constants import CONST
+from holebox.hamiltonian import _spin_weights, zeeman_spin_block
 from oracles import random_material
 
 SI = get_material("Si")
@@ -187,3 +191,81 @@ def test_add_merges_term_labels():
 def test_dimension_guard():
     with pytest.raises(AssemblyError, match="dimension"):
         assemble_lk(SI, BOX, Orientation.DOT_110, BasisCutoff(20, 20, 11))
+
+
+def test_dimension_guard_refuses_before_allocating():
+    cut = BasisCutoff(16, 16, 9)            # N = 9216 > MAX_DIMENSION
+    tracemalloc.start()
+    try:
+        with pytest.raises(AssemblyError, match=r"16 N\^2 bytes = 1\.36 GB"):
+            assemble_static(SI, BOX, Orientation.DOT_110, cut, E0=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_assemblers_match_dense_kron_reference():
+    """The sparse per-axis products, summed and densified, equal the dense
+    np.kron construction of every term exactly."""
+    N = (3, 2, 2)
+    cut = BasisCutoff(*N)
+    L = (BOX.L_x, BOX.L_y, BOX.L_z)
+    K = [ksquared_matrix(n, l) for n, l in zip(N, L)]
+    D = [derivative_matrix(n, l) for n, l in zip(N, L)]
+    X = [position_matrix(n, l) for n, l in zip(N, L)]
+    Q = [posderiv_matrix(n) for n in N]
+
+    def orb(x=None, y=None, z=None):
+        x, y, z = (np.eye(n) if a is None else a for n, a in zip(N, (x, y, z)))
+        return np.kron(z, np.kron(y, x))
+
+    def channels(ops, weights, scale):
+        return sum(scale(ch) * np.kron(o, weights[ch])
+                   for ch, o in ops.items())
+
+    kinetic = {"xx": orb(x=K[0]), "yy": orb(y=K[1]), "zz": orb(z=K[2]),
+               "xy": -orb(x=D[0], y=D[1]), "xz": -orb(x=D[0], z=D[2]),
+               "yz": -orb(y=D[1], z=D[2])}
+    B, theta, phi = 1.3, 0.7, 0.4
+    bx, by, bz = bhat_from_angles(theta, phi)
+    orbital_magnetic = {
+        "xx": by * orb(x=D[0], z=X[2]) - bz * orb(x=D[0], y=X[1]),
+        "yy": bz * orb(x=X[0], y=D[1]) - bx * orb(y=D[1], z=X[2]),
+        "zz": bx * orb(y=X[1], z=D[2]) - by * orb(x=X[0], z=D[2]),
+        "xy": bz * (orb(x=Q[0]) - orb(y=Q[1]))
+        - bx * orb(x=D[0], z=X[2]) + by * orb(y=D[1], z=X[2]),
+        "xz": bx * orb(x=D[0], y=X[1])
+        - by * (orb(x=Q[0]) - orb(z=Q[2])) - bz * orb(y=X[1], z=D[2]),
+        "yz": bx * (orb(y=Q[1]) - orb(z=Q[2]))
+        - by * orb(x=X[0], y=D[1]) + bz * orb(x=X[0], z=D[2]),
+    }
+    lk = {}
+    for orientation in Orientation:
+        w = _spin_weights(SI, orientation)
+        lk[orientation] = channels(kinetic, w,
+                                   lambda ch: CONST.hbar2_over_2m0)
+        assert np.array_equal(assemble_lk(SI, BOX, orientation, cut).matrix,
+                              lk[orientation])
+        para = channels(orbital_magnetic, w, lambda ch: CONST.mu_B * B * (
+            -1j if ch in ("xx", "yy", "zz") else -0.5j))
+        assert np.array_equal(assemble_paramagnetic(
+            SI, BOX, B, theta, phi, cut, orientation=orientation).matrix, para)
+
+    dipole = np.kron(orb(y=X[1]), np.eye(4))
+    assert np.array_equal(dipole_y(BOX, cut).matrix, dipole)
+    electric = -CONST.e_scale * 0.2 * dipole
+    assert np.array_equal(assemble_electric(0.2, BOX, cut).matrix, electric)
+    block = zeeman_spin_block(SI.kappa, B, bhat_from_angles(theta, phi))
+    zeeman = np.kron(np.eye(cut.n_orbital), block)
+    assert np.array_equal(assemble_zeeman(SI, B, theta, phi, cut).matrix,
+                          zeeman)
+    eps = StrainConfig(2e-4)
+    shifts = assemble_strain(SI, eps, BasisCutoff(1, 1, 1)).matrix
+    strain = np.kron(np.eye(cut.n_orbital), shifts)
+    assert np.array_equal(assemble_strain(SI, eps, cut).matrix, strain)
+    static = assemble_static(SI, BOX, Orientation.DOT_110, cut, E0=0.2,
+                             strain=eps)
+    assert static.terms == ("lk", "electric", "strain")
+    assert np.array_equal(static.matrix,
+                          lk[Orientation.DOT_110] + electric + strain)

@@ -8,8 +8,8 @@ from pytest import approx
 import holebox.numeric as numeric
 from holebox import (BasisCutoff, BoxGeometry, DegenerateQubitError,
                      FieldConfig, HamiltonianMatrix, Orientation, PairingError,
-                     RabiResult, assemble_static, assemble_zeeman,
-                     converged_rabi, dipole_y, get_material,
+                     RabiResult, StrainConfig, assemble_static,
+                     assemble_zeeman, converged_rabi, dipole_y, get_material,
                      minimal_exact_qubit, pair_doublets, rabi_sum_over_states,
                      reduce_model, solve_spectrum)
 from holebox.numeric import SpinorSpectrum, qubit_h1
@@ -248,3 +248,44 @@ def test_solver_rejects_bad_state_count():
     H = _random_hermitian(np.random.default_rng(9), 8)
     with pytest.raises(ValueError):
         solve_spectrum(H, 0)
+
+
+# time reversal in the spin order (+3/2, +1/2, -1/2, -3/2): T v = A conj(v)
+_T_SPIN = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("material, orientation, cut, E0, strain", [
+    (SI, D110, BasisCutoff(3, 3, 2), 0.1, StrainConfig(2e-4)),
+    (get_material("Ge"), Orientation.DOT_100, BasisCutoff(2, 3, 3), 0.2, None),
+])
+def test_sector_solve_gives_exact_kramers_pairs(material, orientation, cut,
+                                                E0, strain):
+    H0 = assemble_static(material, BOX, orientation, cut, E0=E0, strain=strain)
+    spec = solve_spectrum(H0, 20)
+    e, V = spec.energies, spec.vectors
+    assert np.array_equal(e[0::2], e[1::2])
+    assert e == approx(np.linalg.eigvalsh(H0.matrix)[:20], rel=0, abs=1e-10)
+    T = np.kron(np.eye(cut.n_orbital), _T_SPIN)
+    for i in range(0, 20, 2):
+        pair = V[:, i:i + 2]
+        assert np.allclose(pair.conj().T @ pair, np.eye(2), atol=1e-12)
+        # the partner is T v up to the phase fixed by _fix_phases
+        assert abs(np.vdot(V[:, i + 1], T @ V[:, i].conj())) == approx(1.0)
+
+
+def test_sector_solve_iterative_branch_agrees(monkeypatch):
+    H0 = assemble_static(get_material("Ge"), BOX, Orientation.DOT_100,
+                         BasisCutoff(3, 2, 2), E0=0.1)
+    dense = solve_spectrum(H0, 8)
+    monkeypatch.setattr(numeric, "DENSE_LIMIT", 10)
+    iterative = solve_spectrum(H0, 8)
+    assert iterative.energies == approx(dense.energies, rel=1e-9, abs=1e-9)
+    assert np.array_equal(iterative.energies[0::2], iterative.energies[1::2])
+
+
+def test_sector_solve_rejects_mirror_breaking_hamiltonian():
+    cut = BasisCutoff(2, 2, 2)
+    H = (assemble_static(SI, BOX, D110, cut, E0=0.1)
+         + assemble_zeeman(SI, 1.0, 0.7, 0.3, cut))
+    with pytest.raises(numeric.SolverError, match="mirror"):
+        solve_spectrum(H, 4)

@@ -32,7 +32,6 @@ def test_defaults_describe_reference_scenario():
     assert spec.fields.E0 == approx(0.1)
     assert spec.fields.E_ac == approx(0.03)
     assert spec.cutoff == BasisCutoff(8, 8, 5)
-    assert spec.include_paramagnetic
     assert spec.tiers == ("minimal_exact", "linearized", "renormalized")
     assert len(spec.config_hash) == 12
 
