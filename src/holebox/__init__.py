@@ -14,9 +14,10 @@ from .hamiltonian import (AssemblyError, BoxGeometry, FieldConfig,
 from .materials import (FigureOfMerit, MaterialError, MaterialParams,
                         builtin_materials, figures_of_merit, get_material,
                         load_materials)
-from .minimal import (DegenerateQubitError, ElectricMixing, MixedSubband,
-                      NearDegeneracyError, QubitCoefficients, SubbandParams,
-                      e0_max, e0_max_thin, electric_mixing, light_hole_rabi,
+from .minimal import (DegenerateQubitError, ElectricMixing, MinimalExactModel,
+                      MixedSubband, NearDegeneracyError, QubitCoefficients,
+                      SubbandParams, e0_max, e0_max_thin, electric_mixing,
+                      light_hole_rabi, minimal_exact_model,
                       minimal_exact_qubit, minimal_exact_rabi, mixed_subbands,
                       qubit_coefficients, rabi_linearized, rabi_thin_dot,
                       renormalized_rabi, strain_divergence_eps,
@@ -33,7 +34,7 @@ __all__ = [
     "AssemblyError", "BasisCutoff", "BasisIndex", "BoxGeometry", "CONST",
     "DegenerateQubitError", "ElectricMixing", "FieldConfig", "FigureOfMerit",
     "HamiltonianMatrix", "KramersDoublet", "MaterialError", "MaterialParams",
-    "MixedSubband", "NearDegeneracyError", "Orientation", "PairingError",
+    "MinimalExactModel", "MixedSubband", "NearDegeneracyError", "Orientation", "PairingError",
     "PhysicalConstants", "QubitCoefficients", "RabiResult", "ReducedModel",
     "SolverError", "SpinorSpectrum", "StrainConfig", "SubbandParams",
     "assemble_electric", "assemble_lk", "assemble_paramagnetic",
@@ -41,8 +42,8 @@ __all__ = [
     "bhat_from_angles", "builtin_materials", "converged_rabi", "dipole_y",
     "e0_max", "e0_max_thin", "electric_mixing", "figures_of_merit",
     "get_material", "light_hole_rabi", "load_materials",
-    "minimal_exact_qubit", "minimal_exact_rabi", "mixed_subbands",
-    "pair_doublets", "qubit_coefficients", "rabi_linearized",
+    "minimal_exact_model", "minimal_exact_qubit", "minimal_exact_rabi",
+    "mixed_subbands", "pair_doublets", "qubit_coefficients", "rabi_linearized",
     "rabi_sum_over_states", "rabi_thin_dot", "reduce_model",
     "renormalized_rabi", "solve_spectrum", "strain_divergence_eps",
     "strain_equal_mixing_eps", "strain_equivalent_height",

@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tier", metavar="T1,T2", default=None,
                        help="comma separated result tiers to compute")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid sweeps (default 1)")
+                       help="accepted for compatibility (N >= 1); has no "
+                            "effect, every grid sweep runs batched")
         p.add_argument("--set", metavar="SECTION.KEY=VALUE", action="append",
                        default=[], dest="overrides",
                        help="override one config value; repeatable")

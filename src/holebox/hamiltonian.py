@@ -23,14 +23,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import (BasisCutoff, derivative_matrix, ksquared_matrix,
                     posderiv_matrix, position_matrix)
 from .constants import CONST
 from .materials import MaterialParams
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # A dense N x N complex matrix takes 16 N^2 bytes. At its peak reduce_model
 # holds about two of them and converged_rabi about four, which at 8192 is
@@ -168,14 +171,19 @@ def _spin_weights(material: MaterialParams, orientation: Orientation) -> dict[st
 def _kron3(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> sp.sparray:
     """Sparse orbital kron with n_x fastest (to match the flat-index
     ordering) of the dense 1D tables."""
+    # scipy is imported where it is used, so the closed-form commands,
+    # which never assemble, do not load it
+    import scipy.sparse as sp
     return sp.kron(az, sp.kron(ay, sp.csr_array(ax)))
 
 
 def _embed(orbital: sp.sparray, spin: np.ndarray) -> sp.sparray:
+    import scipy.sparse as sp
     return sp.kron(orbital, spin, format="csr")
 
 
 def _orbital_identity(cutoff: BasisCutoff) -> sp.sparray:
+    import scipy.sparse as sp
     return sp.eye_array(cutoff.n_orbital, format="csr")
 
 

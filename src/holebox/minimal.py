@@ -329,72 +329,106 @@ def _static_block(sp: SubbandParams, lam: float) -> np.ndarray:
         [0.0, lam, sp.R2, sp.P2 - sp.Q2]])
 
 
-def _zeeman8(material: MaterialParams, B: float, theta: float,
-             phi: float) -> np.ndarray:
-    h4 = zeeman_spin_block(material.kappa, B, bhat_from_angles(theta, phi))
-    H = np.zeros((8, 8), dtype=complex)
-    for a, (na, ja) in enumerate(_BASIS8):
-        for b, (nb, jb) in enumerate(_BASIS8):
-            if na == nb:
-                H[a, b] = h4[ja, jb]
-    return H
+_N8 = np.array([n for n, _ in _BASIS8])
+_J8 = np.array([j for _, j in _BASIS8])
+_SAME_N8 = _N8[:, None] == _N8[None, :]
+# 8x8 templates over _BASIS8: the Zeeman block for b along x, y, z per unit
+# kappa and B (it is linear in b), and where the dipole carries <1|y|2>
+_ZEEMAN8 = np.stack([zeeman_spin_block(1.0, 1.0, axis)[np.ix_(_J8, _J8)]
+                     * _SAME_N8 for axis in np.eye(3)])
+_DIPOLE8 = ((_J8[:, None] == _J8[None, :]) & ~_SAME_N8).astype(float)
+
+GRID_BLOCK = 4096  # field directions per batched step of qubit_grid
 
 
-def _dipole8(L_y: float) -> np.ndarray:
-    y12 = position_element(1, 2, L_y)
-    Y = np.zeros((8, 8))
-    for a, (na, ja) in enumerate(_BASIS8):
-        for b, (nb, jb) in enumerate(_BASIS8):
-            if ja == jb and na != nb:
-                Y[a, b] = y12
-    return Y
+@dataclass(frozen=True)
+class MinimalExactModel:
+    """The exact minimal-basis route for one dot, E0 and strain.
+
+    The eight eigenstates are the columns of the real 4x4 static block,
+    each placed in the first four slots (u_k) and in its time-reversed copy
+    (d_k), ordered (u_0, d_0, u_1, d_1, ...). Only the ground-doublet rows
+    of the rotated operators enter the qubit, so those are all it keeps.
+    """
+    zeeman: np.ndarray  # (3, 2, 8) complex: <u_0, d_0| kappa Z_axis |n>
+    dipole: np.ndarray  # (2, 6) real: <u_0, d_0| y |n>, n excited
+    gaps: np.ndarray    # (6,) E_0 - E_n, n excited
+
+    def qubit_grid(self, B: float, thetas, phis,
+                   E_ac: float) -> tuple[np.ndarray, np.ndarray]:
+        """(f_R, f_L) in GHz for every direction of the broadcast angle
+        arrays: the splitting of the ground doublet and the drive matrix
+        element at first order in B, summed over the six excited states."""
+        th, ph = np.broadcast_arrays(np.asarray(thetas, dtype=float),
+                                     np.asarray(phis, dtype=float))
+        f_R, f_L = np.empty(th.shape), np.empty(th.shape)
+        flat = [a.reshape(-1) for a in (th, ph, f_R, f_L)]
+        for lo in range(0, th.size, GRID_BLOCK):
+            t, p, out_R, out_L = (a[lo:lo + GRID_BLOCK] for a in flat)
+            out_R[:], out_L[:] = self._qubit_block(B, t, p, E_ac)
+        return f_R, f_L
+
+    def _qubit_block(self, B: float, theta: np.ndarray, phi: np.ndarray,
+                     E_ac: float) -> tuple[np.ndarray, np.ndarray]:
+        # the contractions are written out elementwise, not as matmul, so a
+        # direction's result does not depend on the batch it is part of
+        s = np.sin(theta)
+        b = (s * np.cos(phi), s * np.sin(phi), np.cos(theta))
+        z = self.zeeman
+        # ground rows of B Z(b): (n, 2, 8)
+        rows = B * (b[0][:, None, None] * z[0] + b[1][:, None, None] * z[1]
+                    + b[2][:, None, None] * z[2])
+        w, U = np.linalg.eigh(rows[:, :, :2])
+        f_L = (w[:, 1] - w[:, 0]) / CONST.h_planck
+        s0, s1 = U[:, :, 0], U[:, :, 1]
+        c1 = s1.conj()
+        exc = rows[:, :, 2:]
+        y_up = c1[:, 0, None] * self.dipole[0] + c1[:, 1, None] * self.dipole[1]
+        y_dn = s0[:, 0, None] * self.dipole[0] + s0[:, 1, None] * self.dipole[1]
+        z_up = c1[:, 0, None] * exc[:, 0] + c1[:, 1, None] * exc[:, 1]
+        # <n|Z|s0> = conj(<s0|Z|n>): Z is Hermitian
+        z_dn = (s0[:, 0, None] * exc[:, 0].conj()
+                + s0[:, 1, None] * exc[:, 1].conj())
+        total = ((y_up * z_dn + z_up * y_dn) / self.gaps).sum(axis=1)
+        f_R = CONST.e_scale * E_ac * np.abs(total) / CONST.h_planck
+        return f_R, f_L
 
 
-def _embed8(v4: np.ndarray, conjugate: bool) -> np.ndarray:
-    v = np.zeros(8, dtype=complex)
-    if conjugate:
-        v[4:8] = v4
-    else:
-        v[0:4] = v4
-    return v
+def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
+                        orientation: Orientation, E0: float, *,
+                        strain: StrainConfig | None = None,
+                        ) -> MinimalExactModel:
+    """Diagonalize the static minimal problem once for any field direction.
+
+    The static 8x8 Hamiltonian splits into a real 4x4 block and its
+    time-reversed copy, so one real diagonalization yields all four
+    doublets; the unit-axis Zeeman generators and the dipole are rotated
+    into that eigenbasis.
+    """
+    sp = subband_params(material, geometry, orientation, strain=strain)
+    energies, V = np.linalg.eigh(
+        _static_block(sp, mixing_strength(E0, geometry.L_y)))
+    W = np.zeros((8, 8))
+    W[:4, 0::2] = V
+    W[4:, 1::2] = V
+    ground = W[:, :2].T
+    zeeman = material.kappa * np.einsum("ga,xab,bn->xgn", ground, _ZEEMAN8, W)
+    dipole = position_element(1, 2, geometry.L_y) * (ground @ _DIPOLE8 @ W)
+    return MinimalExactModel(zeeman=zeeman, dipole=dipole[:, 2:],
+                             gaps=energies[0] - np.repeat(energies[1:], 2))
 
 
 def minimal_exact_qubit(material: MaterialParams, geometry: BoxGeometry,
                         orientation: Orientation, fields: FieldConfig, *,
                         strain: StrainConfig | None = None,
                         ) -> tuple[float, float]:
-    """(f_R, f_L) in GHz from exact minimal-basis eigenstates.
-
-    The static 8x8 Hamiltonian splits into a real 4x4 block and its
-    time-reversed copy, so one real diagonalization yields all four
-    doublets; the qubit splitting and the drive matrix element are then
-    evaluated at first order in B by the generic sum over the three
-    excited doublets.
-    """
-    sp = subband_params(material, geometry, orientation, strain=strain)
-    lam = mixing_strength(fields.E0, geometry.L_y)
-    energies, V = np.linalg.eigh(_static_block(sp, lam))
-    HZ = _zeeman8(material, fields.B, fields.theta, fields.phi)
-    Y = _dipole8(geometry.L_y)
-    ups = [_embed8(V[:, k], False) for k in range(4)]
-    dns = [_embed8(V[:, k], True) for k in range(4)]
-    u, d = ups[0], dns[0]
-    H1 = np.array([[u.conj() @ HZ @ u, u.conj() @ HZ @ d],
-                   [d.conj() @ HZ @ u, d.conj() @ HZ @ d]])
-    w, U = np.linalg.eigh(H1)
-    f_L = (w[1] - w[0]) / CONST.h_planck
-    s0 = U[0, 0] * u + U[1, 0] * d
-    s1 = U[0, 1] * u + U[1, 1] * d
-    total = 0.0 + 0.0j
-    for k in range(1, 4):
-        for v in (ups[k], dns[k]):
-            y_up = s1.conj() @ Y @ v
-            z_dn = v.conj() @ HZ @ s0
-            z_up = s1.conj() @ HZ @ v
-            y_dn = v.conj() @ Y @ s0
-            total += (y_up * z_dn + z_up * y_dn) / (energies[0] - energies[k])
-    f_R = CONST.e_scale * fields.E_ac * abs(total) / CONST.h_planck
-    return f_R, f_L
+    """(f_R, f_L) in GHz from exact minimal-basis eigenstates: the
+    one-direction case of MinimalExactModel.qubit_grid."""
+    model = minimal_exact_model(material, geometry, orientation, fields.E0,
+                                strain=strain)
+    f_R, f_L = model.qubit_grid(fields.B, fields.theta, fields.phi,
+                                fields.E_ac)
+    return float(f_R), float(f_L)
 
 
 def minimal_exact_rabi(material: MaterialParams, geometry: BoxGeometry,

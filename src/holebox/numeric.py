@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .basis import BasisCutoff
 from .constants import CONST
@@ -130,6 +129,9 @@ def _lowest(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     dim = A.shape[0]
     if dim <= DENSE_LIMIT or k >= dim - 1:
+        # imported here, like scipy.sparse.linalg below, so that importing
+        # the package does not load scipy
+        import scipy.linalg
         return scipy.linalg.eigh(A, subset_by_index=[0, k - 1])
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     v0 = np.random.default_rng(1234).standard_normal(dim)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import inf, radians, sqrt
 from pathlib import Path
@@ -26,11 +25,13 @@ from .basis import BasisCutoff
 from .hamiltonian import BoxGeometry, FieldConfig, Orientation, StrainConfig
 from .materials import (MaterialParams, builtin_materials, figures_of_merit,
                         get_material, load_materials)
-from .minimal import (DegenerateQubitError, NearDegeneracyError,
-                      e0_max, minimal_exact_qubit, minimal_exact_rabi,
-                      mixed_subbands, rabi_linearized, rabi_thin_dot,
-                      renormalized_rabi, strain_equivalent_height,
-                      subband_params)
+# minimal_exact_rabi is not called here; it stays importable from this
+# module because bench/tracer.py wraps it by this name
+from .minimal import (DegenerateQubitError, NearDegeneracyError,  # noqa: F401
+                      e0_max, minimal_exact_model, minimal_exact_qubit,
+                      minimal_exact_rabi, mixed_subbands, rabi_linearized,
+                      rabi_thin_dot, renormalized_rabi,
+                      strain_equivalent_height, subband_params)
 from .numeric import PairingError, SolverError, reduce_model
 
 COMMANDS = ("materials-table", "e0-sweep", "lz-sweep", "angle-map",
@@ -101,7 +102,6 @@ class SweepSpec:
     cutoff: BasisCutoff
     n_excited: int
     grid: dict[str, float]
-    threads: int
     resolved_text: str
     config_hash: str
     table_materials: tuple[MaterialParams, ...] = ()
@@ -153,7 +153,10 @@ def _resolve_material(cfg: dict[str, dict[str, str]],
 def resolve_spec(command: str, config_path: str | Path | None = None,
                  overrides: list[str] | None = None,
                  tiers: str | None = None, threads: int = 1) -> SweepSpec:
-    """Merge defaults, config file and key=value overrides into a SweepSpec."""
+    """Merge defaults, config file and key=value overrides into a SweepSpec.
+
+    threads is validated but has no effect: every grid sweep is batched.
+    """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     cfg = _default_config(command)
@@ -261,8 +264,7 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
     return SweepSpec(
         kind=command, tiers=tier_tuple, material=material, geometry=geometry,
         orientation=orientation, fields=fields, cutoff=cutoff,
-        n_excited=n_excited, grid=grid,
-        threads=threads, resolved_text=text,
+        n_excited=n_excited, grid=grid, resolved_text=text,
         config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest()[:12],
         table_materials=table)
 
@@ -374,91 +376,103 @@ def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
     phis = _linspace(spec.grid["phi_min_deg"], spec.grid["phi_max_deg"],
                      spec.grid["phi_count"])
     points = [(float(t), float(p)) for t in thetas for p in phis]
-    # converged tiers: one static solve, then one batched pass over the grid
-    converged_f_R: dict[str, list[float | None]] = {}
+    th = np.array([radians(t) for t, _ in points])
+    ph = np.array([radians(p) for _, p in points])
+    f = spec.fields
+    # the exact minimal and the converged tiers are batched over the grid,
+    # each from one static solve
+    batched: dict[str, list[float | None]] = {}
+    if "minimal_exact" in spec.tiers:
+        model = minimal_exact_model(spec.material, spec.geometry,
+                                    spec.orientation, f.E0)
+        batched["minimal_exact"] = model.qubit_grid(f.B, th, ph,
+                                                    f.E_ac)[0].tolist()
     converged = [t for t in spec.tiers if t.startswith("converged")]
     if converged:
         reduced = reduce_model(spec.material, spec.geometry, spec.orientation,
-                               spec.cutoff, spec.fields.E0,
-                               n_excited=spec.n_excited)
-        th = np.array([radians(t) for t, _ in points])
-        ph = np.array([radians(p) for _, p in points])
+                               spec.cutoff, f.E0, n_excited=spec.n_excited)
         for tier in converged:
             try:
                 _, f_R = reduced.rabi_grid(
-                    spec.fields.B, th, ph, spec.fields.E_ac,
+                    f.B, th, ph, f.E_ac,
                     include_paramagnetic=(tier == "converged_full"),
                     n_excited=spec.n_excited)
-                converged_f_R[tier] = [None if np.isnan(v) else float(v)
-                                       for v in f_R]
+                batched[tier] = [None if np.isnan(v) else float(v)
+                                 for v in f_R]
             except _POINT_ERRORS:
-                converged_f_R[tier] = [None] * len(points)
+                batched[tier] = [None] * len(points)
 
-    def point(k: int) -> list:
-        t_deg, p_deg = points[k]
-        fields = replace(spec.fields, theta=radians(t_deg), phi=radians(p_deg))
-        cells = {tier: values[k] for tier, values in converged_f_R.items()}
-        for tier in spec.tiers:
-            if tier in cells:
-                continue
-            try:
-                if tier == "analytic2":
-                    cells[tier] = rabi_thin_dot(spec.material, spec.geometry,
-                                                spec.orientation, fields, 2)
-                elif tier == "analytic4":
-                    cells[tier] = rabi_thin_dot(spec.material, spec.geometry,
-                                                spec.orientation, fields, 4)
-                else:
-                    cells[tier] = minimal_exact_rabi(
-                        spec.material, spec.geometry, spec.orientation, fields)
-            except _POINT_ERRORS:
-                cells[tier] = None
-        return [t_deg, p_deg] + [cells[t] for t in spec.tiers]
-
-    # threads spread the closed-form tiers; the converged cells are known
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            rows = list(pool.map(point, range(len(points))))
-    else:
-        rows = [point(k) for k in range(len(points))]
+    rows = []
+    for k, (t_deg, p_deg) in enumerate(points):
+        fields = replace(f, theta=radians(t_deg), phi=radians(p_deg))
+        cells = {tier: values[k] for tier, values in batched.items()}
+        for order, tier in ((2, "analytic2"), (4, "analytic4")):
+            if tier in spec.tiers:
+                cells[tier] = rabi_thin_dot(spec.material, spec.geometry,
+                                            spec.orientation, fields, order)
+        rows.append([t_deg, p_deg] + [cells[t] for t in spec.tiers])
     columns = ["theta_deg", "phi_deg"] + [f"f_R_{t}" for t in spec.tiers]
     return _write_csv(out, spec, columns, rows)
 
 
+# The strain-sweep optimum is searched on grids of whole millidegrees, so
+# every reported angle is an exact decimal with at most three places.
+_MDEG = 1000
+_STEPS = (5000, 1000, 100, 10, 1)  # the global grid, then each refinement
+_MAX_STARTS = 4  # a flat map (B, E0 or E_ac zero) is all local maxima
+
+
+def _local_maxima(f: np.ndarray) -> np.ndarray:
+    """Flat indices of the points of a 2D grid that no neighbour (the
+    diagonals included) exceeds, highest first."""
+    pad = np.pad(f, 1, constant_values=-np.inf)
+    keep = np.ones(f.shape, dtype=bool)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            keep &= f >= pad[di:di + f.shape[0], dj:dj + f.shape[1]]
+    idx = np.flatnonzero(keep)
+    return idx[np.argsort(-f.flat[idx], kind="stable")]
+
+
 def _optimal_direction(spec: SweepSpec,
-                       strain: StrainConfig) -> tuple[float, float, float]:
-    """(f_R, theta_deg, phi_deg) maximizing the exact minimal-basis Rabi
-    frequency; coarse 10-degree scan, then local refinement."""
-    # imported here: no other command needs it, and it is slow to load
-    import scipy.optimize
+                       strain: StrainConfig) -> tuple[float, float]:
+    """(theta_deg, phi_deg) maximizing the exact minimal-basis Rabi
+    frequency over theta and phi in [0, 90] degrees.
 
-    def f_of(theta_deg: float, phi_deg: float) -> float:
-        fields = replace(spec.fields, theta=radians(theta_deg),
-                         phi=radians(phi_deg))
-        return minimal_exact_rabi(spec.material, spec.geometry,
-                                  spec.orientation, fields, strain=strain)
+    f_R(theta, phi) = f_R(theta, 180 - phi) (the mirror x -> -x combined
+    with time reversal), so phi in [0, 90] covers every direction and the
+    two mirror optima, which tie at theta = 90, resolve to one. A 5-degree
+    grid finds the local maxima; each is refined by nested grids, each
+    ten times finer than the last and spanning one step of it, down to
+    0.001 degrees. Near the heavy/light crossing two maxima lie within
+    1e-4 of each other and tens of degrees apart, hence every start.
+    """
+    f = spec.fields
+    model = minimal_exact_model(spec.material, spec.geometry,
+                                spec.orientation, f.E0, strain=strain)
 
-    best = (-1.0, 0.0, 0.0)
-    for t in range(0, 91, 10):
-        for p in range(0, 181, 10):
-            val = f_of(float(t), float(p))
-            if val > best[0]:
-                best = (val, float(t), float(p))
+    def scan(ts: np.ndarray, ps: np.ndarray):
+        t, p = np.meshgrid(ts, ps, indexing="ij")
+        f_R, _ = model.qubit_grid(f.B, np.radians(t / _MDEG),
+                                  np.radians(p / _MDEG), f.E_ac)
+        return t.reshape(-1), p.reshape(-1), f_R.reshape(-1)
 
-    def negated(x: np.ndarray) -> float:
-        t = float(np.clip(x[0], 0.0, 90.0))
-        p = float(np.clip(x[1], 0.0, 180.0))
-        return -f_of(t, p)
+    def window(x: int, span: int, step: int) -> np.ndarray:
+        return np.unique(np.clip(np.arange(x - span, x + span + 1, step),
+                                 0, 90 * _MDEG))
 
-    res = scipy.optimize.minimize(
-        negated, x0=np.array(best[1:]), method="Nelder-Mead",
-        options={"xatol": 1e-3, "fatol": 1e-12, "maxiter": 400})
-    t = float(np.clip(res.x[0], 0.0, 90.0))
-    p = float(np.clip(res.x[1], 0.0, 180.0))
-    val = f_of(t, p)
-    if val >= best[0]:
-        return val, t, p
-    return best
+    axis = np.arange(0, 90 * _MDEG + 1, _STEPS[0])
+    grid_t, grid_p, grid_f = scan(axis, axis)
+    best = (-1.0, 0, 0)
+    for k in _local_maxima(grid_f.reshape(axis.size, axis.size))[:_MAX_STARTS]:
+        t0, p0 = int(grid_t[k]), int(grid_p[k])
+        for span, step in zip(_STEPS, _STEPS[1:]):
+            t, p, f_R = scan(window(t0, span, step), window(p0, span, step))
+            k = int(np.argmax(f_R))
+            t0, p0 = int(t[k]), int(p[k])
+        if f_R[k] > best[0]:
+            best = (f_R[k], t0, p0)
+    return best[1] / _MDEG, best[2] / _MDEG
 
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
@@ -477,16 +491,12 @@ def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
         sp = subband_params(spec.material, spec.geometry, spec.orientation,
                             strain=strain)
         hh = mixed_subbands(sp)[0].heavy_weight
-        f_R = f_L = t_opt = p_opt = None
-        try:
-            f_R, t_opt, p_opt = _optimal_direction(spec, strain)
-            fields = replace(spec.fields, theta=radians(t_opt),
-                             phi=radians(p_opt))
-            _, f_L = minimal_exact_qubit(spec.material, spec.geometry,
-                                         spec.orientation, fields,
-                                         strain=strain)
-        except _POINT_ERRORS:
-            pass
+        t_opt, p_opt = _optimal_direction(spec, strain)
+        fields = replace(spec.fields, theta=radians(t_opt),
+                         phi=radians(p_opt))
+        f_R, f_L = minimal_exact_qubit(spec.material, spec.geometry,
+                                       spec.orientation, fields,
+                                       strain=strain)
         lz2 = strain_equivalent_height(spec.material, spec.geometry.L_z, eps)
         lz_eff = sqrt(lz2) if 0.0 < lz2 < inf else None
         rows.append([eps, hh, f_R, f_L, t_opt, p_opt, lz_eff, eps == 0.0])

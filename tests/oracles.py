@@ -1,8 +1,9 @@
 """Shared test oracles and samplers.
 
-The direct evaluator here rebuilds the Zeeman block, the dipole operator
-and the qubit amplitudes from first principles so that only the subband
-mixing inputs are shared with the library code under test.
+The direct evaluators here rebuild the Zeeman block, the dipole operator,
+the static minimal Hamiltonian and the qubit amplitudes from first
+principles so that only the subband constants are shared with the library
+code under test.
 """
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from holebox import (BoxGeometry, MaterialParams, Orientation, electric_mixing,
-                     mixed_subbands, subband_params)
+from holebox import (BoxGeometry, MaterialParams, Orientation, StrainConfig,
+                     electric_mixing, mixed_subbands, subband_params)
 from holebox.constants import CONST
 
 SQ3 = sqrt(3.0)
@@ -127,6 +128,49 @@ def direct_rabi_first_order(material: MaterialParams, geometry: BoxGeometry,
             total += (y0 * z1 + y1 * z0 + za0 * yb1 + za1 * yb0) \
                 / (m1.E_minus - ener[lab])
     return CONST.e_scale * fields.E_ac * abs(total) / CONST.h_planck
+
+
+def static8(material: MaterialParams, geometry: BoxGeometry,
+            orientation: Orientation, E0: float,
+            strain: StrainConfig | None = None) -> np.ndarray:
+    """The static minimal Hamiltonian (LK + E0 + strain) on BASIS8."""
+    sp = subband_params(material, geometry, orientation, strain=strain)
+    P, Q, R = {1: sp.P1, 2: sp.P2}, {1: sp.Q1, 2: sp.Q2}, {1: sp.R1, 2: sp.R2}
+    lam = -CONST.e_scale * E0 * dipole8(geometry.L_y)[0, 2]
+    H = np.zeros((8, 8))
+    for a, (na, ja) in enumerate(BASIS8):
+        for b, (nb, jb) in enumerate(BASIS8):
+            if na == nb and ja == jb:
+                # heavy holes (j_z = +-3/2) at P + Q, light holes at P - Q
+                H[a, b] = P[na] + (Q[na] if ja in (0, 3) else -Q[na])
+            elif na == nb and {ja, jb} in ({0, 2}, {1, 3}):
+                H[a, b] = R[na]
+            elif na != nb and ja == jb:
+                H[a, b] = lam
+    return H
+
+
+def exact_qubit8(material: MaterialParams, geometry: BoxGeometry,
+                 orientation: Orientation, fields,
+                 strain: StrainConfig | None = None) -> tuple[float, float]:
+    """(f_R, f_L) in GHz by diagonalizing the full 8x8 static Hamiltonian
+    and summing over its six excited states for one field direction."""
+    E, V = np.linalg.eigh(static8(material, geometry, orientation, fields.E0,
+                                  strain))
+    theta, phi = fields.theta, fields.phi
+    bhat = (sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta))
+    HZ = zeeman8(material.kappa, fields.B, bhat)
+    Y = dipole8(geometry.L_y)
+    ground = V[:, :2]
+    w, U = np.linalg.eigh(ground.conj().T @ HZ @ ground)
+    s0, s1 = ground @ U[:, 0], ground @ U[:, 1]
+    total = 0.0 + 0.0j
+    for n in range(2, 8):
+        v = V[:, n]
+        total += ((s1.conj() @ Y @ v) * (v.conj() @ HZ @ s0)
+                  + (s1.conj() @ HZ @ v) * (v.conj() @ Y @ s0)) / (E[0] - E[n])
+    return (CONST.e_scale * fields.E_ac * abs(total) / CONST.h_planck,
+            (w[1] - w[0]) / CONST.h_planck)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -93,16 +94,37 @@ def test_threads_flag_gives_identical_angle_map(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only strain-sweep needs the optimizer, and only the iterative branch
-    # of solve_spectrum needs scipy.sparse.linalg; every command pays the
-    # import
+    # scipy is imported only where the converged-basis numerics use it, so
+    # importing the CLI, which every command pays for, loads none of it
     src = str(Path(holebox.__file__).resolve().parents[1])
     code = ("import sys, holebox.cli; "
             "print('scipy.optimize' in sys.modules, "
-            "'scipy.sparse.linalg' in sys.modules)")
+            "'scipy.sparse.linalg' in sys.modules, "
+            "any(m.startswith('scipy') for m in sys.modules))")
     res = subprocess.run([sys.executable, "-c", code], cwd=src,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False False"
+    assert res.stdout.strip() == "False False False"
+
+
+def test_closed_form_commands_never_load_scipy(tmp_path):
+    runs = [["materials-table"],
+            ["e0-sweep", "--set", "sweep.e0_count=3"],
+            ["lz-sweep", "--set", "sweep.lz_count=2"],
+            ["angle-map", "--set", "sweep.theta_count=3",
+             "--set", "sweep.phi_count=4"],
+            ["strain-sweep", "--set", "sweep.eps_count=2"]]
+    src = str(Path(holebox.__file__).resolve().parents[1])
+    code = ("import json, sys, holebox.cli\n"
+            "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    out = f'{sys.argv[2]}/{k}.csv'\n"
+            "    assert holebox.cli.main(argv + ['--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(runs),
+                          str(tmp_path)], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "[]"
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        f"{k}.csv" for k in range(len(runs))]
 
 
 _SMALL_CONVERGED_MAP = ["angle-map", "--set", "solver.cutoff=3,3,2",

@@ -8,14 +8,18 @@ from pytest import approx
 from holebox import (BoxGeometry, DegenerateQubitError, FieldConfig,
                      MaterialParams, NearDegeneracyError, Orientation,
                      StrainConfig, e0_max, e0_max_thin, electric_mixing,
-                     get_material, light_hole_rabi, minimal_exact_qubit,
-                     minimal_exact_rabi, mixed_subbands, qubit_coefficients,
+                     get_material, light_hole_rabi, minimal_exact_model,
+                     minimal_exact_qubit, minimal_exact_rabi, mixed_subbands,
+                     qubit_coefficients,
                      rabi_linearized, rabi_thin_dot, renormalized_rabi,
                      strain_divergence_eps, strain_equal_mixing_eps,
                      strain_equivalent_height, strain_transition_eps,
                      subband_params)
 from holebox.constants import CONST
-from oracles import direct_rabi_first_order, well_separated_sample
+from holebox.minimal import GRID_BLOCK
+from holebox.sweeps import _optimal_direction, resolve_spec
+from oracles import (direct_rabi_first_order, exact_qubit8,
+                     well_separated_sample)
 
 SI = get_material("Si")
 BOX = BoxGeometry(40.0, 30.0, 10.0)
@@ -267,3 +271,108 @@ def test_minimal_exact_handles_zero_drive():
     f_R, f_L = minimal_exact_qubit(SI, BOX, D110,
                                    replace(REF_FIELDS, E_ac=0.0))
     assert f_R == 0.0 and f_L > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the exact route batched over field directions
+
+GE = get_material("Ge")
+THETAS = np.radians(np.linspace(0, 90, 7))[:, None]
+PHIS = np.radians(np.linspace(0, 180, 9))[None, :]
+
+
+def _assert_close(got, want):
+    # rel 1e-12 on the cells that carry a value, 1e-15 GHz on the zeros
+    big = np.abs(want) > 1e-9
+    assert np.all(np.abs(got - want)[big] <= 1e-12 * np.abs(want)[big])
+    assert np.all(np.abs(got - want)[~big] <= 1e-15)
+
+
+def test_batched_exact_route_matches_8x8_reference():
+    cases = [(m, o, 0.1, None) for m in (SI, GE) for o in Orientation]
+    cases += [(SI, o, 0.1, StrainConfig(eps)) for o in Orientation
+              for eps in (5e-4, 1e-3)]
+    # past the saturation field the subbands are strongly mixed
+    cases += [(m, o, 3 * e0_max(m, BOX, o), None) for m in (SI, GE)
+              for o in Orientation]
+    for m, o, E0, strain in cases:
+        f_R, f_L = minimal_exact_model(m, BOX, o, E0, strain=strain
+                                       ).qubit_grid(1.0, THETAS, PHIS, 0.03)
+        want = np.array([[exact_qubit8(m, BOX, o, FieldConfig(
+            B=1.0, theta=t, phi=p, E0=E0, E_ac=0.03), strain)
+            for p in PHIS.ravel()] for t in THETAS.ravel()])
+        assert f_R.shape == f_L.shape == (7, 9)
+        _assert_close(f_R, want[..., 0])
+        _assert_close(f_L, want[..., 1])
+
+
+def test_batched_exact_route_vanishes_at_zero_field():
+    f_R, f_L = minimal_exact_model(SI, BOX, D110, 0.1).qubit_grid(
+        0.0, THETAS, PHIS, 0.03)
+    assert f_R.shape == (7, 9)
+    assert not f_R.any() and not f_L.any()
+
+
+def test_scalar_exact_route_is_one_batched_element():
+    n = 65
+    assert n * n > GRID_BLOCK      # the grid spans two blocks
+    th = np.radians(np.linspace(0, 90, n))[:, None]
+    ph = np.radians(np.linspace(0, 180, n))[None, :]
+    strain = StrainConfig(5e-4)
+    f_R, f_L = minimal_exact_model(SI, BOX, D110, 0.1, strain=strain
+                                   ).qubit_grid(1.0, th, ph, 0.03)
+    for i, j in ((0, 0), (3, 17), (40, 64), (63, 2), (64, 64)):
+        fields = replace(REF_FIELDS, theta=float(th[i, 0]),
+                         phi=float(ph[0, j]))
+        assert minimal_exact_qubit(SI, BOX, D110, fields, strain=strain) \
+            == (f_R[i, j], f_L[i, j])
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("eps", [0.0, 5e-4, 1e-3])
+def test_exact_route_mirror_symmetry(orientation, eps):
+    # x -> -x combined with time reversal flips b_x alone:
+    # f_R(theta, phi) = f_R(theta, 180 - phi)
+    th = np.radians(np.linspace(0, 90, 46))[:, None]
+    ph = np.radians(np.linspace(0, 180, 91))[None, :]
+    f_R, _ = minimal_exact_model(SI, BOX, orientation, 0.1,
+                                 strain=StrainConfig(eps)
+                                 ).qubit_grid(1.0, th, ph, 0.03)
+    _assert_close(f_R[:, ::-1], f_R)
+
+
+@pytest.mark.parametrize("orientation, eps", [
+    (D110, 0.0), (D110, 7e-4), (D110, 1e-3), (Orientation.DOT_100, 5e-4)])
+def test_strain_sweep_optimum(orientation, eps):
+    # 7e-4 has two maxima 5e-5 apart in f_R and 30 degrees apart in phi;
+    # at 1e-3 the optimum lies at theta = 90, where the mirror pair ties
+    import scipy.optimize
+
+    spec = replace(resolve_spec("strain-sweep"), orientation=orientation)
+    strain = StrainConfig(eps)
+    t_opt, p_opt = _optimal_direction(spec, strain)
+    model = minimal_exact_model(SI, BOX, orientation, spec.fields.E0,
+                                strain=strain)
+
+    def f_R(t_deg, p_deg):
+        return model.qubit_grid(1.0, np.radians(t_deg), np.radians(p_deg),
+                                0.03)[0]
+
+    assert 0.0 <= t_opt <= 90.0 and 0.0 <= p_opt <= 90.0
+    assert round(t_opt, 3) == t_opt and round(p_opt, 3) == p_opt
+    best = f_R(t_opt, p_opt)
+    coarse = f_R(np.arange(0.0, 91.0, 10.0)[:, None],
+                 np.arange(0.0, 181.0, 10.0)[None, :])
+    assert best >= coarse.max()
+    # reference: a dense 0.5-degree scan polished by Nelder-Mead
+    t = np.arange(0.0, 90.25, 0.5)[:, None]
+    p = np.arange(0.0, 180.25, 0.5)[None, :]
+    dense = f_R(t, p)
+    i, j = np.unravel_index(np.argmax(dense), dense.shape)
+    res = scipy.optimize.minimize(
+        lambda x: -float(f_R(*x)), x0=[t[i, 0], p[0, j]],
+        method="Nelder-Mead", bounds=[(0, 90), (0, 180)],
+        options={"xatol": 1e-7, "fatol": 1e-18, "maxiter": 2000})
+    t_ref, p_ref = res.x[0], min(res.x[1], 180 - res.x[1])
+    assert best >= -res.fun * (1 - 1e-9)
+    assert abs(t_opt - t_ref) <= 2e-3 and abs(p_opt - p_ref) <= 2e-3
