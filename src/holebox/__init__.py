@@ -4,7 +4,7 @@ Closed-form minimal-basis theory and a converged numerical solver for
 the Larmor and electrically driven Rabi frequencies of the heavy-hole
 ground doublet, plus sweep tooling behind the ``holebox`` command.
 """
-from .basis import BasisCutoff, BasisIndex
+from .basis import BasisCutoff
 from .constants import CONST, PhysicalConstants
 from .hamiltonian import (AssemblyError, BoxGeometry, FieldConfig,
                           HamiltonianMatrix, Orientation, StrainConfig,
@@ -31,7 +31,7 @@ from .numeric import (KramersDoublet, PairingError, RabiResult, ReducedModel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "BasisCutoff", "BasisIndex", "BoxGeometry", "CONST",
+    "AssemblyError", "BasisCutoff", "BoxGeometry", "CONST",
     "DegenerateQubitError", "ElectricMixing", "FieldConfig", "FigureOfMerit",
     "HamiltonianMatrix", "KramersDoublet", "MaterialError", "MaterialParams",
     "MinimalExactModel", "MixedSubband", "NearDegeneracyError", "Orientation", "PairingError",

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-J_Z_VALUES = (1.5, 0.5, -0.5, -1.5)
-
 
 @dataclass(frozen=True)
 class BasisCutoff:
@@ -39,39 +37,6 @@ class BasisCutoff:
     @property
     def dimension(self) -> int:
         return 4 * self.n_orbital
-
-    def flat_index(self, idx: "BasisIndex") -> int:
-        if not (1 <= idx.n_x <= self.N_x and 1 <= idx.n_y <= self.N_y
-                and 1 <= idx.n_z <= self.N_z):
-            raise ValueError(f"{idx} out of range for cutoff {self}")
-        s = J_Z_VALUES.index(idx.j_z)
-        orb = (idx.n_x - 1) + self.N_x * ((idx.n_y - 1) + self.N_y * (idx.n_z - 1))
-        return 4 * orb + s
-
-    def basis_index(self, flat: int) -> "BasisIndex":
-        if not 0 <= flat < self.dimension:
-            raise ValueError(f"flat index {flat} out of range (dim {self.dimension})")
-        orb, s = divmod(flat, 4)
-        rest, nx = divmod(orb, self.N_x)
-        nz, ny = divmod(rest, self.N_y)
-        return BasisIndex(n_x=nx + 1, n_y=ny + 1, n_z=nz + 1, j_z=J_Z_VALUES[s])
-
-    def indices(self):
-        """All BasisIndex values in flat order."""
-        for flat in range(self.dimension):
-            yield self.basis_index(flat)
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    n_x: int
-    n_y: int
-    n_z: int
-    j_z: float
-
-    def __post_init__(self):
-        if self.j_z not in J_Z_VALUES:
-            raise ValueError(f"j_z must be one of {J_Z_VALUES}, got {self.j_z}")
 
 
 def position_element(n: int, m: int, L: float) -> float:

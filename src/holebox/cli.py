@@ -9,11 +9,9 @@ import argparse
 import sys
 
 from .materials import MaterialError
-from .minimal import DegenerateQubitError, NearDegeneracyError
-from .numeric import PairingError, SolverError
-from .sweeps import (COMMANDS, ConfigError, resolve_spec, run_angle_map,
-                     run_e0_sweep, run_lz_sweep, run_materials_table,
-                     run_strain_sweep)
+from .sweeps import (COMMANDS, SOLVER_ERRORS, ConfigError, resolve_spec,
+                     run_angle_map, run_e0_sweep, run_lz_sweep,
+                     run_materials_table, run_strain_sweep)
 
 _RUNNERS = {
     "materials-table": run_materials_table,
@@ -40,6 +38,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(raw: str) -> int:
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="holebox",
@@ -56,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "written next to it as CSV.cfg")
         p.add_argument("--tier", metavar="T1,T2", default=None,
                        help="comma separated result tiers to compute")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="accepted for compatibility (N >= 1); has no "
                             "effect, every grid sweep runs batched")
         p.add_argument("--set", metavar="SECTION.KEY=VALUE", action="append",
@@ -69,15 +73,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = resolve_spec(args.command, config_path=args.config,
-                            overrides=args.overrides, tiers=args.tier,
-                            threads=args.threads)
+                            overrides=args.overrides, tiers=args.tier)
     except (ConfigError, MaterialError, OSError) as err:
         print(f"holebox: config error: {err}", file=sys.stderr)
         return 1
     try:
         out = _RUNNERS[args.command](spec, args.out)
-    except (SolverError, PairingError, DegenerateQubitError,
-            NearDegeneracyError) as err:
+    except SOLVER_ERRORS as err:
         print(f"holebox: solver error: {err}", file=sys.stderr)
         return 2
     except MaterialError as err:

@@ -194,12 +194,12 @@ def _wrap(H: sp.sparray, cutoff: BasisCutoff,
                              cutoff=cutoff, terms=terms)
 
 
-def _check_dimension(cutoff: BasisCutoff, max_dimension: int) -> None:
-    if cutoff.dimension > max_dimension:
+def _check_dimension(cutoff: BasisCutoff) -> None:
+    if cutoff.dimension > MAX_DIMENSION:
         gb = 16 * cutoff.dimension ** 2 / 1e9
         raise AssemblyError(
             f"cutoff {cutoff} gives dimension {cutoff.dimension} "
-            f"> max_dimension {max_dimension}; one dense complex matrix "
+            f"> MAX_DIMENSION {MAX_DIMENSION}; one dense complex matrix "
             f"would take 16 N^2 bytes = {gb:.2f} GB")
 
 
@@ -251,8 +251,8 @@ def _strain(material: MaterialParams, strain: StrainConfig,
 
 
 def assemble_lk(material: MaterialParams, geometry: BoxGeometry,
-                orientation: Orientation, cutoff: BasisCutoff,
-                max_dimension: int = MAX_DIMENSION) -> HamiltonianMatrix:
+                orientation: Orientation,
+                cutoff: BasisCutoff) -> HamiltonianMatrix:
     """Kinetic four-band Hamiltonian at zero fields.
 
     Cross products k_i k_j on different axes factorize exactly in the
@@ -260,7 +260,7 @@ def assemble_lk(material: MaterialParams, geometry: BoxGeometry,
     identity here; k_i^2 uses the exact diagonal element, not the squared
     truncated derivative matrix.
     """
-    _check_dimension(cutoff, max_dimension)
+    _check_dimension(cutoff)
     return _wrap(_lk(material, geometry, orientation, cutoff), cutoff, "lk")
 
 
@@ -345,9 +345,9 @@ def assemble_strain(material: MaterialParams, strain: StrainConfig,
 def assemble_static(material: MaterialParams, geometry: BoxGeometry,
                     orientation: Orientation, cutoff: BasisCutoff,
                     E0: float = 0.0, strain: StrainConfig | None = None,
-                    max_dimension: int = MAX_DIMENSION) -> HamiltonianMatrix:
+                    ) -> HamiltonianMatrix:
     """LK + electric (+ strain): the B-independent part of the Hamiltonian."""
-    _check_dimension(cutoff, max_dimension)
+    _check_dimension(cutoff)
     H, terms = _lk(material, geometry, orientation, cutoff), ("lk",)
     if E0 != 0.0:
         H, terms = H + _electric(E0, geometry, cutoff), terms + ("electric",)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 
@@ -156,13 +155,7 @@ def load_materials(path: str | Path) -> list[MaterialParams]:
     return parse_materials(text, origin=str(p))
 
 
-def reference_file_text() -> str:
-    """Contents of the shipped reference material file (the builtin six)."""
-    return resources.files("holebox.data").joinpath("materials.cfg").read_text("utf-8")
-
-
 __all__ = [
     "MaterialError", "MaterialParams", "FigureOfMerit", "figures_of_merit",
     "builtin_materials", "get_material", "parse_materials", "load_materials",
-    "reference_file_text",
 ]

@@ -43,8 +43,8 @@ DEFAULT_N_EXCITED = 40
 MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
 GRID_BLOCK = 1024       # field directions per batched step of rabi_grid
 
-TIER_LABELS = ("analytic2", "analytic4", "linearized", "renormalized",
-               "minimal_exact", "converged_zeeman", "converged_full")
+# the tiers a RabiResult can carry, indexed by include_paramagnetic
+CONVERGED_TIERS = ("converged_zeeman", "converged_full")
 
 
 class SolverError(RuntimeError):
@@ -84,7 +84,7 @@ class RabiResult:
     tail_fraction: float | None = None
 
     def __post_init__(self):
-        if self.tier not in TIER_LABELS:
+        if self.tier not in CONVERGED_TIERS:
             raise ValueError(f"unknown tier {self.tier!r}")
         if self.f_L < 0 or self.f_R < 0:
             raise ValueError("frequencies must be non-negative")
@@ -182,16 +182,13 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
                           cutoff=H.cutoff, included_terms=H.terms)
 
 
-def pair_doublets(spectrum: SpinorSpectrum,
-                  tol: float = PAIRING_TOL) -> list[KramersDoublet]:
-    """Greedy adjacent pairing of a time-reversal-degenerate spectrum."""
-    e = spectrum.energies
+def _paired_energies(e: np.ndarray, tol: float) -> np.ndarray:
+    """Mean energies of the adjacent pairs of a Kramers-degenerate spectrum."""
     n = e.shape[0]
     if n % 2 == 1:
         warnings.warn("odd number of states; dropping the unpaired top state",
-                      stacklevel=2)
+                      stacklevel=3)
         n -= 1
-    doublets = []
     for i in range(0, n, 2):
         gap = e[i + 1] - e[i]
         if gap > tol:
@@ -202,12 +199,15 @@ def pair_doublets(spectrum: SpinorSpectrum,
             raise PairingError(
                 f"ambiguous pairing: states {i + 1} and {i + 2} nearly "
                 f"degenerate (energies {e[i + 1]:.9f}, {e[i + 2]:.9f})")
-        doublets.append(KramersDoublet(
-            E=0.5 * (e[i] + e[i + 1]),
-            v_up=spectrum.vectors[:, i],
-            v_down=spectrum.vectors[:, i + 1],
-            index=i // 2))
-    return doublets
+    return 0.5 * (e[0:n:2] + e[1:n:2])
+
+
+def pair_doublets(spectrum: SpinorSpectrum,
+                  tol: float = PAIRING_TOL) -> list[KramersDoublet]:
+    """Greedy adjacent pairing of a time-reversal-degenerate spectrum."""
+    V = spectrum.vectors
+    return [KramersDoublet(E=E, v_up=V[:, 2 * k], v_down=V[:, 2 * k + 1], index=k)
+            for k, E in enumerate(_paired_energies(spectrum.energies, tol))]
 
 
 def qubit_h1(ground: KramersDoublet, Hm_prime: HamiltonianMatrix) -> np.ndarray:
@@ -223,7 +223,7 @@ def rabi_sum_over_states(doublets: list[KramersDoublet],
                          Hm_prime: HamiltonianMatrix,
                          dipole_y: HamiltonianMatrix, E_ac: float,
                          n_excited: int = DEFAULT_N_EXCITED, *,
-                         tier: str = "converged_full",
+                         tier: str = CONVERGED_TIERS[True],
                          g_principal: tuple[float, float, float] | None = None,
                          ) -> RabiResult:
     """First-order-in-B Larmor and Rabi frequencies of the ground doublet.
@@ -317,9 +317,9 @@ def converged_rabi(material: MaterialParams, geometry: BoxGeometry,
             FieldConfig(B=1.0, theta=th, phi=ph), cutoff, include_paramagnetic)
             for th, ph in ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))]
         g = _principal_g(doublets[0], gens)
-    tier = "converged_full" if include_paramagnetic else "converged_zeeman"
     return rabi_sum_over_states(doublets, Hm, Y, fields.E_ac, n_excited,
-                                tier=tier, g_principal=g)
+                                tier=CONVERGED_TIERS[include_paramagnetic],
+                                g_principal=g)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +345,7 @@ class ReducedModel:
     @cached_property
     def _doublet_energies(self) -> np.ndarray:
         # pairing depends on the energies only, so it runs once per model
-        n = self.energies.shape[0]
-        spectrum = SpinorSpectrum(energies=self.energies,
-                                  vectors=np.eye(n, dtype=complex),
-                                  cutoff=None, included_terms=("reduced",))
-        return np.array([d.E for d in pair_doublets(spectrum)])
+        return _paired_energies(self.energies, PAIRING_TOL)
 
     def _excited_gaps(self, n_excited: int) -> np.ndarray:
         """E_ground - E_d for the excited doublets in the sum."""
@@ -434,9 +430,9 @@ class ReducedModel:
         total = abs(terms.sum())
         tail_n = 2 * max(1, terms.shape[0] // 20)
         tail = abs(terms[-tail_n:].sum()) / total if total > 0 else 0.0
-        tier = "converged_full" if include_paramagnetic else "converged_zeeman"
         return RabiResult(f_L=float(f_L[0]), f_R=float(f_R[0]),
-                          g_principal=None, tier=tier, tail_fraction=tail)
+                          g_principal=None, tail_fraction=tail,
+                          tier=CONVERGED_TIERS[include_paramagnetic])
 
 
 def reduce_model(material: MaterialParams, geometry: BoxGeometry,

@@ -15,8 +15,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
-from math import inf, radians, sqrt
+from functools import cache, cached_property
+from itertools import groupby, product
+from math import inf, isnan, radians, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -24,40 +27,49 @@ import numpy as np
 from .basis import BasisCutoff
 from .hamiltonian import BoxGeometry, FieldConfig, Orientation, StrainConfig
 from .materials import (MaterialParams, builtin_materials, figures_of_merit,
-                        get_material, load_materials)
-# minimal_exact_rabi is not called here; it stays importable from this
-# module because bench/tracer.py wraps it by this name
+                        load_materials)
+# minimal_exact_rabi is not called here; bench/tracer.py wraps it by this name
 from .minimal import (DegenerateQubitError, NearDegeneracyError,  # noqa: F401
                       e0_max, minimal_exact_model, minimal_exact_qubit,
                       minimal_exact_rabi, mixed_subbands, rabi_linearized,
                       rabi_thin_dot, renormalized_rabi,
                       strain_equivalent_height, subband_params)
-from .numeric import PairingError, SolverError, reduce_model
+from .numeric import PairingError, ReducedModel, SolverError, reduce_model
 
 COMMANDS = ("materials-table", "e0-sweep", "lz-sweep", "angle-map",
             "strain-sweep")
 
-ALLOWED_TIERS = {
-    "materials-table": (),
-    "e0-sweep": ("minimal_exact", "linearized", "renormalized"),
-    "lz-sweep": ("analytic2", "analytic4", "linearized"),
-    "angle-map": ("analytic2", "analytic4", "minimal_exact",
-                  "converged_zeeman", "converged_full"),
-    "strain-sweep": ("minimal_exact",),
-}
 
-DEFAULT_TIERS = {
-    "materials-table": (),
-    "e0-sweep": ("minimal_exact", "linearized", "renormalized"),
-    "lz-sweep": ("analytic2", "analytic4", "linearized"),
-    "angle-map": ("analytic2", "analytic4", "minimal_exact"),
-    "strain-sweep": ("minimal_exact",),
+@dataclass(frozen=True)
+class Tier:
+    """Commands accepting a tier, whether it is on by default, and its column."""
+    commands: tuple[str, ...]
+    column: Callable[[_Sweep], list]
+    default: bool = True
+
+
+# The result tiers in canonical column order. Each column calls its model
+# by this module's name at call time, so rebinding the name sees the call.
+TIERS = {
+    "analytic2": Tier(("lz-sweep", "angle-map"), lambda s: s.closed_form(
+        lambda *point: rabi_thin_dot(*point, 2))),
+    "analytic4": Tier(("lz-sweep", "angle-map"), lambda s: s.closed_form(
+        lambda *point: rabi_thin_dot(*point, 4))),
+    "minimal_exact": Tier(("e0-sweep", "angle-map", "strain-sweep"),
+                          lambda s: [f_R for f_R, _ in s.exact]),
+    "linearized": Tier(("e0-sweep", "lz-sweep"), lambda s: s.linearized),
+    "renormalized": Tier(("e0-sweep",), lambda s: s.renormalized()),
+    "converged_zeeman": Tier(("angle-map",), lambda s: s.converged(False),
+                             default=False),
+    "converged_full": Tier(("angle-map",), lambda s: s.converged(True),
+                           default=False),
 }
 
 _UNITS = ("L=nm, E0=mV/nm, E_ac=mV/nm, B=T, theta=deg, phi=deg, "
           "f_L=GHz, f_R=GHz, eps_parallel=dimensionless, lz_eff=nm")
 
-_POINT_ERRORS = (DegenerateQubitError, NearDegeneracyError, PairingError,
+# raised by a model on inputs it cannot solve
+SOLVER_ERRORS = (DegenerateQubitError, NearDegeneracyError, PairingError,
                  SolverError)
 
 
@@ -135,12 +147,9 @@ def _resolve_material(cfg: dict[str, dict[str, str]],
                       section: str, name_key: str) -> list[MaterialParams]:
     file_path = cfg[section].get("file", "").strip()
     names = [n.strip() for n in cfg[section][name_key].split(",") if n.strip()]
-    if file_path:
-        pool = {m.name: m for m in load_materials(Path(file_path))}
-        for m in builtin_materials():
-            pool.setdefault(m.name, m)
-    else:
-        pool = {m.name: m for m in builtin_materials()}
+    # a material in the file replaces the builtin of the same name
+    extra = load_materials(Path(file_path)) if file_path else []
+    pool = {m.name: m for m in builtin_materials() + extra}
     out = []
     for name in names:
         if name not in pool:
@@ -152,11 +161,8 @@ def _resolve_material(cfg: dict[str, dict[str, str]],
 
 def resolve_spec(command: str, config_path: str | Path | None = None,
                  overrides: list[str] | None = None,
-                 tiers: str | None = None, threads: int = 1) -> SweepSpec:
-    """Merge defaults, config file and key=value overrides into a SweepSpec.
-
-    threads is validated but has no effect: every grid sweep is batched.
-    """
+                 tiers: str | None = None) -> SweepSpec:
+    """Merge defaults, config file and key=value overrides into a SweepSpec."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     cfg = _default_config(command)
@@ -192,22 +198,17 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
                               f"[{section}] {key}")
         cfg[section][key] = value
 
-    if tiers is None:
-        tier_tuple = DEFAULT_TIERS[command]
-    else:
-        requested = [t.strip() for t in tiers.split(",") if t.strip()]
-        allowed = ALLOWED_TIERS[command]
-        for t in requested:
-            if t not in allowed:
-                raise ConfigError(
-                    f"tier {t!r} not valid for {command}; allowed: "
-                    f"{', '.join(allowed) or 'none'}")
-        # canonical order, duplicates dropped
-        tier_tuple = tuple(t for t in allowed if t in requested)
-        if not tier_tuple and command != "materials-table":
-            raise ConfigError("no valid tiers requested")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    allowed = [t for t, tier in TIERS.items() if command in tier.commands]
+    requested = ([t for t in allowed if TIERS[t].default] if tiers is None
+                 else [t.strip() for t in tiers.split(",") if t.strip()])
+    for t in requested:
+        if t not in allowed:
+            raise ConfigError(f"tier {t!r} not valid for {command}; allowed: "
+                              f"{', '.join(allowed) or 'none'}")
+    # canonical order, duplicates dropped
+    tier_tuple = tuple(t for t in allowed if t in requested)
+    if not tier_tuple and command != "materials-table":
+        raise ConfigError("no valid tiers requested")
 
     material = _resolve_material(cfg, "material", "name")[0]
     table = ()
@@ -216,9 +217,8 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
 
     g = cfg["geometry"]
     try:
-        geometry = BoxGeometry(_parse_float("geometry", "L_x", g["L_x"]),
-                               _parse_float("geometry", "L_y", g["L_y"]),
-                               _parse_float("geometry", "L_z", g["L_z"]))
+        geometry = BoxGeometry(*(_parse_float("geometry", key, g[key])
+                                 for key in ("L_x", "L_y", "L_z")))
     except ValueError as err:
         raise ConfigError(str(err)) from err
     try:
@@ -285,7 +285,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(out: str | Path, spec: SweepSpec, columns: list[str],
-               rows: list[list]) -> Path:
+               rows: Iterable[Sequence]) -> Path:
     out = Path(out)
     lines = [f"# holebox {spec.kind}",
              f"# config-hash: {spec.config_hash}",
@@ -300,8 +300,10 @@ def _write_csv(out: str | Path, spec: SweepSpec, columns: list[str],
     return out
 
 
-def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.linspace(lo, hi, int(count))
+def _axis(spec: SweepSpec, name: str, unit: str = "") -> list[float]:
+    g = spec.grid
+    return np.linspace(g[f"{name}_min{unit}"], g[f"{name}_max{unit}"],
+                       int(g[f"{name}_count"])).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -320,99 +322,101 @@ def run_materials_table(spec: SweepSpec, out: str | Path) -> Path:
     return _write_csv(out, spec, columns, rows)
 
 
-def run_e0_sweep(spec: SweepSpec, out: str | Path) -> Path:
-    grid = _linspace(spec.grid["e0_min"], spec.grid["e0_max"],
-                     spec.grid["e0_count"])
-    emax = e0_max(spec.material, spec.geometry, spec.orientation)
-    columns = ["E0", "f_L"] + [f"f_R_{t}" for t in spec.tiers]
-    rows = []
-    for e0 in grid:
-        fields = replace(spec.fields, E0=float(e0))
-        f_R_exact, f_L = minimal_exact_qubit(
-            spec.material, spec.geometry, spec.orientation, fields)
-        cells: dict[str, float | None] = {"minimal_exact": f_R_exact}
-        if "linearized" in spec.tiers or "renormalized" in spec.tiers:
+class _Sweep:
+    """The (geometry, fields) points of one sweep and the results that
+    several tier columns share. A run of points that differ only in field
+    direction shares one static problem: its exact minimal and converged
+    models are built once and evaluate the run in one batched call."""
+
+    def __init__(self, spec: SweepSpec,
+                 points: list[tuple[BoxGeometry, FieldConfig]]):
+        self.spec, self.points = spec, points
+        runs = [list(run) for _, run in groupby(
+            points, lambda p: (p[0], p[1].B, p[1].E0, p[1].E_ac))]
+        self.static = [(*run[0], np.array([f.theta for _, f in run]),
+                        np.array([f.phi for _, f in run])) for run in runs]
+
+    def closed_form(self, fn) -> list[float | None]:
+        """fn(material, geometry, orientation, fields) at each point, or None."""
+        s, cells = self.spec, []
+        for geometry, fields in self.points:
             try:
-                lin = rabi_linearized(spec.material, spec.geometry,
-                                      spec.orientation, fields)
-                cells["linearized"] = lin
-                cells["renormalized"] = renormalized_rabi(
-                    lin, float(e0), spec.geometry, spec.material,
-                    orientation=spec.orientation, e_max=emax)
-            except _POINT_ERRORS:
-                cells["linearized"] = cells["renormalized"] = None
-        rows.append([float(e0), f_L] + [cells.get(t) for t in spec.tiers])
-    return _write_csv(out, spec, columns, rows)
+                cells.append(fn(s.material, geometry, s.orientation, fields))
+            except SOLVER_ERRORS:
+                cells.append(None)
+        return cells
+
+    @cached_property
+    def exact(self) -> list[tuple[float, float]]:
+        """(f_R, f_L) of the exact minimal route."""
+        s, cells = self.spec, []
+        for g, f, thetas, phis in self.static:
+            dot = (s.material, g, s.orientation)
+            if thetas.size == 1:    # the one-direction case of qubit_grid
+                cells.append(minimal_exact_qubit(*dot, f))
+                continue
+            f_R, f_L = minimal_exact_model(*dot, f.E0).qubit_grid(
+                f.B, thetas, phis, f.E_ac)
+            cells += zip(f_R.tolist(), f_L.tolist())
+        return cells
+
+    @cached_property
+    def linearized(self) -> list[float | None]:
+        return self.closed_form(lambda *point: rabi_linearized(*point))
+
+    def renormalized(self) -> list[float | None]:
+        s = self.spec
+        e_max = cache(lambda g: e0_max(s.material, g, s.orientation))
+        return [None if lin is None else renormalized_rabi(
+            lin, f.E0, g, s.material, orientation=s.orientation,
+            e_max=e_max(g)) for (g, f), lin in zip(self.points, self.linearized)]
+
+    @cached_property
+    def _reduced(self) -> list[ReducedModel]:
+        s = self.spec
+        return [reduce_model(s.material, g, s.orientation, s.cutoff, f.E0,
+                             n_excited=s.n_excited) for g, f, *_ in self.static]
+
+    def converged(self, include_paramagnetic: bool) -> list[float | None]:
+        """A point error of a model empties the cells of all its directions."""
+        cells = []
+        for model, (_, f, thetas, phis) in zip(self._reduced, self.static):
+            try:
+                f_R = model.rabi_grid(
+                    f.B, thetas, phis, f.E_ac, n_excited=self.spec.n_excited,
+                    include_paramagnetic=include_paramagnetic)[1]
+            except SOLVER_ERRORS:
+                f_R = np.full(thetas.size, np.nan)
+            cells += [None if isnan(v) else v for v in f_R.tolist()]
+        return cells
+
+    def write(self, out: str | Path, leading: dict[str, list]) -> Path:
+        """The CSV: the leading columns, then the f_R column of each tier."""
+        columns = {**leading, **{f"f_R_{t}": TIERS[t].column(self)
+                                 for t in self.spec.tiers}}
+        return _write_csv(out, self.spec, list(columns), zip(*columns.values()))
+
+
+def run_e0_sweep(spec: SweepSpec, out: str | Path) -> Path:
+    grid = _axis(spec, "e0")
+    sweep = _Sweep(spec, [(spec.geometry, replace(spec.fields, E0=e0))
+                          for e0 in grid])
+    return sweep.write(out, {"E0": grid, "f_L": [f_L for _, f_L in sweep.exact]})
 
 
 def run_lz_sweep(spec: SweepSpec, out: str | Path) -> Path:
-    grid = _linspace(spec.grid["lz_min"], spec.grid["lz_max"],
-                     spec.grid["lz_count"])
-    columns = ["L_z"] + [f"f_R_{t}" for t in spec.tiers]
-    rows = []
-    for lz in grid:
-        geometry = replace(spec.geometry, L_z=float(lz))
-        cells: dict[str, float | None] = {}
-        for tier in spec.tiers:
-            try:
-                if tier == "analytic2":
-                    cells[tier] = rabi_thin_dot(spec.material, geometry,
-                                                spec.orientation, spec.fields, 2)
-                elif tier == "analytic4":
-                    cells[tier] = rabi_thin_dot(spec.material, geometry,
-                                                spec.orientation, spec.fields, 4)
-                else:
-                    cells[tier] = rabi_linearized(spec.material, geometry,
-                                                  spec.orientation, spec.fields)
-            except _POINT_ERRORS:
-                cells[tier] = None
-        rows.append([float(lz)] + [cells.get(t) for t in spec.tiers])
-    return _write_csv(out, spec, columns, rows)
+    grid = _axis(spec, "lz")
+    return _Sweep(spec, [(replace(spec.geometry, L_z=lz), spec.fields)
+                         for lz in grid]).write(out, {"L_z": grid})
 
 
 def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
-    thetas = _linspace(spec.grid["theta_min_deg"], spec.grid["theta_max_deg"],
-                       spec.grid["theta_count"])
-    phis = _linspace(spec.grid["phi_min_deg"], spec.grid["phi_max_deg"],
-                     spec.grid["phi_count"])
-    points = [(float(t), float(p)) for t in thetas for p in phis]
-    th = np.array([radians(t) for t, _ in points])
-    ph = np.array([radians(p) for _, p in points])
-    f = spec.fields
-    # the exact minimal and the converged tiers are batched over the grid,
-    # each from one static solve
-    batched: dict[str, list[float | None]] = {}
-    if "minimal_exact" in spec.tiers:
-        model = minimal_exact_model(spec.material, spec.geometry,
-                                    spec.orientation, f.E0)
-        batched["minimal_exact"] = model.qubit_grid(f.B, th, ph,
-                                                    f.E_ac)[0].tolist()
-    converged = [t for t in spec.tiers if t.startswith("converged")]
-    if converged:
-        reduced = reduce_model(spec.material, spec.geometry, spec.orientation,
-                               spec.cutoff, f.E0, n_excited=spec.n_excited)
-        for tier in converged:
-            try:
-                _, f_R = reduced.rabi_grid(
-                    f.B, th, ph, f.E_ac,
-                    include_paramagnetic=(tier == "converged_full"),
-                    n_excited=spec.n_excited)
-                batched[tier] = [None if np.isnan(v) else float(v)
-                                 for v in f_R]
-            except _POINT_ERRORS:
-                batched[tier] = [None] * len(points)
-
-    rows = []
-    for k, (t_deg, p_deg) in enumerate(points):
-        fields = replace(f, theta=radians(t_deg), phi=radians(p_deg))
-        cells = {tier: values[k] for tier, values in batched.items()}
-        for order, tier in ((2, "analytic2"), (4, "analytic4")):
-            if tier in spec.tiers:
-                cells[tier] = rabi_thin_dot(spec.material, spec.geometry,
-                                            spec.orientation, fields, order)
-        rows.append([t_deg, p_deg] + [cells[t] for t in spec.tiers])
-    columns = ["theta_deg", "phi_deg"] + [f"f_R_{t}" for t in spec.tiers]
-    return _write_csv(out, spec, columns, rows)
+    thetas, phis = zip(*product(_axis(spec, "theta", "_deg"),
+                                _axis(spec, "phi", "_deg")))
+    sweep = _Sweep(spec, [(spec.geometry, replace(
+        spec.fields, theta=radians(t), phi=radians(p)))
+        for t, p in zip(thetas, phis)])
+    return sweep.write(out, {"theta_deg": thetas, "phi_deg": phis})
 
 
 # The strain-sweep optimum is searched on grids of whole millidegrees, so
@@ -477,8 +481,7 @@ def _optimal_direction(spec: SweepSpec,
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
     spec.material.require_strain()
-    grid = list(_linspace(spec.grid["eps_min"], spec.grid["eps_max"],
-                          spec.grid["eps_count"]))
+    grid = _axis(spec, "eps")
     if not any(abs(e) < 1e-15 for e in grid):
         grid.append(0.0)
     grid.sort()
@@ -486,7 +489,6 @@ def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
                "theta_opt_deg", "phi_opt_deg", "lz_eff", "is_reference"]
     rows = []
     for eps in grid:
-        eps = float(eps)
         strain = StrainConfig(eps_parallel=eps)
         sp = subband_params(spec.material, spec.geometry, spec.orientation,
                             strain=strain)

@@ -3,7 +3,7 @@ import pytest
 from pytest import approx
 from scipy.integrate import quad
 
-from holebox import BasisCutoff, BasisIndex
+from holebox import BasisCutoff
 from holebox.basis import (derivative_element, derivative_matrix,
                            ksquared_element, position_element, position_matrix,
                            posderiv_element, posderiv_matrix)
@@ -78,30 +78,6 @@ def test_matrices_match_elements():
     assert np.allclose(D, -D.T)
 
 
-def test_cutoff_flat_index_bijection():
-    cut = BasisCutoff(3, 4, 2)
-    assert cut.dimension == 4 * 3 * 4 * 2
-    seen = set()
-    for flat in range(cut.dimension):
-        idx = cut.basis_index(flat)
-        assert cut.flat_index(idx) == flat
-        seen.add((idx.n_x, idx.n_y, idx.n_z, idx.j_z))
-    assert len(seen) == cut.dimension
-
-
-def test_cutoff_spin_fastest_ordering():
-    cut = BasisCutoff(2, 2, 2)
-    first = [cut.basis_index(k) for k in range(4)]
-    assert [i.j_z for i in first] == [1.5, 0.5, -0.5, -1.5]
-    assert all((i.n_x, i.n_y, i.n_z) == (1, 1, 1) for i in first)
-    # x advances before y, y before z
-    assert cut.basis_index(4).n_x == 2
-    assert cut.basis_index(8).n_y == 2
-    assert cut.basis_index(16).n_z == 2
-
-
 def test_cutoff_validation():
     with pytest.raises(ValueError):
         BasisCutoff(0, 1, 1)
-    with pytest.raises(ValueError):
-        BasisIndex(1, 1, 1, 1.0)

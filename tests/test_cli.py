@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -153,3 +155,39 @@ def test_threads_flag_gives_identical_converged_angle_map(tmp_path):
     assert cli.main(base + ["--out", str(a), "--threads", "1"]) == 0
     assert cli.main(base + ["--out", str(b), "--threads", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_threads_must_be_positive(tmp_path, capsys):
+    # accepted and unused, but still validated by the argument parser
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["e0-sweep", "--out", str(tmp_path / "x.csv"),
+                  "--threads", "0"])
+    assert exc.value.code == 1
+    assert "--threads" in capsys.readouterr().err
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["e0-sweep", "--set", "sweep.e0_count=5"],
+     {"minimal.minimal_exact_qubit": 5, "minimal.rabi_linearized": 5}),
+    (["lz-sweep", "--set", "sweep.lz_count=4"],
+     {"minimal.rabi_thin_dot": 8, "minimal.rabi_linearized": 4}),
+    (["angle-map", "--tier", "analytic2,minimal_exact,converged_full",
+      "--set", "solver.cutoff=3,3,2", "--set", "sweep.theta_count=3",
+      "--set", "sweep.phi_count=3"],
+     {"minimal.rabi_thin_dot": 9, "numeric.reduce_model": 1,
+      "numeric.solve_spectrum": 1}),
+])
+def test_traced_run_sees_every_model_call(tmp_path, argv, calls):
+    # bench/tracer.py rebinds the model functions in holebox.sweeps, so each
+    # tier must look them up there at call time for its calls to be counted
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(holebox.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, str(_REPO / "bench" / "traced_cli.py"),
+                    str(spans), *argv, "--out", str(tmp_path / "t.csv")],
+                   env=env, capture_output=True, text=True, check=True)
+    counts = Counter(span[0] for span in json.loads(spans.read_text()))
+    assert {name: counts[name] for name in calls} == calls

@@ -3,7 +3,7 @@ from pytest import approx
 
 from holebox import (MaterialError, MaterialParams, builtin_materials,
                      figures_of_merit, get_material, load_materials)
-from holebox.materials import parse_materials, reference_file_text
+from holebox.materials import parse_materials
 
 
 def test_builtin_roster():
@@ -60,11 +60,6 @@ def test_strain_parameters_presence():
         ge.require_strain()
 
 
-def test_reference_file_round_trip():
-    parsed = parse_materials(reference_file_text())
-    assert parsed == builtin_materials()
-
-
 def test_parse_rejects_malformed_input():
     with pytest.raises(MaterialError, match="unknown field"):
         parse_materials("[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1\n"
@@ -98,8 +93,10 @@ def test_load_materials_missing_file(tmp_path):
 def test_load_materials_from_file(tmp_path):
     p = tmp_path / "mats.cfg"
     p.write_text("[material.Y]\ngamma1 = 10\ngamma2 = 2\ngamma3 = 3\n"
-                 "kappa = 1.5\nnu = 0.8\nb_v = -1.9\n", encoding="utf-8")
+                 "kappa = 1.5\nE_g = 0.9\nDelta_SO = 0.3\nnu = 0.8\n"
+                 "b_v = -1.9\n", encoding="utf-8")
     (mat,) = load_materials(p)
     assert mat.name == "Y"
     assert mat.has_strain_params
     assert mat.nu == approx(0.8)
+    assert (mat.E_g, mat.Delta_SO) == (0.9, 0.3)

@@ -1,11 +1,15 @@
 from math import radians
+from pathlib import Path
 
 import pytest
 from pytest import approx
 
-from holebox import BasisCutoff, Orientation
-from holebox.sweeps import (ConfigError, resolve_spec, run_e0_sweep,
-                            run_lz_sweep, run_materials_table, run_strain_sweep)
+import holebox.sweeps as sweeps
+from holebox import (BasisCutoff, NearDegeneracyError, Orientation,
+                     PairingError)
+from holebox.sweeps import (TIERS, ConfigError, resolve_spec, run_angle_map,
+                            run_e0_sweep, run_lz_sweep, run_materials_table,
+                            run_strain_sweep)
 
 
 def _read_csv(path):
@@ -77,8 +81,6 @@ def test_resolve_validates_values():
         resolve_spec("e0-sweep", overrides=["sweep.e0_count=1"])
     with pytest.raises(ConfigError, match="tier"):
         resolve_spec("e0-sweep", tiers="analytic2")
-    with pytest.raises(ConfigError, match="threads"):
-        resolve_spec("e0-sweep", threads=0)
 
 
 def test_materials_table_columns_and_empty(tmp_path):
@@ -165,3 +167,41 @@ def test_material_file_extends_pool(tmp_path):
                                    "material.name=Zed", "sweep.e0_count=2"])
     assert spec.material.name == "Zed"
     assert spec.material.gamma2 == approx(1.5)
+
+
+def test_readme_tier_table_matches_tiers():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text("utf-8").split("### Result tiers")[1]
+    rows = {}
+    for line in section.split("\n\n")[1].splitlines()[2:]:
+        name, _, commands, default = (c.strip() for c in line.strip("|").split("|"))
+        rows[name.strip("`")] = (tuple(c.strip(" `") for c in commands.split(",")),
+                                 default == "yes")
+    assert list(rows) == list(TIERS)
+    assert rows == {t: (tier.commands, tier.default) for t, tier in TIERS.items()}
+
+
+def test_point_errors_empty_a_cell_or_a_converged_column(tmp_path,
+                                                         monkeypatch):
+    # a closed form that raises empties its cell; a converged model that
+    # raises empties its whole column
+    thin_dot = sweeps.rabi_thin_dot
+
+    def flaky_thin_dot(material, geometry, orientation, fields, order):
+        if fields.theta > 1.0:
+            raise NearDegeneracyError("synthetic")
+        return thin_dot(material, geometry, orientation, fields, order)
+
+    class Unpairable:
+        def rabi_grid(self, *args, **kwargs):
+            raise PairingError("synthetic")
+
+    monkeypatch.setattr(sweeps, "rabi_thin_dot", flaky_thin_dot)
+    monkeypatch.setattr(sweeps, "reduce_model", lambda *a, **k: Unpairable())
+    spec = resolve_spec("angle-map", tiers="analytic2,converged_full",
+                        overrides=["sweep.theta_count=3", "sweep.phi_count=2"])
+    _, header, rows = _read_csv(run_angle_map(spec, tmp_path / "m.csv"))
+    assert header == ["theta_deg", "phi_deg", "f_R_analytic2",
+                      "f_R_converged_full"]
+    assert [row[2] == "" for row in rows] == [row[0] == "90.0" for row in rows]
+    assert all(row[3] == "" for row in rows)
