@@ -15,13 +15,15 @@ Conventions fixed here and inherited everywhere:
 
 Every operator is a sum of Kronecker products of the per-axis 1D tables of
 basis.py with a 4x4 spin matrix. The products are formed sparse and each
-assembler densifies its sum once, so a dense N x N matrix is allocated
-only for the result.
+assembler returns the sum as it is, still sparse; the numerics work on it
+by sparse matrix products. A dense N x N view is built only when
+`HamiltonianMatrix.matrix` is read.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, pi, sin, sqrt
 from typing import TYPE_CHECKING
 
@@ -35,9 +37,11 @@ from .materials import MaterialParams
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# A dense N x N complex matrix takes 16 N^2 bytes. At its peak reduce_model
-# holds about two of them and converged_rabi about four, which at 8192 is
-# 2.1 and 4.3 GB.
+# A dense N x N complex matrix takes 16 N^2 bytes, 1.07 GB at 8192. The
+# numerics never form one: their largest dense array is the real
+# N/2 x N/2 mirror block handed to eigh (2 N^2 bytes). The guard still
+# counts a full dense matrix, which any read of HamiltonianMatrix.matrix
+# allocates.
 MAX_DIMENSION = 8192
 
 
@@ -90,21 +94,26 @@ class StrainConfig:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    matrix: np.ndarray
+    operator: sp.sparray     # the summed sparse operator, as assembled
     cutoff: BasisCutoff | None
     terms: tuple[str, ...]
 
     def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if self.cutoff is not None and m.shape[0] != self.cutoff.dimension:
+        shape = self.operator.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"operator must be square, got shape {shape}")
+        if self.cutoff is not None and shape[0] != self.cutoff.dimension:
             raise ValueError(
-                f"matrix dimension {m.shape[0]} != cutoff dimension {self.cutoff.dimension}")
+                f"operator dimension {shape[0]} != cutoff dimension {self.cutoff.dimension}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense complex view of the operator, built on first access."""
+        return self.operator.toarray().astype(complex, copy=False)
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.operator.shape[0]
 
     def hermiticity_residual(self) -> float:
         """max |H - H^dagger| / max |H|, 0 for an all-zero matrix."""
@@ -114,13 +123,13 @@ class HamiltonianMatrix:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)) / scale)
 
     def __add__(self, other: "HamiltonianMatrix") -> "HamiltonianMatrix":
-        if self.matrix.shape != other.matrix.shape:
+        if self.operator.shape != other.operator.shape:
             raise AssemblyError("cannot add Hamiltonians of different dimension")
         if self.cutoff is not None and other.cutoff is not None \
                 and self.cutoff != other.cutoff:
             raise AssemblyError("cannot add Hamiltonians over different cutoffs")
         return HamiltonianMatrix(
-            matrix=self.matrix + other.matrix,
+            operator=self.operator + other.operator,
             cutoff=self.cutoff or other.cutoff,
             terms=self.terms + other.terms,
         )
@@ -174,7 +183,11 @@ def _kron3(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> sp.sparray:
     # scipy is imported where it is used, so the closed-form commands,
     # which never assemble, do not load it
     import scipy.sparse as sp
-    return sp.kron(az, sp.kron(ay, sp.csr_array(ax)))
+    # CSR factors and output: the default block format would store the
+    # zeros of the half-filled tables and carry them through every sum
+    return sp.kron(sp.csr_array(az),
+                   sp.kron(sp.csr_array(ay), sp.csr_array(ax), format="csr"),
+                   format="csr")
 
 
 def _embed(orbital: sp.sparray, spin: np.ndarray) -> sp.sparray:
@@ -189,9 +202,7 @@ def _orbital_identity(cutoff: BasisCutoff) -> sp.sparray:
 
 def _wrap(H: sp.sparray, cutoff: BasisCutoff,
           *terms: str) -> HamiltonianMatrix:
-    """Densify a summed sparse operator once."""
-    return HamiltonianMatrix(matrix=H.toarray().astype(complex, copy=False),
-                             cutoff=cutoff, terms=terms)
+    return HamiltonianMatrix(operator=H, cutoff=cutoff, terms=terms)
 
 
 def _check_dimension(cutoff: BasisCutoff) -> None:

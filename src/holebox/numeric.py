@@ -12,9 +12,10 @@ sine basis), so it is block diagonal in the M_z = +i sector
 (n_z odd, j_z in {+3/2, -1/2}) and (n_z even, j_z in {+1/2, -3/2}) and the
 -i sector holding the rest. Time reversal T = K antidiag(1, -1, 1, -1)
 (complex conjugation K, spin order +3/2..-3/2) commutes with H0 and maps
-one sector onto the other. Only the N/2 + sector is diagonalized; the
-partner of each of its states v is T v, so Kramers doublets come out
-exactly degenerate, interleaved as (v, T v), by construction.
+one sector onto the other. Only the N/2 + sector is diagonalized, as a
+real symmetric block after a diagonal phase change; the partner of each
+of its states v is T v, so Kramers doublets come out exactly degenerate,
+interleaved as (v, T v), by construction.
 
 All physical outputs are invariant under the pseudo-spin gauge (unitary
 rotations within each doublet); eigenvector phases are nevertheless fixed
@@ -25,6 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .hamiltonian import (BoxGeometry, FieldConfig, HamiltonianMatrix,
                           assemble_static, assemble_zeeman, dipole_y)
 from .materials import MaterialParams
 from .minimal import DegenerateQubitError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DENSE_LIMIT = 4096
 PAIRING_TOL = 1e-8      # meV
@@ -102,13 +107,35 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mirror_sectors(cutoff: BasisCutoff) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the M_z = +i and -i sectors: a state is in the + sector
-    when n_z - 1 and its spin slot (0..3 for +3/2..-3/2) have equal parity."""
+def _plus_sector(H: HamiltonianMatrix,
+                 ) -> tuple[np.ndarray, np.ndarray, sp.sparray]:
+    """The M_z = +i block of H, made real by a diagonal phase.
+
+    A state is in the + sector when n_z - 1 and its spin slot (0..3 for
+    +3/2..-3/2) have equal parity. On it D = i^(n_x + n_z) (0-based n)
+    turns the block into D^* H_++ D, which is real symmetric when H is
+    time-reversal even: every term that flips the parity of n_x or n_z
+    carries a matching factor i from R or S. Returns the + sector's flat
+    indices, D on them, and the real block as a sparse array; raises
+    SolverError if H couples the sectors or the phased block is not real.
+    """
+    import scipy.sparse as sp
+    cutoff = H.cutoff
     flat = np.arange(cutoff.dimension)
-    n_z = flat // (4 * cutoff.N_x * cutoff.N_y)    # n_z - 1
+    n_x = flat // 4 % cutoff.N_x
+    n_z = flat // (4 * cutoff.N_x * cutoff.N_y)
     plus = (n_z + flat % 4) % 2 == 0
-    return np.flatnonzero(plus), np.flatnonzero(~plus)
+    rows = H.operator.tocsr()[plus]
+    if rows[:, ~plus].count_nonzero():
+        raise SolverError("H couples the two mirror (M_z) sectors; the "
+                          "sector solver needs a static Hamiltonian")
+    # the phases are powers of i, so every product below is exact
+    D = np.array([1, 1j, -1, -1j])[(n_x + n_z)[plus] % 4]
+    block = sp.diags_array(D.conj()) @ rows[:, plus] @ sp.diags_array(D)
+    if np.any(block.imag.data):
+        raise SolverError("the phased mirror (M_z) block of H is not real; "
+                          "the sector solver needs a time-reversal-even H")
+    return np.flatnonzero(plus), D, block.real
 
 
 _T_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
@@ -121,8 +148,8 @@ def _time_reversed(vectors: np.ndarray) -> np.ndarray:
     return (spin * _T_SIGNS[:, None]).reshape(dim, k)
 
 
-def _lowest(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the Hermitian A, ascending.
+def _lowest(A: sp.sparray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of the sparse Hermitian A, ascending.
 
     Dense decomposition up to DENSE_LIMIT; above that an iterative extremal
     solver with a fixed-seed starting vector keeps runs reproducible.
@@ -132,7 +159,8 @@ def _lowest(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         # imported here, like scipy.sparse.linalg below, so that importing
         # the package does not load scipy
         import scipy.linalg
-        return scipy.linalg.eigh(A, subset_by_index=[0, k - 1])
+        return scipy.linalg.eigh(A.toarray(), subset_by_index=[0, k - 1],
+                                 overwrite_a=True)
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     v0 = np.random.default_rng(1234).standard_normal(dim)
     try:
@@ -149,30 +177,28 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     """Lowest n_states eigenpairs, ascending and deterministically phased.
 
     With a basis cutoff, H must commute with the mirror M_z (a static
-    Hamiltonian does; any B component off z breaks it) and only the + sector
-    is diagonalized; the states come out as exactly degenerate (v, T v)
-    pairs. Without one, H is diagonalized whole.
+    Hamiltonian does; any B component off z breaks it) and be time-reversal
+    even; only the real + sector block is diagonalized, and the states come
+    out as exactly degenerate (v, T v) pairs. Without one, H is
+    diagonalized whole.
     """
     dim = H.dimension
     n = min(n_states, dim)
     if n < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    A = H.matrix
+    A = H.operator
     if H.cutoff is None:
         energies, vectors = _lowest(A, n)
     else:
-        plus, minus = _mirror_sectors(H.cutoff)
-        if np.any(A[np.ix_(plus, minus)]):
-            raise SolverError("H couples the two mirror (M_z) sectors; the "
-                              "sector solver needs a static Hamiltonian")
+        indices, phase, block = _plus_sector(H)
         k = (n + 1) // 2
-        e, w = _lowest(A[np.ix_(plus, plus)], k)
+        e, w = _lowest(block, k)
         v = np.zeros((dim, k), dtype=complex)
-        v[plus] = w
+        v[indices] = phase[:, None] * w
         vectors = np.empty((dim, 2 * k), dtype=complex)
         vectors[:, 0::2], vectors[:, 1::2] = v, _time_reversed(v)
         energies, vectors = np.repeat(e, 2)[:n], vectors[:, :n]
-    scale = np.linalg.norm(A, np.inf)
+    scale = abs(A).sum(axis=1).max()    # the infinity norm
     residual = np.max(np.linalg.norm(A @ vectors - vectors * energies, axis=0))
     if scale > 0 and residual > RESIDUAL_TOL * scale:
         raise SolverError(
@@ -213,7 +239,7 @@ def pair_doublets(spectrum: SpinorSpectrum,
 def qubit_h1(ground: KramersDoublet, Hm_prime: HamiltonianMatrix) -> np.ndarray:
     """2x2 projection of the magnetic Hamiltonian on the ground doublet."""
     u, d = ground.v_up, ground.v_down
-    A = Hm_prime.matrix
+    A = Hm_prime.operator
     Au, Ad = A @ u, A @ d
     return np.array([[u.conj() @ Au, u.conj() @ Ad],
                      [d.conj() @ Au, d.conj() @ Ad]])
@@ -246,8 +272,8 @@ def rabi_sum_over_states(doublets: list[KramersDoublet],
     f_L = split / CONST.h_planck
     s0 = U[0, 0] * ground.v_up + U[1, 0] * ground.v_down
     s1 = U[0, 1] * ground.v_up + U[1, 1] * ground.v_down
-    y_s0, y_s1 = dipole_y.matrix @ s0, dipole_y.matrix @ s1
-    m_s0, m_s1 = Hm_prime.matrix @ s0, Hm_prime.matrix @ s1
+    y_s0, y_s1 = dipole_y.operator @ s0, dipole_y.operator @ s1
+    m_s0, m_s1 = Hm_prime.operator @ s0, Hm_prime.operator @ s1
     contribs = []
     for d in excited:
         gap = ground.E - d.E
@@ -439,8 +465,6 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
                  orientation: Orientation, cutoff: BasisCutoff, E0: float, *,
                  strain: StrainConfig | None = None,
                  n_excited: int = DEFAULT_N_EXCITED) -> ReducedModel:
-    # H0 is released once solved, so the generators below are assembled
-    # with no other dense N x N matrix alive
     n_states = min(2 * (n_excited + 1), cutoff.dimension)
     spectrum = solve_spectrum(assemble_static(material, geometry, orientation,
                                               cutoff, E0=E0, strain=strain),
@@ -450,7 +474,7 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
     V = V[:, :n]
 
     def project(H: HamiltonianMatrix) -> np.ndarray:
-        return V.conj().T @ (H.matrix @ V)
+        return V.conj().T @ (H.operator @ V)
 
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))
     zee = tuple(project(assemble_zeeman(material, 1.0, th, ph, cutoff))

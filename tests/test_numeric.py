@@ -1,17 +1,21 @@
+import tracemalloc
 from dataclasses import replace
 from math import pi, radians
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from pytest import approx
 
 import holebox.numeric as numeric
 from holebox import (BasisCutoff, BoxGeometry, DegenerateQubitError,
                      FieldConfig, HamiltonianMatrix, Orientation, PairingError,
-                     RabiResult, StrainConfig, assemble_static,
-                     assemble_zeeman, converged_rabi, dipole_y, get_material,
-                     minimal_exact_qubit, pair_doublets, rabi_sum_over_states,
-                     reduce_model, solve_spectrum)
+                     RabiResult, StrainConfig, assemble_paramagnetic,
+                     assemble_static, assemble_zeeman, converged_rabi,
+                     dipole_y, get_material, minimal_exact_qubit,
+                     pair_doublets, rabi_sum_over_states, reduce_model,
+                     solve_spectrum)
+from holebox.basis import derivative_matrix
 from holebox.numeric import SpinorSpectrum, qubit_h1
 from oracles import well_separated_sample
 
@@ -24,8 +28,8 @@ REF_FIELDS = FieldConfig(B=1.0, theta=radians(45), phi=radians(90),
 
 def _random_hermitian(rng, dim):
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HamiltonianMatrix(matrix=(A + A.conj().T) / 2, cutoff=None,
-                             terms=("test",))
+    return HamiltonianMatrix(operator=sp.csr_array((A + A.conj().T) / 2),
+                             cutoff=None, terms=("test",))
 
 
 def test_solve_spectrum_matches_dense_reference():
@@ -254,10 +258,14 @@ def test_solver_rejects_bad_state_count():
 _T_SPIN = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
 
 
-@pytest.mark.parametrize("material, orientation, cut, E0, strain", [
+_STATIC_CASES = [
     (SI, D110, BasisCutoff(3, 3, 2), 0.1, StrainConfig(2e-4)),
     (get_material("Ge"), Orientation.DOT_100, BasisCutoff(2, 3, 3), 0.2, None),
-])
+]
+
+
+@pytest.mark.parametrize("material, orientation, cut, E0, strain",
+                         _STATIC_CASES)
 def test_sector_solve_gives_exact_kramers_pairs(material, orientation, cut,
                                                 E0, strain):
     H0 = assemble_static(material, BOX, orientation, cut, E0=E0, strain=strain)
@@ -289,3 +297,69 @@ def test_sector_solve_rejects_mirror_breaking_hamiltonian():
          + assemble_zeeman(SI, 1.0, 0.7, 0.3, cut))
     with pytest.raises(numeric.SolverError, match="mirror"):
         solve_spectrum(H, 4)
+
+
+def _phased_plus_block(H: HamiltonianMatrix) -> np.ndarray:
+    """D^* H_++ D from the dense view, with D = i^(n_x + n_z) (0-based)
+    on the M_z = +i sector (n_z - 1 and the spin slot of equal parity)."""
+    cut = H.cutoff
+    flat = np.arange(cut.dimension)
+    n_x = flat // 4 % cut.N_x
+    n_z = flat // (4 * cut.N_x * cut.N_y)
+    plus = (n_z + flat % 4) % 2 == 0
+    D = np.array([1, 1j, -1, -1j])[(n_x + n_z)[plus] % 4]
+    return D.conj()[:, None] * H.matrix[np.ix_(plus, plus)] * D[None, :]
+
+
+@pytest.mark.parametrize("material, orientation, cut, E0, strain",
+                         _STATIC_CASES)
+def test_phased_plus_block_is_exactly_real(material, orientation, cut, E0,
+                                           strain):
+    H0 = assemble_static(material, BOX, orientation, cut, E0=E0, strain=strain)
+    want = _phased_plus_block(H0)
+    assert np.all(want.imag == 0.0)
+    assert np.array_equal(numeric._plus_sector(H0)[2].toarray(), want.real)
+
+
+def test_sector_solve_rejects_complex_phased_block():
+    """k_y = -i d/dy keeps the mirror but breaks time reversal, and its
+    phased block is imaginary: the solver must refuse it, not drop it."""
+    cut = BasisCutoff(2, 2, 2)
+    k_y = np.kron(np.eye(cut.N_z), np.kron(
+        -1j * derivative_matrix(cut.N_y, BOX.L_y), np.eye(cut.N_x)))
+    H = (assemble_static(SI, BOX, D110, cut, E0=0.1)
+         + HamiltonianMatrix(operator=sp.csr_array(np.kron(k_y, np.eye(4))),
+                             cutoff=cut, terms=("k_y",)))
+    assert H.hermiticity_residual() == 0.0
+    assert np.any(_phased_plus_block(H).imag != 0.0)
+    with pytest.raises(numeric.SolverError, match="not real"):
+        solve_spectrum(H, 4)
+
+
+@pytest.mark.parametrize("material, orientation", [
+    (SI, D110), (get_material("Ge"), Orientation.DOT_100)])
+def test_sector_solve_rejects_field_along_z(material, orientation):
+    """B along z keeps the mirror but breaks time reversal, so T v is not
+    the partner of v; the full-H residual over both must catch it."""
+    cut = BasisCutoff(2, 2, 2)
+    H0 = assemble_static(material, BOX, orientation, cut, E0=0.1)
+    for Hm in (assemble_zeeman(material, 1.0, 0.0, 0.0, cut),
+               assemble_paramagnetic(material, BOX, 1.0, 0.0, 0.0, cut,
+                                     orientation=orientation)):
+        with pytest.raises(numeric.SolverError, match="residual"):
+            solve_spectrum(H0 + Hm, 4)
+
+
+def test_converged_rabi_with_g_stays_below_two_dense_matrices():
+    """The pipeline, g factors included, keeps its operators sparse: its
+    traced peak stays below two dense complex N x N matrices."""
+    cut = BasisCutoff(8, 8, 5)
+    N = cut.dimension
+    assert N == 1280
+    tracemalloc.start()
+    try:
+        converged_rabi(SI, BOX, D110, REF_FIELDS, cut, with_g=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * N ** 2
