@@ -8,9 +8,8 @@ from .basis import BasisCutoff
 from .constants import CONST, PhysicalConstants
 from .hamiltonian import (AssemblyError, BoxGeometry, FieldConfig,
                           HamiltonianMatrix, Orientation, StrainConfig,
-                          assemble_electric, assemble_lk, assemble_paramagnetic,
-                          assemble_static, assemble_strain, assemble_zeeman,
-                          bhat_from_angles, dipole_y)
+                          assemble_paramagnetic, assemble_static,
+                          assemble_zeeman, bhat_from_angles, dipole_y)
 from .materials import (FigureOfMerit, MaterialError, MaterialParams,
                         builtin_materials, figures_of_merit, get_material,
                         load_materials)
@@ -37,8 +36,7 @@ __all__ = [
     "MinimalExactModel", "MixedSubband", "NearDegeneracyError", "Orientation", "PairingError",
     "PhysicalConstants", "QubitCoefficients", "RabiResult", "ReducedModel",
     "SolverError", "SpinorSpectrum", "StrainConfig", "SubbandParams",
-    "assemble_electric", "assemble_lk", "assemble_paramagnetic",
-    "assemble_static", "assemble_strain", "assemble_zeeman",
+    "assemble_paramagnetic", "assemble_static", "assemble_zeeman",
     "bhat_from_angles", "builtin_materials", "converged_rabi", "dipole_y",
     "e0_max", "e0_max_thin", "electric_mixing", "figures_of_merit",
     "get_material", "light_hole_rabi", "load_materials",

@@ -95,14 +95,13 @@ class StrainConfig:
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     operator: sp.sparray     # the summed sparse operator, as assembled
-    cutoff: BasisCutoff | None
-    terms: tuple[str, ...]
+    cutoff: BasisCutoff
 
     def __post_init__(self):
         shape = self.operator.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"operator must be square, got shape {shape}")
-        if self.cutoff is not None and shape[0] != self.cutoff.dimension:
+        if shape[0] != self.cutoff.dimension:
             raise ValueError(
                 f"operator dimension {shape[0]} != cutoff dimension {self.cutoff.dimension}")
 
@@ -125,14 +124,10 @@ class HamiltonianMatrix:
     def __add__(self, other: "HamiltonianMatrix") -> "HamiltonianMatrix":
         if self.operator.shape != other.operator.shape:
             raise AssemblyError("cannot add Hamiltonians of different dimension")
-        if self.cutoff is not None and other.cutoff is not None \
-                and self.cutoff != other.cutoff:
+        if self.cutoff != other.cutoff:
             raise AssemblyError("cannot add Hamiltonians over different cutoffs")
-        return HamiltonianMatrix(
-            operator=self.operator + other.operator,
-            cutoff=self.cutoff or other.cutoff,
-            terms=self.terms + other.terms,
-        )
+        return HamiltonianMatrix(operator=self.operator + other.operator,
+                                 cutoff=self.cutoff)
 
 
 def bhat_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -200,11 +195,6 @@ def _orbital_identity(cutoff: BasisCutoff) -> sp.sparray:
     return sp.eye_array(cutoff.n_orbital, format="csr")
 
 
-def _wrap(H: sp.sparray, cutoff: BasisCutoff,
-          *terms: str) -> HamiltonianMatrix:
-    return HamiltonianMatrix(operator=H, cutoff=cutoff, terms=terms)
-
-
 def _check_dimension(cutoff: BasisCutoff) -> None:
     if cutoff.dimension > MAX_DIMENSION:
         gb = 16 * cutoff.dimension ** 2 / 1e9
@@ -216,6 +206,13 @@ def _check_dimension(cutoff: BasisCutoff) -> None:
 
 def _lk(material: MaterialParams, geometry: BoxGeometry,
         orientation: Orientation, cutoff: BasisCutoff) -> sp.sparray:
+    """Kinetic four-band Hamiltonian at zero fields.
+
+    Cross products k_i k_j on different axes factorize exactly in the
+    product basis, so the symmetrization (k_i k_j + k_j k_i)/2 is the
+    identity here; k_i^2 uses the exact diagonal element, not the squared
+    truncated derivative matrix.
+    """
     Nx, Ny, Nz = cutoff.N_x, cutoff.N_y, cutoff.N_z
     Ix, Iy, Iz = np.eye(Nx), np.eye(Ny), np.eye(Nz)
     Kx = ksquared_matrix(Nx, geometry.L_x)
@@ -244,13 +241,9 @@ def _dipole(geometry: BoxGeometry, cutoff: BasisCutoff) -> sp.sparray:
     return _embed(_kron3(np.eye(cutoff.N_x), Y, np.eye(cutoff.N_z)), _I4)
 
 
-def _electric(E0: float, geometry: BoxGeometry,
-              cutoff: BasisCutoff) -> sp.sparray:
-    return -CONST.e_scale * E0 * _dipole(geometry, cutoff)
-
-
 def _strain(material: MaterialParams, strain: StrainConfig,
             cutoff: BasisCutoff) -> sp.sparray:
+    """Biaxial Bir-Pikus shifts: rigid HH and LH diagonal offsets in meV."""
     material.require_strain()
     eps = strain.eps_parallel
     a_v_meV = material.a_v * 1e3
@@ -261,29 +254,9 @@ def _strain(material: MaterialParams, strain: StrainConfig,
     return _embed(_orbital_identity(cutoff), np.diag([d_hh, d_lh, d_lh, d_hh]))
 
 
-def assemble_lk(material: MaterialParams, geometry: BoxGeometry,
-                orientation: Orientation,
-                cutoff: BasisCutoff) -> HamiltonianMatrix:
-    """Kinetic four-band Hamiltonian at zero fields.
-
-    Cross products k_i k_j on different axes factorize exactly in the
-    product basis, so the symmetrization (k_i k_j + k_j k_i)/2 is the
-    identity here; k_i^2 uses the exact diagonal element, not the squared
-    truncated derivative matrix.
-    """
-    _check_dimension(cutoff)
-    return _wrap(_lk(material, geometry, orientation, cutoff), cutoff, "lk")
-
-
 def dipole_y(geometry: BoxGeometry, cutoff: BasisCutoff) -> HamiltonianMatrix:
     """The y position operator (nm), spin-diagonal."""
-    return _wrap(_dipole(geometry, cutoff), cutoff, "dipole_y")
-
-
-def assemble_electric(E0: float, geometry: BoxGeometry,
-                      cutoff: BasisCutoff) -> HamiltonianMatrix:
-    """Static potential -e E0 y; couples n_y of opposite parity only."""
-    return _wrap(_electric(E0, geometry, cutoff), cutoff, "electric")
+    return HamiltonianMatrix(operator=_dipole(geometry, cutoff), cutoff=cutoff)
 
 
 def zeeman_spin_block(kappa: float, B: float, bhat: np.ndarray) -> np.ndarray:
@@ -302,14 +275,14 @@ def zeeman_spin_block(kappa: float, B: float, bhat: np.ndarray) -> np.ndarray:
 def assemble_zeeman(material: MaterialParams, B: float, theta: float, phi: float,
                     cutoff: BasisCutoff) -> HamiltonianMatrix:
     block = zeeman_spin_block(material.kappa, B, bhat_from_angles(theta, phi))
-    return _wrap(_embed(_orbital_identity(cutoff), block), cutoff, "zeeman")
+    return HamiltonianMatrix(operator=_embed(_orbital_identity(cutoff), block),
+                             cutoff=cutoff)
 
 
 def assemble_paramagnetic(material: MaterialParams, geometry: BoxGeometry,
                           B: float, theta: float, phi: float,
                           cutoff: BasisCutoff, *,
-                          orientation: Orientation = Orientation.DOT_110,
-                          ) -> HamiltonianMatrix:
+                          orientation: Orientation) -> HamiltonianMatrix:
     """Terms linear in A = (B x r)/2 after k -> -i grad + (e/hbar) A.
 
     Every channel factorizes into per-axis 1D operators drawn from
@@ -344,24 +317,21 @@ def assemble_paramagnetic(material: MaterialParams, geometry: BoxGeometry,
     spin = _spin_weights(material, orientation)
     H = sum(CONST.mu_B * B * (-1j if ch in ("xx", "yy", "zz") else -0.5j)
             * _embed(orb, spin[ch]) for ch, orb in ops.items())
-    return _wrap(H, cutoff, "paramagnetic")
-
-
-def assemble_strain(material: MaterialParams, strain: StrainConfig,
-                    cutoff: BasisCutoff) -> HamiltonianMatrix:
-    """Biaxial Bir-Pikus shifts: rigid HH and LH diagonal offsets in meV."""
-    return _wrap(_strain(material, strain, cutoff), cutoff, "strain")
+    return HamiltonianMatrix(operator=H, cutoff=cutoff)
 
 
 def assemble_static(material: MaterialParams, geometry: BoxGeometry,
                     orientation: Orientation, cutoff: BasisCutoff,
                     E0: float = 0.0, strain: StrainConfig | None = None,
                     ) -> HamiltonianMatrix:
-    """LK + electric (+ strain): the B-independent part of the Hamiltonian."""
+    """LK + electric (+ strain): the B-independent part of the Hamiltonian.
+
+    The static potential -e E0 y couples n_y of opposite parity only.
+    """
     _check_dimension(cutoff)
-    H, terms = _lk(material, geometry, orientation, cutoff), ("lk",)
+    H = _lk(material, geometry, orientation, cutoff)
     if E0 != 0.0:
-        H, terms = H + _electric(E0, geometry, cutoff), terms + ("electric",)
+        H = H - CONST.e_scale * E0 * _dipole(geometry, cutoff)
     if strain is not None and strain.eps_parallel != 0.0:
-        H, terms = H + _strain(material, strain, cutoff), terms + ("strain",)
-    return _wrap(H, cutoff, *terms)
+        H = H + _strain(material, strain, cutoff)
+    return HamiltonianMatrix(operator=H, cutoff=cutoff)

@@ -64,8 +64,6 @@ class PairingError(ValueError):
 class SpinorSpectrum:
     energies: np.ndarray           # ascending, meV
     vectors: np.ndarray            # orthonormal columns, matching order
-    cutoff: BasisCutoff | None
-    included_terms: tuple[str, ...]
 
     @property
     def n_states(self) -> int:
@@ -176,39 +174,34 @@ def _lowest(A: sp.sparray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     """Lowest n_states eigenpairs, ascending and deterministically phased.
 
-    With a basis cutoff, H must commute with the mirror M_z (a static
-    Hamiltonian does; any B component off z breaks it) and be time-reversal
-    even; only the real + sector block is diagonalized, and the states come
-    out as exactly degenerate (v, T v) pairs. Without one, H is
-    diagonalized whole.
+    H must commute with the mirror M_z (a static Hamiltonian does; any B
+    component off z breaks it) and be time-reversal even; only the real +
+    sector block is diagonalized, and the states come out as exactly
+    degenerate (v, T v) pairs.
     """
     dim = H.dimension
     n = min(n_states, dim)
     if n < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     A = H.operator
-    if H.cutoff is None:
-        energies, vectors = _lowest(A, n)
-    else:
-        indices, phase, block = _plus_sector(H)
-        k = (n + 1) // 2
-        e, w = _lowest(block, k)
-        v = np.zeros((dim, k), dtype=complex)
-        v[indices] = phase[:, None] * w
-        vectors = np.empty((dim, 2 * k), dtype=complex)
-        vectors[:, 0::2], vectors[:, 1::2] = v, _time_reversed(v)
-        energies, vectors = np.repeat(e, 2)[:n], vectors[:, :n]
+    indices, phase, block = _plus_sector(H)
+    k = (n + 1) // 2
+    e, w = _lowest(block, k)
+    v = np.zeros((dim, k), dtype=complex)
+    v[indices] = phase[:, None] * w
+    vectors = np.empty((dim, 2 * k), dtype=complex)
+    vectors[:, 0::2], vectors[:, 1::2] = v, _time_reversed(v)
+    energies, vectors = np.repeat(e, 2)[:n], vectors[:, :n]
     scale = abs(A).sum(axis=1).max()    # the infinity norm
     residual = np.max(np.linalg.norm(A @ vectors - vectors * energies, axis=0))
     if scale > 0 and residual > RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.0e} * |H| = {RESIDUAL_TOL * scale:.3e}")
-    return SpinorSpectrum(energies=energies, vectors=_fix_phases(vectors),
-                          cutoff=H.cutoff, included_terms=H.terms)
+    return SpinorSpectrum(energies=energies, vectors=_fix_phases(vectors))
 
 
-def _paired_energies(e: np.ndarray, tol: float) -> np.ndarray:
+def _paired_energies(e: np.ndarray) -> np.ndarray:
     """Mean energies of the adjacent pairs of a Kramers-degenerate spectrum."""
     n = e.shape[0]
     if n % 2 == 1:
@@ -217,23 +210,23 @@ def _paired_energies(e: np.ndarray, tol: float) -> np.ndarray:
         n -= 1
     for i in range(0, n, 2):
         gap = e[i + 1] - e[i]
-        if gap > tol:
+        if gap > PAIRING_TOL:
             raise PairingError(
-                f"states {i} and {i + 1} differ by {gap:.3e} meV > tol {tol:.0e}"
+                f"states {i} and {i + 1} differ by {gap:.3e} meV > tol "
+                f"{PAIRING_TOL:.0e}"
                 f" (energies {e[i]:.9f}, {e[i + 1]:.9f})")
-        if i + 2 < n and e[i + 2] - e[i + 1] <= tol:
+        if i + 2 < n and e[i + 2] - e[i + 1] <= PAIRING_TOL:
             raise PairingError(
                 f"ambiguous pairing: states {i + 1} and {i + 2} nearly "
                 f"degenerate (energies {e[i + 1]:.9f}, {e[i + 2]:.9f})")
     return 0.5 * (e[0:n:2] + e[1:n:2])
 
 
-def pair_doublets(spectrum: SpinorSpectrum,
-                  tol: float = PAIRING_TOL) -> list[KramersDoublet]:
+def pair_doublets(spectrum: SpinorSpectrum) -> list[KramersDoublet]:
     """Greedy adjacent pairing of a time-reversal-degenerate spectrum."""
     V = spectrum.vectors
     return [KramersDoublet(E=E, v_up=V[:, 2 * k], v_down=V[:, 2 * k + 1], index=k)
-            for k, E in enumerate(_paired_energies(spectrum.energies, tol))]
+            for k, E in enumerate(_paired_energies(spectrum.energies))]
 
 
 def qubit_h1(ground: KramersDoublet, Hm_prime: HamiltonianMatrix) -> np.ndarray:
@@ -358,20 +351,20 @@ class ReducedModel:
     The B = 0 problem is solved once; the Zeeman and paramagnetic parts are
     linear in B b_hat, so their projections on the kept eigenvectors let an
     angle grid be swept with small-matrix algebra only. In this basis the
-    ground doublet is the first two unit vectors, so a field direction needs
-    only the first two columns of each generator, and a whole grid of
-    directions is evaluated as one batched sum over states.
+    ground doublet is the first two unit vectors, and first order in B needs
+    only the generators' columns on it: their 2x2 ground block and their
+    couplings to the excited states. Only those columns are kept, and a
+    whole grid of directions is evaluated as one batched sum over states.
     """
-    energies: np.ndarray
-    zeeman: tuple[np.ndarray, np.ndarray, np.ndarray]        # unit-B, axes x,y,z
-    paramagnetic: tuple[np.ndarray, np.ndarray, np.ndarray]
-    dipole: np.ndarray
-    cutoff: BasisCutoff
+    energies: np.ndarray       # (n,) kept eigenvalues, meV
+    zeeman: np.ndarray         # (3, n, 2) unit-B generators, axes x, y, z
+    paramagnetic: np.ndarray   # (3, n, 2)
+    dipole: np.ndarray         # (n, 2)
 
     @cached_property
     def _doublet_energies(self) -> np.ndarray:
         # pairing depends on the energies only, so it runs once per model
-        return _paired_energies(self.energies, PAIRING_TOL)
+        return _paired_energies(self.energies)
 
     def _excited_gaps(self, n_excited: int) -> np.ndarray:
         """E_ground - E_d for the excited doublets in the sum."""
@@ -393,9 +386,9 @@ class ReducedModel:
         """Qubit splitting (meV) and the per-state terms of the drive sum,
         for the field directions of the 1-D angle arrays."""
         gaps = self._excited_gaps(n_excited)
-        columns = np.array([Z[:, :2] for Z in self.zeeman])      # (3, n, 2)
+        columns = self.zeeman
         if include_paramagnetic:
-            columns = columns + np.array([P[:, :2] for P in self.paramagnetic])
+            columns = columns + self.paramagnetic
         bhat = np.stack([np.sin(thetas) * np.cos(phis),
                          np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
         M = B * np.einsum("pi,ijk->pjk", bhat, columns)         # (k, n, 2)
@@ -403,7 +396,7 @@ class ReducedModel:
         # Y s_a and M s_a on the excited states, s_a = U[:, a] the qubit states
         excited = slice(2, 2 + 2 * gaps.shape[0])
         m_s = np.einsum("pjk,pka->pja", M[:, excited, :], U)
-        y_s = np.einsum("jk,pka->pja", self.dipole[excited, :2], U)
+        y_s = np.einsum("jk,pka->pja", self.dipole[excited], U)
         # Y and M are Hermitian: <s1|Y|v><v|M|s0> + <s1|M|v><v|Y|s0>
         terms = (y_s[..., 1].conj() * m_s[..., 0]
                  + m_s[..., 1].conj() * y_s[..., 0]) / np.repeat(gaps, 2)
@@ -474,15 +467,15 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
     V = V[:, :n]
 
     def project(H: HamiltonianMatrix) -> np.ndarray:
-        return V.conj().T @ (H.operator @ V)
+        """The ground-doublet columns V^H H V[:, :2]."""
+        return V.conj().T @ (H.operator @ V[:, :2])
 
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))
-    zee = tuple(project(assemble_zeeman(material, 1.0, th, ph, cutoff))
-                for th, ph in axes)
-    par = tuple(project(assemble_paramagnetic(material, geometry, 1.0, th, ph,
-                                              cutoff, orientation=orientation))
-                for th, ph in axes)
+    zee = np.stack([project(assemble_zeeman(material, 1.0, th, ph, cutoff))
+                    for th, ph in axes])
+    par = np.stack([project(assemble_paramagnetic(
+        material, geometry, 1.0, th, ph, cutoff, orientation=orientation))
+        for th, ph in axes])
     return ReducedModel(energies=spectrum.energies[:n], zeeman=zee,
                         paramagnetic=par,
-                        dipole=project(dipole_y(geometry, cutoff)),
-                        cutoff=cutoff)
+                        dipole=project(dipole_y(geometry, cutoff)))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -191,3 +192,34 @@ def test_traced_run_sees_every_model_call(tmp_path, argv, calls):
                    env=env, capture_output=True, text=True, check=True)
     counts = Counter(span[0] for span in json.loads(spans.read_text()))
     assert {name: counts[name] for name in calls} == calls
+
+
+def _load_bench_module(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", _REPO / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_ladder_and_checks_find_their_names(tmp_path, monkeypatch):
+    # bench/ladder.py reads each layer's span from a named source, and
+    # bench/checks.py imports the public API it recomputes cells with; a
+    # rename in holebox must fail here, not first in the benchmark
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    checks = _load_bench_module(monkeypatch, "checks")
+    assert callable(checks.converged_rabi)
+    design = _load_bench_module(monkeypatch, "design")
+    out = tmp_path / "ladder.json"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(holebox.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, str(_REPO / "bench" / "ladder.py"),
+                    str(out), "2,2,2:cX"],
+                   env=env, capture_output=True, text=True, check=True)
+    metrics = json.loads(out.read_text())["metrics"]
+    want = {f"{layer}.{quantity}.cX"
+            for layer, quantity in design.LADDER_LAYERS}
+    assert set(metrics) == want | {"minimal.minimal_exact_qubit.per_call_s"}
+    assert all(value > 0 for value in metrics.values())

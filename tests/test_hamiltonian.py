@@ -6,19 +6,19 @@ import pytest
 from pytest import approx
 
 from holebox import (AssemblyError, BasisCutoff, BoxGeometry, FieldConfig,
-                     Orientation, StrainConfig, assemble_electric, assemble_lk,
-                     assemble_paramagnetic, assemble_static, assemble_strain,
-                     assemble_zeeman, bhat_from_angles, dipole_y, get_material,
-                     mixed_subbands, subband_params)
+                     Orientation, StrainConfig, assemble_paramagnetic,
+                     assemble_static, assemble_zeeman, bhat_from_angles,
+                     dipole_y, get_material, mixed_subbands, subband_params)
 from holebox.basis import (derivative_matrix, ksquared_matrix,
                            posderiv_matrix, position_matrix)
 from holebox.constants import CONST
-from holebox.hamiltonian import _spin_weights, zeeman_spin_block
+from holebox.hamiltonian import _spin_weights, _strain, zeeman_spin_block
 from oracles import random_material
 
 SI = get_material("Si")
 GE = get_material("Ge")
 BOX = BoxGeometry(40.0, 30.0, 10.0)
+D110 = Orientation.DOT_110
 
 
 def test_bhat_from_angles():
@@ -56,13 +56,14 @@ def test_assembled_terms_are_hermitian():
         H = (assemble_static(m_strained, g, Orientation.DOT_110, cut, E0=0.2,
                              strain=StrainConfig(3e-4))
              + assemble_zeeman(m, 1.3, theta, phi, cut)
-             + assemble_paramagnetic(m, g, 1.3, theta, phi, cut))
+             + assemble_paramagnetic(m, g, 1.3, theta, phi, cut,
+                                     orientation=D110))
         assert H.hermiticity_residual() < 1e-12
 
 
 def test_lk_positive_definite_spectrum():
     # positive (electron-like) hole dispersion: confinement energies > 0
-    H = assemble_lk(SI, BOX, Orientation.DOT_110, BasisCutoff(3, 3, 3))
+    H = assemble_static(SI, BOX, D110, BasisCutoff(3, 3, 3))
     e = np.linalg.eigvalsh(H.matrix)
     assert e[0] > 0
 
@@ -88,15 +89,15 @@ def test_orientations_agree_when_gammas_equal():
     from holebox import MaterialParams
     iso = MaterialParams("iso", 10.0, 2.0, 2.0, 1.4)
     cut = BasisCutoff(2, 2, 2)
-    h110 = assemble_lk(iso, BOX, Orientation.DOT_110, cut).matrix
-    h100 = assemble_lk(iso, BOX, Orientation.DOT_100, cut).matrix
+    h110 = assemble_static(iso, BOX, Orientation.DOT_110, cut).matrix
+    h100 = assemble_static(iso, BOX, Orientation.DOT_100, cut).matrix
     assert np.allclose(h110, h100, atol=1e-14)
 
 
 def test_orientations_differ_when_anisotropic():
     cut = BasisCutoff(2, 2, 2)
-    h110 = assemble_lk(SI, BOX, Orientation.DOT_110, cut).matrix
-    h100 = assemble_lk(SI, BOX, Orientation.DOT_100, cut).matrix
+    h110 = assemble_static(SI, BOX, Orientation.DOT_110, cut).matrix
+    h100 = assemble_static(SI, BOX, Orientation.DOT_100, cut).matrix
     assert not np.allclose(h110, h100, atol=1e-10)
 
 
@@ -113,11 +114,13 @@ def test_kramers_degeneracy_with_electric_field():
 def test_electric_term_dipole_anchor():
     # <1|y|2> = -16 L_y / 9 pi^2, so at E0 = 0.1 mV/nm and L_y = 30 nm the
     # intersubband element is 0.5404 meV
-    H = assemble_electric(0.1, BOX, BasisCutoff(1, 2, 1))
-    val = H.matrix[0, 4]
+    cut = BasisCutoff(1, 2, 1)
+    H = (assemble_static(SI, BOX, D110, cut, E0=0.1).matrix
+         - assemble_static(SI, BOX, D110, cut).matrix)
+    val = H[0, 4]
     assert val == approx(0.1 * 16 * 30 / (9 * np.pi ** 2), rel=1e-12)
     assert val == approx(0.54038, abs=1e-5)
-    assert np.count_nonzero(H.matrix) == 8
+    assert np.count_nonzero(H) == 8
 
 
 def test_dipole_y_is_block_structure_of_position():
@@ -128,27 +131,33 @@ def test_dipole_y_is_block_structure_of_position():
 
 def test_strain_term_diagonal_shifts():
     # Si at eps = 0.1%: heavy slots rise by 3.717 meV, light slots drop
-    H = assemble_strain(SI, StrainConfig(1e-3), BasisCutoff(1, 1, 1))
-    assert np.allclose(np.diag(H.matrix).real,
+    cut = BasisCutoff(1, 1, 1)
+    H = (assemble_static(SI, BOX, D110, cut, strain=StrainConfig(1e-3)).matrix
+         - assemble_static(SI, BOX, D110, cut).matrix)
+    assert np.allclose(np.diag(H).real,
                        [3.717, -3.717, -3.717, 3.717], atol=1e-12)
-    assert np.count_nonzero(H.matrix - np.diag(np.diag(H.matrix))) == 0
+    assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
 
 
 def test_strain_requires_parameters():
     from holebox import MaterialError
     with pytest.raises(MaterialError):
-        assemble_strain(GE, StrainConfig(1e-3), BasisCutoff(1, 1, 1))
+        assemble_static(GE, BOX, D110, BasisCutoff(1, 1, 1),
+                        strain=StrainConfig(1e-3))
 
 
 def test_paramagnetic_vanishes_on_minimal_basis():
-    H = assemble_paramagnetic(SI, BOX, 1.0, 0.7, 0.3, BasisCutoff(1, 2, 1))
+    H = assemble_paramagnetic(SI, BOX, 1.0, 0.7, 0.3, BasisCutoff(1, 2, 1),
+                              orientation=D110)
     assert np.max(np.abs(H.matrix)) == 0.0
 
 
 def test_paramagnetic_linear_in_b():
     cut = BasisCutoff(2, 2, 2)
-    h1 = assemble_paramagnetic(SI, BOX, 1.0, 0.7, 0.3, cut).matrix
-    h2 = assemble_paramagnetic(SI, BOX, 2.0, 0.7, 0.3, cut).matrix
+    h1 = assemble_paramagnetic(SI, BOX, 1.0, 0.7, 0.3, cut,
+                               orientation=D110).matrix
+    h2 = assemble_paramagnetic(SI, BOX, 2.0, 0.7, 0.3, cut,
+                               orientation=D110).matrix
     assert np.allclose(h2, 2 * h1, atol=1e-14)
 
 
@@ -173,24 +182,28 @@ def test_cubic_frame_spectrum_isotropy():
 
 
 def test_add_requires_matching_cutoffs():
-    a = assemble_lk(SI, BOX, Orientation.DOT_110, BasisCutoff(1, 2, 1))
-    b = assemble_lk(SI, BOX, Orientation.DOT_110, BasisCutoff(2, 2, 1))
-    with pytest.raises(AssemblyError):
+    a = assemble_static(SI, BOX, D110, BasisCutoff(1, 2, 1))
+    b = assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 1))
+    with pytest.raises(AssemblyError, match="dimension"):
         _ = a + b
+    # same dimension, different cutoff
+    c = assemble_static(SI, BOX, D110, BasisCutoff(2, 1, 1))
+    with pytest.raises(AssemblyError, match="cutoffs"):
+        _ = a + c
 
 
-def test_add_merges_term_labels():
+def test_add_sums_operators():
     cut = BasisCutoff(1, 2, 1)
-    a = assemble_lk(SI, BOX, Orientation.DOT_110, cut)
-    b = assemble_electric(0.1, BOX, cut)
+    a = assemble_static(SI, BOX, D110, cut, E0=0.1)
+    b = assemble_zeeman(SI, 1.0, 0.7, 0.3, cut)
     c = a + b
-    assert set(a.terms) < set(c.terms)
-    assert np.allclose(c.matrix, a.matrix + b.matrix)
+    assert c.cutoff == cut
+    assert np.array_equal(c.matrix, a.matrix + b.matrix)
 
 
 def test_dimension_guard():
     with pytest.raises(AssemblyError, match="dimension"):
-        assemble_lk(SI, BOX, Orientation.DOT_110, BasisCutoff(20, 20, 11))
+        assemble_static(SI, BOX, D110, BasisCutoff(20, 20, 11))
 
 
 def test_dimension_guard_refuses_before_allocating():
@@ -245,8 +258,8 @@ def test_assemblers_match_dense_kron_reference():
         w = _spin_weights(SI, orientation)
         lk[orientation] = channels(kinetic, w,
                                    lambda ch: CONST.hbar2_over_2m0)
-        assert np.array_equal(assemble_lk(SI, BOX, orientation, cut).matrix,
-                              lk[orientation])
+        assert np.array_equal(
+            assemble_static(SI, BOX, orientation, cut).matrix, lk[orientation])
         para = channels(orbital_magnetic, w, lambda ch: CONST.mu_B * B * (
             -1j if ch in ("xx", "yy", "zz") else -0.5j))
         assert np.array_equal(assemble_paramagnetic(
@@ -255,17 +268,20 @@ def test_assemblers_match_dense_kron_reference():
     dipole = np.kron(orb(y=X[1]), np.eye(4))
     assert np.array_equal(dipole_y(BOX, cut).matrix, dipole)
     electric = -CONST.e_scale * 0.2 * dipole
-    assert np.array_equal(assemble_electric(0.2, BOX, cut).matrix, electric)
+    assert np.array_equal(
+        assemble_static(SI, BOX, Orientation.DOT_110, cut, E0=0.2).matrix,
+        lk[Orientation.DOT_110] + electric)
     block = zeeman_spin_block(SI.kappa, B, bhat_from_angles(theta, phi))
     zeeman = np.kron(np.eye(cut.n_orbital), block)
     assert np.array_equal(assemble_zeeman(SI, B, theta, phi, cut).matrix,
                           zeeman)
     eps = StrainConfig(2e-4)
-    shifts = assemble_strain(SI, eps, BasisCutoff(1, 1, 1)).matrix
+    shifts = _strain(SI, eps, BasisCutoff(1, 1, 1)).toarray()
     strain = np.kron(np.eye(cut.n_orbital), shifts)
-    assert np.array_equal(assemble_strain(SI, eps, cut).matrix, strain)
+    assert np.array_equal(
+        assemble_static(SI, BOX, Orientation.DOT_110, cut, strain=eps).matrix,
+        lk[Orientation.DOT_110] + strain)
     static = assemble_static(SI, BOX, Orientation.DOT_110, cut, E0=0.2,
                              strain=eps)
-    assert static.terms == ("lk", "electric", "strain")
     assert np.array_equal(static.matrix,
                           lk[Orientation.DOT_110] + electric + strain)

@@ -26,35 +26,19 @@ REF_FIELDS = FieldConfig(B=1.0, theta=radians(45), phi=radians(90),
                          E0=0.1, E_ac=0.03)
 
 
-def _random_hermitian(rng, dim):
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HamiltonianMatrix(operator=sp.csr_array((A + A.conj().T) / 2),
-                             cutoff=None, terms=("test",))
-
-
 def test_solve_spectrum_matches_dense_reference():
-    rng = np.random.default_rng(0)
-    H = _random_hermitian(rng, 24)
+    H = assemble_static(SI, BOX, D110, BasisCutoff(3, 3, 2), E0=0.1)
     spec = solve_spectrum(H, 10)
-    want = np.sort(np.linalg.eigvalsh(H.matrix))[:10]
-    assert spec.energies == approx(want, rel=1e-12, abs=1e-12)
-    # orthonormal columns
-    G = spec.vectors.conj().T @ spec.vectors
-    assert np.allclose(G, np.eye(10), atol=1e-10)
-
-
-def test_solve_spectrum_iterative_path_agrees(monkeypatch):
-    rng = np.random.default_rng(1)
-    H = _random_hermitian(rng, 60)
-    dense = solve_spectrum(H, 6)
-    monkeypatch.setattr(numeric, "DENSE_LIMIT", 10)
-    sparse = solve_spectrum(H, 6)
-    assert sparse.energies == approx(dense.energies, rel=1e-9, abs=1e-9)
+    want = np.linalg.eigvalsh(H.matrix)[:10]
+    assert spec.energies == approx(want, rel=1e-12)
+    # orthonormal eigenvectors
+    V = spec.vectors
+    assert np.allclose(V.conj().T @ V, np.eye(10), atol=1e-12)
+    assert np.allclose(H.matrix @ V, V * spec.energies, atol=1e-9)
 
 
 def test_solve_spectrum_phase_is_deterministic():
-    rng = np.random.default_rng(2)
-    H = _random_hermitian(rng, 16)
+    H = assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1)
     a = solve_spectrum(H, 8).vectors
     b = solve_spectrum(H, 8).vectors
     assert np.array_equal(a, b)
@@ -68,8 +52,7 @@ def test_pair_doublets_detects_split_and_ambiguity():
     def fake(energies):
         n = len(energies)
         return SpinorSpectrum(energies=np.array(energies, dtype=float),
-                              vectors=np.eye(n, dtype=complex),
-                              cutoff=None, included_terms=())
+                              vectors=np.eye(n, dtype=complex))
 
     with pytest.raises(PairingError, match="differ by"):
         pair_doublets(fake([0.0, 1.0, 2.0, 2.0]))
@@ -169,6 +152,32 @@ def test_converged_with_g_reports_principal_factors():
     assert gz > gx and gz > gy  # heavy-hole ground state: dominant z response
 
 
+def test_reduced_model_keeps_ground_doublet_columns():
+    """The reduced model's generators and dipole are the first two columns
+    of their full projections V^H G V on the kept static eigenvectors."""
+    cut = BasisCutoff(3, 3, 2)
+    red = reduce_model(SI, BOX, D110, cut, E0=0.1, n_excited=15)
+    V = solve_spectrum(assemble_static(SI, BOX, D110, cut, E0=0.1),
+                       2 * (15 + 1)).vectors
+    n = V.shape[1]
+    assert red.energies.shape == (n,)
+    assert red.zeeman.shape == red.paramagnetic.shape == (3, n, 2)
+    assert red.dipole.shape == (n, 2)
+
+    def columns(G):
+        return (V.conj().T @ G.matrix @ V)[:, :2]
+
+    axes = ((pi / 2, 0.0), (pi / 2, pi / 2), (0.0, 0.0))
+    zeeman = [columns(assemble_zeeman(SI, 1.0, th, ph, cut)) for th, ph in axes]
+    para = [columns(assemble_paramagnetic(SI, BOX, 1.0, th, ph, cut,
+                                          orientation=D110))
+            for th, ph in axes]
+    for got, want in ((red.zeeman, zeeman), (red.paramagnetic, para),
+                      (red.dipole, columns(dipole_y(BOX, cut)))):
+        np.testing.assert_allclose(got, np.array(want), rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_reduced_model_matches_direct_pipeline():
     cut = BasisCutoff(4, 4, 3)
     red = reduce_model(SI, BOX, D110, cut, E0=0.1, n_excited=20)
@@ -249,7 +258,7 @@ def test_reduced_model_scales_linearly_in_b():
 
 
 def test_solver_rejects_bad_state_count():
-    H = _random_hermitian(np.random.default_rng(9), 8)
+    H = assemble_static(SI, BOX, D110, BasisCutoff(1, 2, 1), E0=0.1)
     with pytest.raises(ValueError):
         solve_spectrum(H, 0)
 
@@ -329,7 +338,7 @@ def test_sector_solve_rejects_complex_phased_block():
         -1j * derivative_matrix(cut.N_y, BOX.L_y), np.eye(cut.N_x)))
     H = (assemble_static(SI, BOX, D110, cut, E0=0.1)
          + HamiltonianMatrix(operator=sp.csr_array(np.kron(k_y, np.eye(4))),
-                             cutoff=cut, terms=("k_y",)))
+                             cutoff=cut))
     assert H.hermiticity_residual() == 0.0
     assert np.any(_phased_plus_block(H).imag != 0.0)
     with pytest.raises(numeric.SolverError, match="not real"):
