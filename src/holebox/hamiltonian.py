@@ -13,11 +13,15 @@ Conventions fixed here and inherited everywhere:
   the R term;
 - b_hat = (sin t cos p, sin t sin p, cos t) for polar angle t, azimuth p.
 
-Every operator is a sum of Kronecker products of the per-axis 1D tables of
-basis.py with a 4x4 spin matrix. The products are formed sparse and each
-assembler returns the sum as it is, still sparse; the numerics work on it
-by sparse matrix products. A dense N x N view is built only when
-`HamiltonianMatrix.matrix` is read.
+Every operator is a sum of Kronecker terms, coef * O (x) spin, where O is
+a short weighted sum of products of the per-axis 1D tables of basis.py and
+spin is a 4x4 block. The assemblers only collect these terms.
+`HamiltonianMatrix @ V` applies them to a vector block factor by factor, one
+small matrix product per axis, without forming any N x N object; that is how
+the numerics apply the field generators and the dipole. The terms are summed
+into a sparse operator only when `HamiltonianMatrix.operator` is read, which
+the numerics do once, for the mirror-sector solve of the static H0. A dense
+N x N view is built only when `HamiltonianMatrix.matrix` is read.
 """
 from __future__ import annotations
 
@@ -43,6 +47,10 @@ if TYPE_CHECKING:
 # counts a full dense matrix, which any read of HamiltonianMatrix.matrix
 # allocates.
 MAX_DIMENSION = 8192
+
+# columns of V per pass of HamiltonianMatrix @ V: one pass keeps its few
+# temporaries in cache, and memory does not grow with the number of columns
+APPLY_COLUMNS = 16
 
 
 class AssemblyError(ValueError):
@@ -92,18 +100,49 @@ class StrainConfig:
         return -material.nu * self.eps_parallel
 
 
+# One Kronecker term: coef * O (x) spin, where the orbital factor O is a
+# short weighted sum of per-axis products, each (weight, x, y, z) standing
+# for weight * z (x) y (x) x with n_x fastest; a None factor is the
+# identity on its axis. Keeping the weights inside O (rather than folding
+# them into coef) keeps the summed operator bit-identical to the direct
+# channel-by-channel construction.
+Product = tuple[float, "np.ndarray | None", "np.ndarray | None",
+                "np.ndarray | None"]
+Term = tuple[complex, tuple[Product, ...], np.ndarray]
+
+
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    operator: sp.sparray     # the summed sparse operator, as assembled
+    terms: tuple[Term, ...]
     cutoff: BasisCutoff
 
     def __post_init__(self):
-        shape = self.operator.shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"operator must be square, got shape {shape}")
-        if shape[0] != self.cutoff.dimension:
-            raise ValueError(
-                f"operator dimension {shape[0]} != cutoff dimension {self.cutoff.dimension}")
+        sizes = (self.cutoff.N_x, self.cutoff.N_y, self.cutoff.N_z)
+        for _, orbital, spin in self.terms:
+            if np.shape(spin) != (4, 4):
+                raise ValueError(f"spin block must be 4x4, got {np.shape(spin)}")
+            for _, *tables in orbital:
+                for axis, n, table in zip("xyz", sizes, tables):
+                    if table is not None and np.shape(table) != (n, n):
+                        raise ValueError(
+                            f"{axis} factor has shape {np.shape(table)}, "
+                            f"cutoff needs ({n}, {n})")
+
+    @cached_property
+    def operator(self) -> sp.sparray:
+        """The summed sparse operator, built term by term on first read."""
+        # scipy is imported where it is used, so the closed-form commands,
+        # which never assemble, do not load it
+        import scipy.sparse as sp
+        c = self.cutoff
+        eyes = (np.eye(c.N_x), np.eye(c.N_y), np.eye(c.N_z))
+
+        def orbital_sum(orbital):
+            return sum(w * _kron3(*(eye if t is None else t
+                                    for eye, t in zip(eyes, tables)))
+                       for w, *tables in orbital)
+        return sum(coef * sp.kron(orbital_sum(orbital), spin, format="csr")
+                   for coef, orbital, spin in self.terms)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -112,7 +151,7 @@ class HamiltonianMatrix:
 
     @property
     def dimension(self) -> int:
-        return self.operator.shape[0]
+        return self.cutoff.dimension
 
     def hermiticity_residual(self) -> float:
         """max |H - H^dagger| / max |H|, 0 for an all-zero matrix."""
@@ -121,13 +160,59 @@ class HamiltonianMatrix:
             return 0.0
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)) / scale)
 
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        """H V for an (N,) vector or an (N, k) block, applied factor by
+        factor; no N x N object is formed."""
+        c = self.cutoff
+        V = np.asarray(V)
+        if V.shape[0] != c.dimension:
+            raise ValueError(f"H has dimension {c.dimension}, "
+                             f"got a block of shape {V.shape}")
+        spinor = V.reshape(c.n_orbital, 4, -1)
+        out = np.empty(spinor.shape, dtype=complex)
+        for j in range(0, spinor.shape[2], APPLY_COLUMNS):
+            part = spinor[:, :, j:j + APPLY_COLUMNS]
+            k = part.shape[2]
+            # spin axis first, (4, N_z, N_y, N_x, k): then the spin block
+            # and each per-axis table act as one matrix product apiece
+            W = np.ascontiguousarray(part.transpose(1, 0, 2), dtype=complex)
+            W = W.reshape(4, -1)
+            acc = np.zeros(W.shape, dtype=complex)
+            for coef, orbital, spin in self.terms:
+                S = _product(coef * spin, W)
+                for w, *tables in orbital:
+                    acc += _along_axes(S, w, tables, c, k)
+            out[:, :, j:j + k] = acc.reshape(4, c.n_orbital, k).transpose(1, 0, 2)
+        return out.reshape(V.shape)
+
     def __add__(self, other: "HamiltonianMatrix") -> "HamiltonianMatrix":
-        if self.operator.shape != other.operator.shape:
+        if self.dimension != other.dimension:
             raise AssemblyError("cannot add Hamiltonians of different dimension")
         if self.cutoff != other.cutoff:
             raise AssemblyError("cannot add Hamiltonians over different cutoffs")
-        return HamiltonianMatrix(operator=self.operator + other.operator,
+        return HamiltonianMatrix(terms=self.terms + other.terms,
                                  cutoff=self.cutoff)
+
+
+def _product(a: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """a @ W for a C-contiguous complex W; a real a acts on the real and
+    imaginary parts of W in one real matrix product."""
+    if np.isrealobj(a):
+        return (a @ W.view(np.float64)).view(complex)
+    return a @ W
+
+
+def _along_axes(S: np.ndarray, w: float, tables, cutoff: BasisCutoff,
+                k: int) -> np.ndarray:
+    """w z (x) y (x) x applied to S laid out as (4, N_z, N_y, N_x, k);
+    identities are skipped and w is folded into the first table applied."""
+    Nz, Ny, Nx = cutoff.N_z, cutoff.N_y, cutoff.N_x
+    shapes = ((4 * Nz * Ny, Nx, k), (4 * Nz, Ny, Nx * k), (4, Nz, Ny * Nx * k))
+    for table, shape in zip(tables, shapes):
+        if table is not None:
+            S = _product(w * table, S.reshape(shape))
+            w = 1.0
+    return (S if w == 1.0 else w * S).reshape(4, -1)
 
 
 def bhat_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -175,24 +260,12 @@ def _spin_weights(material: MaterialParams, orientation: Orientation) -> dict[st
 def _kron3(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> sp.sparray:
     """Sparse orbital kron with n_x fastest (to match the flat-index
     ordering) of the dense 1D tables."""
-    # scipy is imported where it is used, so the closed-form commands,
-    # which never assemble, do not load it
     import scipy.sparse as sp
     # CSR factors and output: the default block format would store the
     # zeros of the half-filled tables and carry them through every sum
     return sp.kron(sp.csr_array(az),
                    sp.kron(sp.csr_array(ay), sp.csr_array(ax), format="csr"),
                    format="csr")
-
-
-def _embed(orbital: sp.sparray, spin: np.ndarray) -> sp.sparray:
-    import scipy.sparse as sp
-    return sp.kron(orbital, spin, format="csr")
-
-
-def _orbital_identity(cutoff: BasisCutoff) -> sp.sparray:
-    import scipy.sparse as sp
-    return sp.eye_array(cutoff.n_orbital, format="csr")
 
 
 def _check_dimension(cutoff: BasisCutoff) -> None:
@@ -205,7 +278,7 @@ def _check_dimension(cutoff: BasisCutoff) -> None:
 
 
 def _lk(material: MaterialParams, geometry: BoxGeometry,
-        orientation: Orientation, cutoff: BasisCutoff) -> sp.sparray:
+        orientation: Orientation, cutoff: BasisCutoff) -> tuple[Term, ...]:
     """Kinetic four-band Hamiltonian at zero fields.
 
     Cross products k_i k_j on different axes factorize exactly in the
@@ -214,7 +287,6 @@ def _lk(material: MaterialParams, geometry: BoxGeometry,
     truncated derivative matrix.
     """
     Nx, Ny, Nz = cutoff.N_x, cutoff.N_y, cutoff.N_z
-    Ix, Iy, Iz = np.eye(Nx), np.eye(Ny), np.eye(Nz)
     Kx = ksquared_matrix(Nx, geometry.L_x)
     Ky = ksquared_matrix(Ny, geometry.L_y)
     Kz = ksquared_matrix(Nz, geometry.L_z)
@@ -223,27 +295,26 @@ def _lk(material: MaterialParams, geometry: BoxGeometry,
     Dz = derivative_matrix(Nz, geometry.L_z)
 
     orbital = {
-        "xx": _kron3(Kx, Iy, Iz),
-        "yy": _kron3(Ix, Ky, Iz),
-        "zz": _kron3(Ix, Iy, Kz),
+        "xx": (1.0, Kx, None, None),
+        "yy": (1.0, None, Ky, None),
+        "zz": (1.0, None, None, Kz),
         # k_a k_b = (-i d_a)(-i d_b) = -d_a d_b
-        "xy": -_kron3(Dx, Dy, Iz),
-        "xz": -_kron3(Dx, Iy, Dz),
-        "yz": -_kron3(Ix, Dy, Dz),
+        "xy": (-1.0, Dx, Dy, None),
+        "xz": (-1.0, Dx, None, Dz),
+        "yz": (-1.0, None, Dy, Dz),
     }
     spin = _spin_weights(material, orientation)
-    return sum(CONST.hbar2_over_2m0 * _embed(orb, spin[ch])
-               for ch, orb in orbital.items())
+    return tuple((CONST.hbar2_over_2m0, (orb,), spin[ch])
+                 for ch, orb in orbital.items())
 
 
-def _dipole(geometry: BoxGeometry, cutoff: BasisCutoff) -> sp.sparray:
-    Y = position_matrix(cutoff.N_y, geometry.L_y)
-    return _embed(_kron3(np.eye(cutoff.N_x), Y, np.eye(cutoff.N_z)), _I4)
+def _dipole(geometry: BoxGeometry, cutoff: BasisCutoff) -> Product:
+    return (1.0, None, position_matrix(cutoff.N_y, geometry.L_y), None)
 
 
-def _strain(material: MaterialParams, strain: StrainConfig,
-            cutoff: BasisCutoff) -> sp.sparray:
-    """Biaxial Bir-Pikus shifts: rigid HH and LH diagonal offsets in meV."""
+def _strain(material: MaterialParams, strain: StrainConfig) -> np.ndarray:
+    """Biaxial Bir-Pikus shifts: the 4x4 block of rigid HH and LH diagonal
+    offsets in meV, the same on every orbital."""
     material.require_strain()
     eps = strain.eps_parallel
     a_v_meV = material.a_v * 1e3
@@ -251,12 +322,16 @@ def _strain(material: MaterialParams, strain: StrainConfig,
     nu = material.nu
     d_hh = ((nu - 2) * a_v_meV - (nu + 1) * b_v_meV) * eps
     d_lh = ((nu - 2) * a_v_meV + (nu + 1) * b_v_meV) * eps
-    return _embed(_orbital_identity(cutoff), np.diag([d_hh, d_lh, d_lh, d_hh]))
+    return np.diag([d_hh, d_lh, d_lh, d_hh])
+
+
+_ORBITAL_IDENTITY = ((1.0, None, None, None),)
 
 
 def dipole_y(geometry: BoxGeometry, cutoff: BasisCutoff) -> HamiltonianMatrix:
     """The y position operator (nm), spin-diagonal."""
-    return HamiltonianMatrix(operator=_dipole(geometry, cutoff), cutoff=cutoff)
+    return HamiltonianMatrix(terms=((1.0, (_dipole(geometry, cutoff),), _I4),),
+                             cutoff=cutoff)
 
 
 def zeeman_spin_block(kappa: float, B: float, bhat: np.ndarray) -> np.ndarray:
@@ -275,7 +350,7 @@ def zeeman_spin_block(kappa: float, B: float, bhat: np.ndarray) -> np.ndarray:
 def assemble_zeeman(material: MaterialParams, B: float, theta: float, phi: float,
                     cutoff: BasisCutoff) -> HamiltonianMatrix:
     block = zeeman_spin_block(material.kappa, B, bhat_from_angles(theta, phi))
-    return HamiltonianMatrix(operator=_embed(_orbital_identity(cutoff), block),
+    return HamiltonianMatrix(terms=((1.0, _ORBITAL_IDENTITY, block),),
                              cutoff=cutoff)
 
 
@@ -292,7 +367,6 @@ def assemble_paramagnetic(material: MaterialParams, geometry: BoxGeometry,
     Hermitian and the assembled matrix is Hermitian by construction.
     """
     Nx, Ny, Nz = cutoff.N_x, cutoff.N_y, cutoff.N_z
-    Ix, Iy, Iz = np.eye(Nx), np.eye(Ny), np.eye(Nz)
     Xx = position_matrix(Nx, geometry.L_x)
     Xy = position_matrix(Ny, geometry.L_y)
     Xz = position_matrix(Nz, geometry.L_z)
@@ -302,22 +376,23 @@ def assemble_paramagnetic(material: MaterialParams, geometry: BoxGeometry,
     Qx, Qy, Qz = posderiv_matrix(Nx), posderiv_matrix(Ny), posderiv_matrix(Nz)
 
     bx, by, bz = bhat_from_angles(theta, phi)
-    # (b x r) . grad pieces per k-bilinear channel; q_a = r_a d/dr_a
+    # (b x r) . grad pieces per k-bilinear channel, as (weight, x, y, z);
+    # q_a = r_a d/dr_a
     ops = {
-        "xx": by * _kron3(Dx, Iy, Xz) - bz * _kron3(Dx, Xy, Iz),
-        "yy": bz * _kron3(Xx, Dy, Iz) - bx * _kron3(Ix, Dy, Xz),
-        "zz": bx * _kron3(Ix, Xy, Dz) - by * _kron3(Xx, Iy, Dz),
-        "xy": bz * (_kron3(Qx, Iy, Iz) - _kron3(Ix, Qy, Iz))
-        - bx * _kron3(Dx, Iy, Xz) + by * _kron3(Ix, Dy, Xz),
-        "xz": bx * _kron3(Dx, Xy, Iz)
-        - by * (_kron3(Qx, Iy, Iz) - _kron3(Ix, Iy, Qz)) - bz * _kron3(Ix, Xy, Dz),
-        "yz": bx * (_kron3(Ix, Qy, Iz) - _kron3(Ix, Iy, Qz))
-        - by * _kron3(Xx, Dy, Iz) + bz * _kron3(Xx, Iy, Dz),
+        "xx": ((by, Dx, None, Xz), (-bz, Dx, Xy, None)),
+        "yy": ((bz, Xx, Dy, None), (-bx, None, Dy, Xz)),
+        "zz": ((bx, None, Xy, Dz), (-by, Xx, None, Dz)),
+        "xy": ((bz, Qx, None, None), (-bz, None, Qy, None),
+               (-bx, Dx, None, Xz), (by, None, Dy, Xz)),
+        "xz": ((bx, Dx, Xy, None), (-by, Qx, None, None),
+               (by, None, None, Qz), (-bz, None, Xy, Dz)),
+        "yz": ((bx, None, Qy, None), (-bx, None, None, Qz),
+               (-by, Xx, Dy, None), (bz, Xx, None, Dz)),
     }
     spin = _spin_weights(material, orientation)
-    H = sum(CONST.mu_B * B * (-1j if ch in ("xx", "yy", "zz") else -0.5j)
-            * _embed(orb, spin[ch]) for ch, orb in ops.items())
-    return HamiltonianMatrix(operator=H, cutoff=cutoff)
+    return HamiltonianMatrix(terms=tuple(
+        (CONST.mu_B * B * (-1j if ch in ("xx", "yy", "zz") else -0.5j),
+         orbital, spin[ch]) for ch, orbital in ops.items()), cutoff=cutoff)
 
 
 def assemble_static(material: MaterialParams, geometry: BoxGeometry,
@@ -329,9 +404,9 @@ def assemble_static(material: MaterialParams, geometry: BoxGeometry,
     The static potential -e E0 y couples n_y of opposite parity only.
     """
     _check_dimension(cutoff)
-    H = _lk(material, geometry, orientation, cutoff)
+    terms = _lk(material, geometry, orientation, cutoff)
     if E0 != 0.0:
-        H = H - CONST.e_scale * E0 * _dipole(geometry, cutoff)
+        terms += ((-CONST.e_scale * E0, (_dipole(geometry, cutoff),), _I4),)
     if strain is not None and strain.eps_parallel != 0.0:
-        H = H + _strain(material, strain, cutoff)
-    return HamiltonianMatrix(operator=H, cutoff=cutoff)
+        terms += ((1.0, _ORBITAL_IDENTITY, _strain(material, strain)),)
+    return HamiltonianMatrix(terms=terms, cutoff=cutoff)

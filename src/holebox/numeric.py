@@ -106,7 +106,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def _plus_sector(H: HamiltonianMatrix,
-                 ) -> tuple[np.ndarray, np.ndarray, sp.sparray]:
+                 ) -> tuple[np.ndarray, np.ndarray, sp.sparray, float]:
     """The M_z = +i block of H, made real by a diagonal phase.
 
     A state is in the + sector when n_z - 1 and its spin slot (0..3 for
@@ -114,8 +114,10 @@ def _plus_sector(H: HamiltonianMatrix,
     turns the block into D^* H_++ D, which is real symmetric when H is
     time-reversal even: every term that flips the parity of n_x or n_z
     carries a matching factor i from R or S. Returns the + sector's flat
-    indices, D on them, and the real block as a sparse array; raises
-    SolverError if H couples the sectors or the phased block is not real.
+    indices, D on them, the real block as a sparse array, and the infinity
+    norm of the whole H; raises SolverError if H couples the sectors or the
+    phased block is not real. This is the one place the numerics sum H
+    into a sparse operator.
     """
     import scipy.sparse as sp
     cutoff = H.cutoff
@@ -123,7 +125,9 @@ def _plus_sector(H: HamiltonianMatrix,
     n_x = flat // 4 % cutoff.N_x
     n_z = flat // (4 * cutoff.N_x * cutoff.N_y)
     plus = (n_z + flat % 4) % 2 == 0
-    rows = H.operator.tocsr()[plus]
+    A = H.operator
+    norm = abs(A).sum(axis=1).max()
+    rows = A.tocsr()[plus]
     if rows[:, ~plus].count_nonzero():
         raise SolverError("H couples the two mirror (M_z) sectors; the "
                           "sector solver needs a static Hamiltonian")
@@ -133,7 +137,7 @@ def _plus_sector(H: HamiltonianMatrix,
     if np.any(block.imag.data):
         raise SolverError("the phased mirror (M_z) block of H is not real; "
                           "the sector solver needs a time-reversal-even H")
-    return np.flatnonzero(plus), D, block.real
+    return np.flatnonzero(plus), D, block.real, norm
 
 
 _T_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
@@ -183,8 +187,7 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     n = min(n_states, dim)
     if n < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    A = H.operator
-    indices, phase, block = _plus_sector(H)
+    indices, phase, block, scale = _plus_sector(H)
     k = (n + 1) // 2
     e, w = _lowest(block, k)
     v = np.zeros((dim, k), dtype=complex)
@@ -192,8 +195,7 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     vectors = np.empty((dim, 2 * k), dtype=complex)
     vectors[:, 0::2], vectors[:, 1::2] = v, _time_reversed(v)
     energies, vectors = np.repeat(e, 2)[:n], vectors[:, :n]
-    scale = abs(A).sum(axis=1).max()    # the infinity norm
-    residual = np.max(np.linalg.norm(A @ vectors - vectors * energies, axis=0))
+    residual = np.max(np.linalg.norm(H @ vectors - vectors * energies, axis=0))
     if scale > 0 and residual > RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {residual:.3e} exceeds "
@@ -231,11 +233,8 @@ def pair_doublets(spectrum: SpinorSpectrum) -> list[KramersDoublet]:
 
 def qubit_h1(ground: KramersDoublet, Hm_prime: HamiltonianMatrix) -> np.ndarray:
     """2x2 projection of the magnetic Hamiltonian on the ground doublet."""
-    u, d = ground.v_up, ground.v_down
-    A = Hm_prime.operator
-    Au, Ad = A @ u, A @ d
-    return np.array([[u.conj() @ Au, u.conj() @ Ad],
-                     [d.conj() @ Au, d.conj() @ Ad]])
+    G = np.stack([ground.v_up, ground.v_down], axis=1)
+    return G.conj().T @ (Hm_prime @ G)
 
 
 def rabi_sum_over_states(doublets: list[KramersDoublet],
@@ -265,8 +264,8 @@ def rabi_sum_over_states(doublets: list[KramersDoublet],
     f_L = split / CONST.h_planck
     s0 = U[0, 0] * ground.v_up + U[1, 0] * ground.v_down
     s1 = U[0, 1] * ground.v_up + U[1, 1] * ground.v_down
-    y_s0, y_s1 = dipole_y.operator @ s0, dipole_y.operator @ s1
-    m_s0, m_s1 = Hm_prime.operator @ s0, Hm_prime.operator @ s1
+    s = np.stack([s0, s1], axis=1)
+    (y_s0, y_s1), (m_s0, m_s1) = (dipole_y @ s).T, (Hm_prime @ s).T
     contribs = []
     for d in excited:
         gap = ground.E - d.E
@@ -391,12 +390,15 @@ class ReducedModel:
             columns = columns + self.paramagnetic
         bhat = np.stack([np.sin(thetas) * np.cos(phis),
                          np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
-        M = B * np.einsum("pi,ijk->pjk", bhat, columns)         # (k, n, 2)
+        n = columns.shape[1]
+        # one (1, 3) x (3, 2n) product per direction: a single (k, 3) product
+        # would round a lone direction differently from a batched one
+        M = ((B * bhat)[:, None, :] @ columns.reshape(3, 2 * n)).reshape(-1, n, 2)
         w, U = np.linalg.eigh(M[:, :2, :])
         # Y s_a and M s_a on the excited states, s_a = U[:, a] the qubit states
         excited = slice(2, 2 + 2 * gaps.shape[0])
-        m_s = np.einsum("pjk,pka->pja", M[:, excited, :], U)
-        y_s = np.einsum("jk,pka->pja", self.dipole[excited], U)
+        m_s = M[:, excited, :] @ U
+        y_s = self.dipole[excited] @ U
         # Y and M are Hermitian: <s1|Y|v><v|M|s0> + <s1|M|v><v|Y|s0>
         terms = (y_s[..., 1].conj() * m_s[..., 0]
                  + m_s[..., 1].conj() * y_s[..., 0]) / np.repeat(gaps, 2)
@@ -466,16 +468,15 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
     n = V.shape[1] - (V.shape[1] % 2)
     V = V[:, :n]
 
-    def project(H: HamiltonianMatrix) -> np.ndarray:
-        """The ground-doublet columns V^H H V[:, :2]."""
-        return V.conj().T @ (H.operator @ V[:, :2])
-
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))
-    zee = np.stack([project(assemble_zeeman(material, 1.0, th, ph, cutoff))
-                    for th, ph in axes])
-    par = np.stack([project(assemble_paramagnetic(
-        material, geometry, 1.0, th, ph, cutoff, orientation=orientation))
-        for th, ph in axes])
-    return ReducedModel(energies=spectrum.energies[:n], zeeman=zee,
-                        paramagnetic=par,
-                        dipole=project(dipole_y(geometry, cutoff)))
+    operators = ([assemble_zeeman(material, 1.0, th, ph, cutoff)
+                  for th, ph in axes]
+                 + [assemble_paramagnetic(material, geometry, 1.0, th, ph,
+                                          cutoff, orientation=orientation)
+                    for th, ph in axes]
+                 + [dipole_y(geometry, cutoff)])
+    # the ground-doublet columns V^H (G V[:, :2]), each G applied to the two
+    # columns factor by factor and never summed into an N x N operator
+    columns = V.conj().T @ np.stack([G @ V[:, :2] for G in operators])
+    return ReducedModel(energies=spectrum.energies[:n], zeeman=columns[0:3],
+                        paramagnetic=columns[3:6], dipole=columns[6])

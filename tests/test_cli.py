@@ -179,7 +179,8 @@ _REPO = Path(__file__).resolve().parents[1]
       "--set", "solver.cutoff=3,3,2", "--set", "sweep.theta_count=3",
       "--set", "sweep.phi_count=3"],
      {"minimal.rabi_thin_dot": 9, "numeric.reduce_model": 1,
-      "numeric.solve_spectrum": 1}),
+      "numeric.solve_spectrum": 1, "hamiltonian.assemble_static": 1,
+      "hamiltonian.magnetic_generators": 6}),
 ])
 def test_traced_run_sees_every_model_call(tmp_path, argv, calls):
     # bench/tracer.py rebinds the model functions in holebox.sweeps, so each

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import holebox.hamiltonian as hamiltonian
 from holebox import (AssemblyError, BasisCutoff, BoxGeometry, FieldConfig,
                      Orientation, StrainConfig, assemble_paramagnetic,
                      assemble_static, assemble_zeeman, bhat_from_angles,
@@ -181,6 +182,42 @@ def test_cubic_frame_spectrum_isotropy():
     assert spectra[2] == approx(spectra[0], abs=1e-9)
 
 
+_APPLY_CUT = BasisCutoff(3, 4, 2)     # non-cubic, so a mixed-up axis fails
+_APPLY_CASES = {
+    **{f"static_{o.value}": (lambda o=o: assemble_static(
+        SI, BOX, o, _APPLY_CUT, E0=0.15, strain=StrainConfig(2e-4)))
+       for o in Orientation},
+    "zeeman": lambda: assemble_zeeman(SI, 1.3, 0.7, 0.4, _APPLY_CUT),
+    **{f"paramagnetic_{o.value}": (lambda o=o: assemble_paramagnetic(
+        SI, BOX, 1.3, 0.7, 0.4, _APPLY_CUT, orientation=o))
+       for o in Orientation},
+    "dipole": lambda: dipole_y(BOX, _APPLY_CUT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_APPLY_CASES))
+def test_kronecker_apply_matches_summed_operator(case, monkeypatch):
+    """H @ V, applied factor by factor, equals the summed sparse operator
+    times V, for a block, for a block taken in several passes, and for a
+    single vector."""
+    H = _APPLY_CASES[case]()
+    rng = np.random.default_rng(7)
+    V = (rng.standard_normal((H.dimension, 3))
+         + 1j * rng.standard_normal((H.dimension, 3)))
+    want = H.operator @ V
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    got = H @ V
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    # two passes over the columns, the last one a single column
+    monkeypatch.setattr(hamiltonian, "APPLY_COLUMNS", 2)
+    assert np.max(np.abs(H @ V - want)) <= 1e-13 * scale
+    one = H @ V[:, 1]
+    assert one.shape == (H.dimension,)
+    assert np.max(np.abs(one - want[:, 1])) <= 1e-13 * scale
+
+
 def test_add_requires_matching_cutoffs():
     a = assemble_static(SI, BOX, D110, BasisCutoff(1, 2, 1))
     b = assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 1))
@@ -276,7 +313,7 @@ def test_assemblers_match_dense_kron_reference():
     assert np.array_equal(assemble_zeeman(SI, B, theta, phi, cut).matrix,
                           zeeman)
     eps = StrainConfig(2e-4)
-    shifts = _strain(SI, eps, BasisCutoff(1, 1, 1)).toarray()
+    shifts = _strain(SI, eps)
     strain = np.kron(np.eye(cut.n_orbital), shifts)
     assert np.array_equal(
         assemble_static(SI, BOX, Orientation.DOT_110, cut, strain=eps).matrix,

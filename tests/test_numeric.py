@@ -4,7 +4,6 @@ from math import pi, radians
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from pytest import approx
 
 import holebox.numeric as numeric
@@ -178,6 +177,32 @@ def test_reduced_model_keeps_ground_doublet_columns():
                                    atol=1e-12 * np.max(np.abs(want)))
 
 
+def test_pipelines_sum_only_the_static_operator(monkeypatch):
+    """reduce_model and converged_rabi read HamiltonianMatrix.operator once,
+    for H0's mirror-sector solve: the field generators and the dipole are
+    only ever applied factor by factor, never summed into an operator."""
+    reads, static = [], []
+    build = HamiltonianMatrix.operator.func
+
+    def counted(self):
+        reads.append(self)
+        return build(self)
+
+    def assemble(*args, **kwargs):
+        static.append(assemble_static(*args, **kwargs))
+        return static[-1]
+
+    monkeypatch.setattr(HamiltonianMatrix, "operator", property(counted))
+    monkeypatch.setattr(numeric, "assemble_static", assemble)
+    cut = BasisCutoff(3, 3, 2)
+    reduce_model(SI, BOX, D110, cut, E0=0.1, n_excited=10)
+    assert len(static) == 1
+    assert len(reads) == 1 and reads[0] is static[0]
+    converged_rabi(SI, BOX, D110, REF_FIELDS, cut, n_excited=10, with_g=True)
+    assert len(static) == 2
+    assert len(reads) == 2 and reads[1] is static[1]
+
+
 def test_reduced_model_matches_direct_pipeline():
     cut = BasisCutoff(4, 4, 3)
     red = reduce_model(SI, BOX, D110, cut, E0=0.1, n_excited=20)
@@ -334,11 +359,11 @@ def test_sector_solve_rejects_complex_phased_block():
     """k_y = -i d/dy keeps the mirror but breaks time reversal, and its
     phased block is imaginary: the solver must refuse it, not drop it."""
     cut = BasisCutoff(2, 2, 2)
-    k_y = np.kron(np.eye(cut.N_z), np.kron(
-        -1j * derivative_matrix(cut.N_y, BOX.L_y), np.eye(cut.N_x)))
+    # one Kronecker term: -i (d/dy on the y axis) times the spin identity
+    k_y = (-1j, ((1.0, None, derivative_matrix(cut.N_y, BOX.L_y), None),),
+           np.eye(4))
     H = (assemble_static(SI, BOX, D110, cut, E0=0.1)
-         + HamiltonianMatrix(operator=sp.csr_array(np.kron(k_y, np.eye(4))),
-                             cutoff=cut))
+         + HamiltonianMatrix(terms=(k_y,), cutoff=cut))
     assert H.hermiticity_residual() == 0.0
     assert np.any(_phased_plus_block(H).imag != 0.0)
     with pytest.raises(numeric.SolverError, match="not real"):
