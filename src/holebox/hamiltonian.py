@@ -43,9 +43,9 @@ if TYPE_CHECKING:
 
 # A dense N x N complex matrix takes 16 N^2 bytes, 1.07 GB at 8192. The
 # numerics never form one: their largest dense array is the real
-# N/2 x N/2 mirror block handed to eigh (2 N^2 bytes). The guard still
-# counts a full dense matrix, which any read of HamiltonianMatrix.matrix
-# allocates.
+# N/2 x N/2 mirror block handed to eigh (2 N^2 bytes, N/2 <= 4096). The
+# guard still counts a full dense matrix, which any read of
+# HamiltonianMatrix.matrix allocates. Every HamiltonianMatrix checks it.
 MAX_DIMENSION = 8192
 
 # columns of V per pass of HamiltonianMatrix @ V: one pass keeps its few
@@ -86,18 +86,10 @@ class FieldConfig:
         if self.B < 0:
             raise ValueError(f"B must be >= 0, got {self.B}")
 
-    @property
-    def bhat(self) -> np.ndarray:
-        return bhat_from_angles(self.theta, self.phi)
-
 
 @dataclass(frozen=True)
 class StrainConfig:
     eps_parallel: float  # dimensionless, eps_xx = eps_yy
-
-    def eps_perp(self, material: MaterialParams) -> float:
-        material.require_strain()
-        return -material.nu * self.eps_parallel
 
 
 # One Kronecker term: coef * O (x) spin, where the orbital factor O is a
@@ -117,6 +109,7 @@ class HamiltonianMatrix:
     cutoff: BasisCutoff
 
     def __post_init__(self):
+        _check_dimension(self.cutoff)
         sizes = (self.cutoff.N_x, self.cutoff.N_y, self.cutoff.N_z)
         for _, orbital, spin in self.terms:
             if np.shape(spin) != (4, 4):
@@ -403,7 +396,6 @@ def assemble_static(material: MaterialParams, geometry: BoxGeometry,
 
     The static potential -e E0 y couples n_y of opposite parity only.
     """
-    _check_dimension(cutoff)
     terms = _lk(material, geometry, orientation, cutoff)
     if E0 != 0.0:
         terms += ((-CONST.e_scale * E0, (_dipole(geometry, cutoff),), _I4),)

@@ -41,8 +41,7 @@ from .minimal import DegenerateQubitError
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-DENSE_LIMIT = 4096
-PAIRING_TOL = 1e-8      # meV
+DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
 DEFAULT_N_EXCITED = 40
 MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
@@ -53,11 +52,12 @@ CONVERGED_TIERS = ("converged_zeeman", "converged_full")
 
 
 class SolverError(RuntimeError):
-    """Eigensolver failed to converge or produced unusable residuals."""
+    """H does not fit the sector solve, or its eigenpairs fail the residual
+    check."""
 
 
 class PairingError(ValueError):
-    """The spectrum cannot be split into well-separated Kramers doublets."""
+    """The spectrum is not a sequence of exactly degenerate pairs."""
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,12 @@ class RabiResult:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vectors.copy()
-    lead = np.argmax(np.abs(out), axis=0)
-    for j, i in enumerate(lead):
-        c = out[i, j]
-        a = abs(c)
-        if a > 0:
-            out[:, j] *= c.conjugate() / a
-    return out
+    """Rotate each (unit-norm) column so its largest-magnitude entry is
+    real positive."""
+    rows = np.argmax(np.abs(vectors), axis=0)
+    lead = vectors[rows, np.arange(vectors.shape[1])]
+    # hypot rounds like the scalar abs(); np.abs of a complex array may not
+    return vectors * (lead.conj() / np.hypot(lead.real, lead.imag))
 
 
 def _plus_sector(H: HamiltonianMatrix,
@@ -150,38 +147,14 @@ def _time_reversed(vectors: np.ndarray) -> np.ndarray:
     return (spin * _T_SIGNS[:, None]).reshape(dim, k)
 
 
-def _lowest(A: sp.sparray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the sparse Hermitian A, ascending.
-
-    Dense decomposition up to DENSE_LIMIT; above that an iterative extremal
-    solver with a fixed-seed starting vector keeps runs reproducible.
-    """
-    dim = A.shape[0]
-    if dim <= DENSE_LIMIT or k >= dim - 1:
-        # imported here, like scipy.sparse.linalg below, so that importing
-        # the package does not load scipy
-        import scipy.linalg
-        return scipy.linalg.eigh(A.toarray(), subset_by_index=[0, k - 1],
-                                 overwrite_a=True)
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-    v0 = np.random.default_rng(1234).standard_normal(dim)
-    try:
-        energies, vectors = eigsh(A, k=k, which="SA", v0=v0)
-    except ArpackNoConvergence as err:
-        raise SolverError(
-            f"iterative eigensolver stalled: {len(err.eigenvalues)} of "
-            f"{k} pairs converged") from err
-    order = np.argsort(energies)
-    return energies[order], vectors[:, order]
-
-
 def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     """Lowest n_states eigenpairs, ascending and deterministically phased.
 
     H must commute with the mirror M_z (a static Hamiltonian does; any B
     component off z breaks it) and be time-reversal even; only the real +
-    sector block is diagonalized, and the states come out as exactly
-    degenerate (v, T v) pairs.
+    sector block is diagonalized, densely (the dimension guard of
+    HamiltonianMatrix bounds it by MAX_DIMENSION / 2 rows), and the states
+    come out as exactly degenerate (v, T v) pairs.
     """
     dim = H.dimension
     n = min(n_states, dim)
@@ -189,7 +162,11 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     indices, phase, block, scale = _plus_sector(H)
     k = (n + 1) // 2
-    e, w = _lowest(block, k)
+    # imported here so that importing the package does not load scipy;
+    # importing it before _plus_sector raises the (10,10,6) peak RSS by 1 MB
+    import scipy.linalg
+    e, w = scipy.linalg.eigh(block.toarray(), subset_by_index=[0, k - 1],
+                             overwrite_a=True)
     v = np.zeros((dim, k), dtype=complex)
     v[indices] = phase[:, None] * w
     vectors = np.empty((dim, 2 * k), dtype=complex)
@@ -204,28 +181,25 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
 
 
 def _paired_energies(e: np.ndarray) -> np.ndarray:
-    """Mean energies of the adjacent pairs of a Kramers-degenerate spectrum."""
+    """Doublet energies of a spectrum of adjacent (v, T v) pairs, which
+    solve_spectrum makes exactly equal; degenerate doublets need no
+    tie-break."""
     n = e.shape[0]
     if n % 2 == 1:
         warnings.warn("odd number of states; dropping the unpaired top state",
                       stacklevel=3)
         n -= 1
-    for i in range(0, n, 2):
-        gap = e[i + 1] - e[i]
-        if gap > PAIRING_TOL:
-            raise PairingError(
-                f"states {i} and {i + 1} differ by {gap:.3e} meV > tol "
-                f"{PAIRING_TOL:.0e}"
-                f" (energies {e[i]:.9f}, {e[i + 1]:.9f})")
-        if i + 2 < n and e[i + 2] - e[i + 1] <= PAIRING_TOL:
-            raise PairingError(
-                f"ambiguous pairing: states {i + 1} and {i + 2} nearly "
-                f"degenerate (energies {e[i + 1]:.9f}, {e[i + 2]:.9f})")
-    return 0.5 * (e[0:n:2] + e[1:n:2])
+    unequal = np.flatnonzero(e[0:n:2] != e[1:n:2])
+    if unequal.size:
+        i = 2 * unequal[0]
+        raise PairingError(
+            f"states {i} and {i + 1} differ by {e[i + 1] - e[i]:.3e} meV "
+            f"(energies {e[i]:.9f}, {e[i + 1]:.9f}); not a (v, T v) pair")
+    return e[0:n:2]
 
 
 def pair_doublets(spectrum: SpinorSpectrum) -> list[KramersDoublet]:
-    """Greedy adjacent pairing of a time-reversal-degenerate spectrum."""
+    """The adjacent (v, T v) pairs of a spectrum from solve_spectrum."""
     V = spectrum.vectors
     return [KramersDoublet(E=E, v_up=V[:, 2 * k], v_down=V[:, 2 * k + 1], index=k)
             for k, E in enumerate(_paired_energies(spectrum.energies))]
@@ -269,7 +243,7 @@ def rabi_sum_over_states(doublets: list[KramersDoublet],
     contribs = []
     for d in excited:
         gap = ground.E - d.E
-        if abs(gap) <= PAIRING_TOL:
+        if abs(gap) <= DEGENERACY_TOL:
             raise DegenerateQubitError(
                 f"excited doublet {d.index} at E = {d.E:.9f} meV degenerate "
                 "with the ground doublet; first-order sum invalid")
@@ -371,7 +345,7 @@ class ReducedModel:
         if E.shape[0] < 2:
             raise ValueError("need the ground doublet plus at least one excited")
         gaps = E[0] - E[1:1 + n_excited]
-        degenerate = np.flatnonzero(np.abs(gaps) <= PAIRING_TOL)
+        degenerate = np.flatnonzero(np.abs(gaps) <= DEGENERACY_TOL)
         if degenerate.size:
             k = degenerate[0] + 1
             raise DegenerateQubitError(
@@ -420,8 +394,10 @@ class ReducedModel:
         (thetas, phis), NaN where the qubit splitting is below MIN_SPLIT.
 
         Directions are processed GRID_BLOCK at a time, so memory does not
-        grow with the grid. Raises PairingError or DegenerateQubitError
-        when the spectrum makes every direction ill-defined.
+        grow with the grid. Raises DegenerateQubitError when an excited
+        doublet is degenerate with the ground one, which makes every
+        direction ill-defined; excited doublets degenerate with each other
+        are valid pairs and raise nothing.
         """
         thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float),
                                            np.asarray(phis, dtype=float))
@@ -465,8 +441,6 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
                                               cutoff, E0=E0, strain=strain),
                               n_states)
     V = spectrum.vectors
-    n = V.shape[1] - (V.shape[1] % 2)
-    V = V[:, :n]
 
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))
     operators = ([assemble_zeeman(material, 1.0, th, ph, cutoff)
@@ -478,5 +452,5 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
     # the ground-doublet columns V^H (G V[:, :2]), each G applied to the two
     # columns factor by factor and never summed into an N x N operator
     columns = V.conj().T @ np.stack([G @ V[:, :2] for G in operators])
-    return ReducedModel(energies=spectrum.energies[:n], zeeman=columns[0:3],
+    return ReducedModel(energies=spectrum.energies, zeeman=columns[0:3],
                         paramagnetic=columns[3:6], dipole=columns[6])

@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import groupby, product
-from math import inf, isnan, radians, sqrt
+from math import inf, isfinite, isnan, radians, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -121,9 +121,12 @@ class SweepSpec:
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as err:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from err
+    if not isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:

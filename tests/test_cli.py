@@ -44,6 +44,18 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["lz-sweep", "--set", "fields.E0=nan"],
+    ["e0-sweep", "--set", "sweep.e0_max=inf", "--set", "sweep.e0_count=2"],
+])
+def test_non_finite_setting_exits_one_without_csv(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "not finite" in err
+    assert not out.exists()
+
+
 def test_strain_sweep_without_strain_params_exits_one(tmp_path, capsys):
     # rejected at run time, once the command actually needs nu and b_v
     rc = cli.main(["strain-sweep", "--out", str(tmp_path / "x.csv"),

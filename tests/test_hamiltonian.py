@@ -7,9 +7,10 @@ from pytest import approx
 
 import holebox.hamiltonian as hamiltonian
 from holebox import (AssemblyError, BasisCutoff, BoxGeometry, FieldConfig,
-                     Orientation, StrainConfig, assemble_paramagnetic,
-                     assemble_static, assemble_zeeman, bhat_from_angles,
-                     dipole_y, get_material, mixed_subbands, subband_params)
+                     HamiltonianMatrix, Orientation, StrainConfig,
+                     assemble_paramagnetic, assemble_static, assemble_zeeman,
+                     bhat_from_angles, dipole_y, get_material, mixed_subbands,
+                     subband_params)
 from holebox.basis import (derivative_matrix, ksquared_matrix,
                            posderiv_matrix, position_matrix)
 from holebox.constants import CONST
@@ -241,6 +242,9 @@ def test_add_sums_operators():
 def test_dimension_guard():
     with pytest.raises(AssemblyError, match="dimension"):
         assemble_static(SI, BOX, D110, BasisCutoff(20, 20, 11))
+    # the guard is part of the type: a directly built operator is refused
+    with pytest.raises(AssemblyError, match="dimension 9216"):
+        HamiltonianMatrix(terms=(), cutoff=BasisCutoff(16, 16, 9))
 
 
 def test_dimension_guard_refuses_before_allocating():
