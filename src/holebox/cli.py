@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .hamiltonian import AssemblyError
 from .materials import MaterialError
 from .sweeps import (COMMANDS, SOLVER_ERRORS, ConfigError, resolve_spec,
                      run_angle_map, run_e0_sweep, run_lz_sweep,
@@ -82,8 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     except SOLVER_ERRORS as err:
         print(f"holebox: solver error: {err}", file=sys.stderr)
         return 2
-    except MaterialError as err:
-        # e.g. strain sweep for a material without strain parameters
+    except (AssemblyError, MaterialError) as err:
+        # e.g. a cutoff past the dimension guard, or a strain sweep for a
+        # material without strain parameters
         print(f"holebox: config error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 
@@ -137,6 +138,9 @@ def parse_materials(text: str, origin: str = "<string>") -> list[MaterialParams]
             except ValueError as err:
                 raise MaterialError(
                     f"{origin}: [{section}] field '{key}': not a number: {raw!r}") from err
+            if not isfinite(kwargs[key]):
+                raise MaterialError(
+                    f"{origin}: [{section}] field '{key}': not finite: {raw!r}")
         missing = [k for k in _REQUIRED_FIELDS if k not in kwargs]
         if missing:
             raise MaterialError(

@@ -80,11 +80,9 @@ class KramersDoublet:
 
 @dataclass(frozen=True)
 class RabiResult:
-    f_L: float                                     # GHz
-    f_R: float                                     # GHz
-    g_principal: tuple[float, float, float] | None
+    f_L: float      # GHz
+    f_R: float      # GHz
     tier: str
-    tail_fraction: float | None = None
 
     def __post_init__(self):
         if self.tier not in CONVERGED_TIERS:
@@ -205,85 +203,57 @@ def pair_doublets(spectrum: SpinorSpectrum) -> list[KramersDoublet]:
             for k, E in enumerate(_paired_energies(spectrum.energies))]
 
 
-def qubit_h1(ground: KramersDoublet, Hm_prime: HamiltonianMatrix) -> np.ndarray:
-    """2x2 projection of the magnetic Hamiltonian on the ground doublet."""
-    G = np.stack([ground.v_up, ground.v_down], axis=1)
-    return G.conj().T @ (Hm_prime @ G)
-
-
 def rabi_sum_over_states(doublets: list[KramersDoublet],
                          Hm_prime: HamiltonianMatrix,
                          dipole_y: HamiltonianMatrix, E_ac: float,
                          n_excited: int = DEFAULT_N_EXCITED, *,
-                         tier: str = CONVERGED_TIERS[True],
-                         g_principal: tuple[float, float, float] | None = None,
-                         ) -> RabiResult:
-    """First-order-in-B Larmor and Rabi frequencies of the ground doublet.
-
-    The drive matrix element is accumulated doublet by doublet; the
-    reported tail fraction is the relative weight of the last 10% of the
-    excited doublets, a cheap convergence diagnostic.
-    """
+                         tier: str = CONVERGED_TIERS[True]) -> RabiResult:
+    """First-order-in-B Larmor and Rabi frequencies of the ground doublet,
+    with the drive matrix element summed doublet by doublet."""
     if len(doublets) < 2:
         raise ValueError("need the ground doublet plus at least one excited")
     ground = doublets[0]
-    excited = doublets[1:1 + n_excited]
-    H1 = qubit_h1(ground, Hm_prime)
-    w, U = np.linalg.eigh(H1)
+    G = np.stack([ground.v_up, ground.v_down], axis=1)
+    w, U = np.linalg.eigh(G.conj().T @ (Hm_prime @ G))
     split = w[1] - w[0]
     if split < MIN_SPLIT:
         raise DegenerateQubitError(
             f"qubit splitting {split:.3e} meV too small; Rabi frequency "
             "ill-defined for this field direction")
-    f_L = split / CONST.h_planck
-    s0 = U[0, 0] * ground.v_up + U[1, 0] * ground.v_down
-    s1 = U[0, 1] * ground.v_up + U[1, 1] * ground.v_down
-    s = np.stack([s0, s1], axis=1)
+    s = np.stack([U[0, a] * ground.v_up + U[1, a] * ground.v_down
+                  for a in (0, 1)], axis=1)
     (y_s0, y_s1), (m_s0, m_s1) = (dipole_y @ s).T, (Hm_prime @ s).T
-    contribs = []
-    for d in excited:
+    total = 0.0
+    for d in doublets[1:1 + n_excited]:
         gap = ground.E - d.E
         if abs(gap) <= DEGENERACY_TOL:
             raise DegenerateQubitError(
                 f"excited doublet {d.index} at E = {d.E:.9f} meV degenerate "
                 "with the ground doublet; first-order sum invalid")
-        c = 0.0 + 0.0j
-        for v in (d.v_up, d.v_down):
-            # Y and Hm are Hermitian, so <s1|Y|v> = <v|Y|s1>* etc.; the
-            # four factors then need no further matvecs
-            c += (np.vdot(y_s1, v) * np.vdot(v, m_s0)
-                  + np.vdot(m_s1, v) * np.vdot(v, y_s0)) / gap
-        contribs.append(c)
-    total = sum(contribs)
-    f_R = CONST.e_scale * E_ac * abs(total) / CONST.h_planck
-    tail_n = max(1, len(contribs) // 10)
-    tail = abs(sum(contribs[-tail_n:])) / abs(total) if abs(total) > 0 else 0.0
-    return RabiResult(f_L=f_L, f_R=f_R, g_principal=g_principal, tier=tier,
-                      tail_fraction=tail)
+        # Y and Hm are Hermitian, so <s1|Y|v> = <v|Y|s1>* etc.; the four
+        # factors then need no further matvecs. Summing each doublet before
+        # adding it to the total fixes the rounding order.
+        total += sum((np.vdot(y_s1, v) * np.vdot(v, m_s0)
+                      + np.vdot(m_s1, v) * np.vdot(v, y_s0)) / gap
+                     for v in (d.v_up, d.v_down))
+    return RabiResult(f_L=split / CONST.h_planck,
+                      f_R=CONST.e_scale * E_ac * abs(total) / CONST.h_planck,
+                      tier=tier)
 
 
 # ---------------------------------------------------------------------------
 # high-level pipeline
 
-def _magnetic_hamiltonian(material: MaterialParams, geometry: BoxGeometry,
-                          orientation: Orientation, fields: FieldConfig,
-                          cutoff: BasisCutoff,
-                          include_paramagnetic: bool) -> HamiltonianMatrix:
-    H = assemble_zeeman(material, fields.B, fields.theta, fields.phi, cutoff)
-    if include_paramagnetic:
-        H = H + assemble_paramagnetic(material, geometry, fields.B,
-                                      fields.theta, fields.phi, cutoff,
-                                      orientation=orientation)
-    return H
-
-
-def _principal_g(ground: KramersDoublet, axis_generators) -> tuple[float, float, float]:
-    """|g| along the three axes from unit-B magnetic generators."""
-    out = []
-    for G in axis_generators:
-        w = np.linalg.eigvalsh(qubit_h1(ground, G))
-        out.append((w[1] - w[0]) / CONST.mu_B)
-    return tuple(out)
+def _static_spectrum(material: MaterialParams, geometry: BoxGeometry,
+                     orientation: Orientation, cutoff: BasisCutoff, E0: float,
+                     strain: StrainConfig | None,
+                     n_excited: int) -> SpinorSpectrum:
+    """The ground and n_excited excited doublets of the static problem.
+    assemble_static and solve_spectrum are looked up in this module, so a
+    rebinding here (as a tracer does) sees both pipelines' calls."""
+    H0 = assemble_static(material, geometry, orientation, cutoff, E0=E0,
+                         strain=strain)
+    return solve_spectrum(H0, min(2 * (n_excited + 1), H0.dimension))
 
 
 def converged_rabi(material: MaterialParams, geometry: BoxGeometry,
@@ -291,27 +261,18 @@ def converged_rabi(material: MaterialParams, geometry: BoxGeometry,
                    cutoff: BasisCutoff, *,
                    include_paramagnetic: bool = True,
                    strain: StrainConfig | None = None,
-                   n_excited: int = DEFAULT_N_EXCITED,
-                   with_g: bool = False) -> RabiResult:
+                   n_excited: int = DEFAULT_N_EXCITED) -> RabiResult:
     """One-shot pipeline: assemble, solve, pair, project, sum."""
-    H0 = assemble_static(material, geometry, orientation, cutoff,
-                         E0=fields.E0, strain=strain)
-    n_states = min(2 * (n_excited + 1), H0.dimension)
-    spectrum = solve_spectrum(H0, n_states)
-    doublets = pair_doublets(spectrum)
-    Hm = _magnetic_hamiltonian(material, geometry, orientation, fields,
-                               cutoff, include_paramagnetic)
-    Y = dipole_y(geometry, cutoff)
-    g = None
-    if with_g:
-        gens = [_magnetic_hamiltonian(
-            material, geometry, orientation,
-            FieldConfig(B=1.0, theta=th, phi=ph), cutoff, include_paramagnetic)
-            for th, ph in ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))]
-        g = _principal_g(doublets[0], gens)
-    return rabi_sum_over_states(doublets, Hm, Y, fields.E_ac, n_excited,
-                                tier=CONVERGED_TIERS[include_paramagnetic],
-                                g_principal=g)
+    doublets = pair_doublets(_static_spectrum(
+        material, geometry, orientation, cutoff, fields.E0, strain, n_excited))
+    Hm = assemble_zeeman(material, fields.B, fields.theta, fields.phi, cutoff)
+    if include_paramagnetic:
+        Hm = Hm + assemble_paramagnetic(material, geometry, fields.B,
+                                        fields.theta, fields.phi, cutoff,
+                                        orientation=orientation)
+    return rabi_sum_over_states(doublets, Hm, dipole_y(geometry, cutoff),
+                                fields.E_ac, n_excited,
+                                tier=CONVERGED_TIERS[include_paramagnetic])
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +314,11 @@ class ReducedModel:
                 "with the ground doublet; first-order sum invalid")
         return gaps
 
-    def _drive_terms(self, B: float, thetas: np.ndarray, phis: np.ndarray,
-                     include_paramagnetic: bool, n_excited: int,
+    def _frequencies(self, columns: np.ndarray, gaps: np.ndarray, B: float,
+                     thetas: np.ndarray, phis: np.ndarray, E_ac: float,
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Qubit splitting (meV) and the per-state terms of the drive sum,
-        for the field directions of the 1-D angle arrays."""
-        gaps = self._excited_gaps(n_excited)
-        columns = self.zeeman
-        if include_paramagnetic:
-            columns = columns + self.paramagnetic
+        """f_L and f_R (GHz) for the field directions of the 1-D angle
+        arrays, NaN where the qubit splitting is below MIN_SPLIT."""
         bhat = np.stack([np.sin(thetas) * np.cos(phis),
                          np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
         n = columns.shape[1]
@@ -376,15 +333,11 @@ class ReducedModel:
         # Y and M are Hermitian: <s1|Y|v><v|M|s0> + <s1|M|v><v|Y|s0>
         terms = (y_s[..., 1].conj() * m_s[..., 0]
                  + m_s[..., 1].conj() * y_s[..., 0]) / np.repeat(gaps, 2)
-        return w[:, 1] - w[:, 0], terms
-
-    @staticmethod
-    def _frequencies(split: np.ndarray, terms: np.ndarray,
-                     E_ac: float) -> tuple[np.ndarray, np.ndarray]:
-        ok = split >= MIN_SPLIT
-        f_L = np.where(ok, split / CONST.h_planck, np.nan)
+        split = w[:, 1] - w[:, 0]
         f_R = CONST.e_scale * E_ac * np.abs(terms.sum(axis=-1)) / CONST.h_planck
-        return f_L, np.where(ok, f_R, np.nan)
+        ok = split >= MIN_SPLIT
+        return (np.where(ok, split / CONST.h_planck, np.nan),
+                np.where(ok, f_R, np.nan))
 
     def rabi_grid(self, B: float, thetas, phis, E_ac: float, *,
                   include_paramagnetic: bool = True,
@@ -402,33 +355,30 @@ class ReducedModel:
         thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float),
                                            np.asarray(phis, dtype=float))
         t, p = thetas.ravel(), phis.ravel()
+        gaps = self._excited_gaps(n_excited)
+        columns = self.zeeman
+        if include_paramagnetic:
+            columns = columns + self.paramagnetic
         f_L, f_R = np.empty(t.shape), np.empty(t.shape)
         for start in range(0, t.shape[0], GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
-            split, terms = self._drive_terms(B, t[block], p[block],
-                                             include_paramagnetic, n_excited)
-            f_L[block], f_R[block] = self._frequencies(split, terms, E_ac)
+            f_L[block], f_R[block] = self._frequencies(
+                columns, gaps, B, t[block], p[block], E_ac)
         return f_L.reshape(thetas.shape), f_R.reshape(thetas.shape)
 
     def rabi(self, B: float, theta: float, phi: float, E_ac: float, *,
              include_paramagnetic: bool = True,
              n_excited: int = DEFAULT_N_EXCITED) -> RabiResult:
-        """One direction of rabi_grid, with the tail fraction."""
-        split, terms = self._drive_terms(B, np.array([theta]), np.array([phi]),
-                                         include_paramagnetic, n_excited)
-        if split[0] < MIN_SPLIT:
+        """One direction of rabi_grid; raises DegenerateQubitError where the
+        grid gives NaN."""
+        f_L, f_R = self.rabi_grid(B, theta, phi, E_ac,
+                                  include_paramagnetic=include_paramagnetic,
+                                  n_excited=n_excited)
+        if np.isnan(f_L):
             raise DegenerateQubitError(
-                f"qubit splitting {split[0]:.3e} meV too small; Rabi frequency "
+                f"qubit splitting below {MIN_SPLIT:.0e} meV; Rabi frequency "
                 "ill-defined for this field direction")
-        f_L, f_R = self._frequencies(split, terms, E_ac)
-        # tail: weight of the last 10% of the excited doublets, as in
-        # rabi_sum_over_states; each doublet has two terms
-        terms = terms[0]
-        total = abs(terms.sum())
-        tail_n = 2 * max(1, terms.shape[0] // 20)
-        tail = abs(terms[-tail_n:].sum()) / total if total > 0 else 0.0
-        return RabiResult(f_L=float(f_L[0]), f_R=float(f_R[0]),
-                          g_principal=None, tail_fraction=tail,
+        return RabiResult(f_L=float(f_L), f_R=float(f_R),
                           tier=CONVERGED_TIERS[include_paramagnetic])
 
 
@@ -436,10 +386,8 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
                  orientation: Orientation, cutoff: BasisCutoff, E0: float, *,
                  strain: StrainConfig | None = None,
                  n_excited: int = DEFAULT_N_EXCITED) -> ReducedModel:
-    n_states = min(2 * (n_excited + 1), cutoff.dimension)
-    spectrum = solve_spectrum(assemble_static(material, geometry, orientation,
-                                              cutoff, E0=E0, strain=strain),
-                              n_states)
+    spectrum = _static_spectrum(material, geometry, orientation, cutoff, E0,
+                                strain, n_excited)
     V = spectrum.vectors
 
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))

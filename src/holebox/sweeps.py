@@ -213,7 +213,11 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
     if not tier_tuple and command != "materials-table":
         raise ConfigError("no valid tiers requested")
 
-    material = _resolve_material(cfg, "material", "name")[0]
+    materials = _resolve_material(cfg, "material", "name")
+    if len(materials) != 1:
+        raise ConfigError(f"[material] name must name exactly one material, "
+                          f"got {cfg['material']['name']!r}")
+    material = materials[0]
     table = ()
     if command == "materials-table":
         table = tuple(_resolve_material(cfg, "materials", "names"))
@@ -262,6 +266,8 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
         for key, value in grid.items():
             if key.endswith("_count") and value < 2:
                 raise ConfigError(f"[sweep] {key} must be >= 2, got {value}")
+            if key in ("lz_min", "lz_max") and value <= 0:
+                raise ConfigError(f"[sweep] {key} must be > 0, got {value}")
 
     text = _canonical_text(cfg)
     return SweepSpec(

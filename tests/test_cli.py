@@ -56,6 +56,25 @@ def test_non_finite_setting_exits_one_without_csv(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # N = 9216 is past the dimension guard of HamiltonianMatrix
+    ["angle-map", "--tier", "converged_full", "--set", "solver.cutoff=16,16,9"],
+    ["e0-sweep", "--set", "material.name="],
+    ["e0-sweep", "--set", "material.name=Si,Ge"],
+    ["lz-sweep", "--set", "sweep.lz_min=0"],
+    ["e0-sweep", "--set", "material.name=X", "--set", "material.file={file}"],
+])
+def test_bad_input_exits_one_without_csv(tmp_path, capsys, argv):
+    materials = tmp_path / "m.cfg"
+    materials.write_text("[material.X]\ngamma1 = 9\ngamma2 = 1\n"
+                         "gamma3 = 1\nkappa = nan\n")
+    out = tmp_path / "x.csv"
+    argv = [a.format(file=materials) for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_strain_sweep_without_strain_params_exits_one(tmp_path, capsys):
     # rejected at run time, once the command actually needs nu and b_v
     rc = cli.main(["strain-sweep", "--out", str(tmp_path / "x.csv"),

@@ -75,6 +75,12 @@ def test_parse_rejects_malformed_input():
                         "gamma3 = 1\nkappa = 1\n")
     with pytest.raises(MaterialError, match="does not match"):
         parse_materials("[notes]\nauthor = someone\n")
+    with pytest.raises(MaterialError, match="'kappa': not finite"):
+        parse_materials("[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1\n"
+                        "kappa = nan\n")
+    with pytest.raises(MaterialError, match="'gamma3': not finite"):
+        parse_materials("[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = inf\n"
+                        "kappa = 1\n")
 
 
 def test_parse_minimal_section():

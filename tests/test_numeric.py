@@ -15,7 +15,7 @@ from holebox import (BasisCutoff, BoxGeometry, DegenerateQubitError,
                      pair_doublets, rabi_sum_over_states, reduce_model,
                      solve_spectrum)
 from holebox.basis import derivative_matrix
-from holebox.numeric import SpinorSpectrum, qubit_h1
+from holebox.numeric import SpinorSpectrum
 from oracles import well_separated_sample
 
 SI = get_material("Si")
@@ -68,9 +68,9 @@ def test_pair_doublets_detects_split_and_keeps_degenerate_pairs():
 
 def test_rabi_result_validation():
     with pytest.raises(ValueError, match="tier"):
-        RabiResult(f_L=1.0, f_R=0.1, g_principal=None, tier="nonsense")
+        RabiResult(f_L=1.0, f_R=0.1, tier="nonsense")
     with pytest.raises(ValueError, match="non-negative"):
-        RabiResult(f_L=-1.0, f_R=0.1, g_principal=None, tier="converged_full")
+        RabiResult(f_L=-1.0, f_R=0.1, tier="converged_full")
 
 
 def test_degenerate_qubit_raises_in_sum():
@@ -127,31 +127,11 @@ def test_gauge_invariance_under_doublet_rotations():
         assert got.f_L == approx(ref.f_L, rel=1e-10)
 
 
-def test_qubit_h1_is_hermitian_projection():
-    cut = BasisCutoff(1, 2, 1)
-    H0 = assemble_static(SI, BOX, D110, cut, E0=0.1)
-    ground = pair_doublets(solve_spectrum(H0, 8))[0]
-    HZ = assemble_zeeman(SI, 1.0, 0.4, 1.2, cut)
-    h1 = qubit_h1(ground, HZ)
-    assert h1.shape == (2, 2)
-    assert np.allclose(h1, h1.conj().T)
-
-
-def test_converged_rabi_reports_tail_and_tier():
+def test_converged_rabi_reports_tier():
     res = converged_rabi(SI, BOX, D110, REF_FIELDS, BasisCutoff(3, 3, 2),
                          include_paramagnetic=True, n_excited=15)
     assert res.tier == "converged_full"
-    assert res.tail_fraction is not None
-    assert 0.0 <= res.tail_fraction < 0.5
     assert res.f_R > 0 and res.f_L > 0
-
-
-def test_converged_with_g_reports_principal_factors():
-    res = converged_rabi(SI, BOX, D110, REF_FIELDS, BasisCutoff(2, 2, 2),
-                         include_paramagnetic=False, n_excited=10, with_g=True)
-    assert res.g_principal is not None
-    gx, gy, gz = res.g_principal
-    assert gz > gx and gz > gy  # heavy-hole ground state: dominant z response
 
 
 def test_reduced_model_keeps_ground_doublet_columns():
@@ -201,7 +181,7 @@ def test_pipelines_sum_only_the_static_operator(monkeypatch):
     reduce_model(SI, BOX, D110, cut, E0=0.1, n_excited=10)
     assert len(static) == 1
     assert len(reads) == 1 and reads[0] is static[0]
-    converged_rabi(SI, BOX, D110, REF_FIELDS, cut, n_excited=10, with_g=True)
+    converged_rabi(SI, BOX, D110, REF_FIELDS, cut, n_excited=10)
     assert len(static) == 2
     assert len(reads) == 2 and reads[1] is static[1]
 
@@ -406,15 +386,15 @@ def test_sector_solve_rejects_field_along_z(material, orientation):
             solve_spectrum(H0 + Hm, 4)
 
 
-def test_converged_rabi_with_g_stays_below_two_dense_matrices():
-    """The pipeline, g factors included, keeps its operators sparse: its
-    traced peak stays below two dense complex N x N matrices."""
+def test_converged_rabi_stays_below_two_dense_matrices():
+    """The pipeline keeps its operators sparse: its traced peak stays below
+    two dense complex N x N matrices."""
     cut = BasisCutoff(8, 8, 5)
     N = cut.dimension
     assert N == 1280
     tracemalloc.start()
     try:
-        converged_rabi(SI, BOX, D110, REF_FIELDS, cut, with_g=True)
+        converged_rabi(SI, BOX, D110, REF_FIELDS, cut)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -81,6 +81,12 @@ def test_resolve_validates_values():
         resolve_spec("e0-sweep", overrides=["sweep.e0_count=1"])
     with pytest.raises(ConfigError, match="tier"):
         resolve_spec("e0-sweep", tiers="analytic2")
+    for names in ("", "Si,Ge"):
+        with pytest.raises(ConfigError, match="exactly one material"):
+            resolve_spec("e0-sweep", overrides=[f"material.name={names}"])
+    for key in ("lz_min", "lz_max"):
+        with pytest.raises(ConfigError, match=f"{key} must be > 0"):
+            resolve_spec("lz-sweep", overrides=[f"sweep.{key}=0"])
 
 
 def test_materials_table_columns_and_empty(tmp_path):
