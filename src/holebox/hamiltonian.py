@@ -85,6 +85,8 @@ class FieldConfig:
     def __post_init__(self):
         if self.B < 0:
             raise ValueError(f"B must be >= 0, got {self.B}")
+        if self.E_ac < 0:
+            raise ValueError(f"E_ac must be >= 0, got {self.E_ac}")
 
 
 @dataclass(frozen=True)

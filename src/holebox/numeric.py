@@ -4,7 +4,9 @@ The static Hamiltonian (kinetic + electric + strain) is diagonalized at
 B = 0, where every level is a Kramers doublet. The magnetic part, linear
 in B, is then treated at first order: its 2x2 projection on the ground
 doublet gives the Larmor frequency, and the drive matrix element between
-the split qubit states comes from a sum over excited doublets.
+the split qubit states comes from a sum over excited doublets. For angle
+grids, ReducedModel contracts both once into two real 3x3 matrices (gm,
+gp), so that a field direction costs a few 3-vectors.
 
 The static problem is solved in one mirror sector. H0 commutes with
 M_z = P_z exp(-i pi J_z) (P_z: z parity, which is (-1)^(n_z + 1) on the
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,7 +46,6 @@ DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
 DEFAULT_N_EXCITED = 40
 MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
-GRID_BLOCK = 1024       # field directions per batched step of rabi_grid
 
 # the tiers a RabiResult can carry, indexed by include_paramagnetic
 CONVERGED_TIERS = ("converged_zeeman", "converged_full")
@@ -278,6 +278,9 @@ def converged_rabi(material: MaterialParams, geometry: BoxGeometry,
 # ---------------------------------------------------------------------------
 # reduced model for dense angle grids
 
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
 @dataclass(frozen=True)
 class ReducedModel:
     """Static eigenbasis projection of the field generators.
@@ -287,22 +290,18 @@ class ReducedModel:
     angle grid be swept with small-matrix algebra only. In this basis the
     ground doublet is the first two unit vectors, and first order in B needs
     only the generators' columns on it: their 2x2 ground block and their
-    couplings to the excited states. Only those columns are kept, and a
-    whole grid of directions is evaluated as one batched sum over states.
+    couplings to the excited states. Only those columns are kept. A grid
+    contracts them once into two real 3x3 matrices (g_matrices) and then
+    costs a few 3-vectors per direction.
     """
     energies: np.ndarray       # (n,) kept eigenvalues, meV
     zeeman: np.ndarray         # (3, n, 2) unit-B generators, axes x, y, z
     paramagnetic: np.ndarray   # (3, n, 2)
     dipole: np.ndarray         # (n, 2)
 
-    @cached_property
-    def _doublet_energies(self) -> np.ndarray:
-        # pairing depends on the energies only, so it runs once per model
-        return _paired_energies(self.energies)
-
     def _excited_gaps(self, n_excited: int) -> np.ndarray:
         """E_ground - E_d for the excited doublets in the sum."""
-        E = self._doublet_energies
+        E = _paired_energies(self.energies)
         if E.shape[0] < 2:
             raise ValueError("need the ground doublet plus at least one excited")
         gaps = E[0] - E[1:1 + n_excited]
@@ -314,30 +313,22 @@ class ReducedModel:
                 "with the ground doublet; first-order sum invalid")
         return gaps
 
-    def _frequencies(self, columns: np.ndarray, gaps: np.ndarray, B: float,
-                     thetas: np.ndarray, phis: np.ndarray, E_ac: float,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """f_L and f_R (GHz) for the field directions of the 1-D angle
-        arrays, NaN where the qubit splitting is below MIN_SPLIT."""
-        bhat = np.stack([np.sin(thetas) * np.cos(phis),
-                         np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
-        n = columns.shape[1]
-        # one (1, 3) x (3, 2n) product per direction: a single (k, 3) product
-        # would round a lone direction differently from a batched one
-        M = ((B * bhat)[:, None, :] @ columns.reshape(3, 2 * n)).reshape(-1, n, 2)
-        w, U = np.linalg.eigh(M[:, :2, :])
-        # Y s_a and M s_a on the excited states, s_a = U[:, a] the qubit states
-        excited = slice(2, 2 + 2 * gaps.shape[0])
-        m_s = M[:, excited, :] @ U
-        y_s = self.dipole[excited] @ U
-        # Y and M are Hermitian: <s1|Y|v><v|M|s0> + <s1|M|v><v|Y|s0>
-        terms = (y_s[..., 1].conj() * m_s[..., 0]
-                 + m_s[..., 1].conj() * y_s[..., 0]) / np.repeat(gaps, 2)
-        split = w[:, 1] - w[:, 0]
-        f_R = CONST.e_scale * E_ac * np.abs(terms.sum(axis=-1)) / CONST.h_planck
-        ok = split >= MIN_SPLIT
-        return (np.where(ok, split / CONST.h_planck, np.nan),
-                np.where(ok, f_R, np.nan))
+    def g_matrices(self, include_paramagnetic: bool = True,
+                   n_excited: int = DEFAULT_N_EXCITED,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The tier's real 3x3 gm[j, i] = Re Tr(sigma_j A_i) (meV/T) and
+        gp[j, i] = Re Tr(sigma_j (C_i + C_i^H)) (nm/T): A_i is the ground
+        block of the unit-B generator G_i on axis i (Zeeman, plus paramagnetic
+        for the full tier), C_i = G_i^H Y / (E_ground - E_e) over the first
+        n_excited excited doublets."""
+        gaps = np.repeat(self._excited_gaps(n_excited), 2)
+        G = self.zeeman
+        if include_paramagnetic:
+            G = G + self.paramagnetic
+        exc = slice(2, 2 + gaps.shape[0])
+        C = G[:, exc].mT.conj() @ (self.dipole[exc] / gaps[:, None])
+        return tuple(np.einsum("jab,iba->ji", _PAULI, X).real
+                     for X in (G[:, :2], C + C.mT.conj()))
 
     def rabi_grid(self, B: float, thetas, phis, E_ac: float, *,
                   include_paramagnetic: bool = True,
@@ -346,25 +337,30 @@ class ReducedModel:
         """f_L and f_R (GHz) for every direction of the broadcast
         (thetas, phis), NaN where the qubit splitting is below MIN_SPLIT.
 
-        Directions are processed GRID_BLOCK at a time, so memory does not
-        grow with the grid. Raises DegenerateQubitError when an excited
-        doublet is degenerate with the ground one, which makes every
-        direction ill-defined; excited doublets degenerate with each other
-        are valid pairs and raise nothing.
+        With v = gm b and w = gp b (g_matrices), the splitting is B |v|,
+        f_L = B |v| / h and f_R = e E_ac B |v x w| / (2 h |v|); memory is a
+        few 3-vectors per direction. Raises ValueError for E_ac < 0, and
+        DegenerateQubitError for an excited doublet degenerate with the
+        ground one (not for excited doublets degenerate with each other).
         """
-        thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float),
-                                           np.asarray(phis, dtype=float))
-        t, p = thetas.ravel(), phis.ravel()
-        gaps = self._excited_gaps(n_excited)
-        columns = self.zeeman
-        if include_paramagnetic:
-            columns = columns + self.paramagnetic
-        f_L, f_R = np.empty(t.shape), np.empty(t.shape)
-        for start in range(0, t.shape[0], GRID_BLOCK):
-            block = slice(start, start + GRID_BLOCK)
-            f_L[block], f_R[block] = self._frequencies(
-                columns, gaps, B, t[block], p[block], E_ac)
-        return f_L.reshape(thetas.shape), f_R.reshape(thetas.shape)
+        if E_ac < 0:
+            raise ValueError(f"E_ac must be >= 0, got {E_ac}")
+        t, p = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+        b = np.stack(np.broadcast_arrays(
+            np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)), axis=-1)
+        gm, gp = self.g_matrices(include_paramagnetic, n_excited)
+        # elementwise over the three axes, not a matmul over directions, so
+        # that a lone direction rounds like a batched one
+        v, w = (sum(g[:, i] * b[..., i, None] for i in range(3))
+                for g in (gm, gp))
+        # NaN where the splitting |B| |v| is below MIN_SPLIT, which then
+        # makes f_R NaN with no floating-point warning
+        v_norm = np.linalg.norm(v, axis=-1)
+        B = abs(B)      # a field -B along b is B along -b: same frequencies
+        v_norm = np.where(B * v_norm >= MIN_SPLIT, v_norm, np.nan)
+        cross = np.linalg.norm(np.cross(v, w), axis=-1)
+        f_R = CONST.e_scale * E_ac * B * cross / (2 * CONST.h_planck * v_norm)
+        return B * v_norm / CONST.h_planck, f_R
 
     def rabi(self, B: float, theta: float, phi: float, E_ac: float, *,
              include_paramagnetic: bool = True,

@@ -62,6 +62,7 @@ def test_non_finite_setting_exits_one_without_csv(tmp_path, capsys, argv):
     ["e0-sweep", "--set", "material.name="],
     ["e0-sweep", "--set", "material.name=Si,Ge"],
     ["lz-sweep", "--set", "sweep.lz_min=0"],
+    ["e0-sweep", "--set", "fields.E_ac=-1", "--set", "sweep.e0_count=2"],
     ["e0-sweep", "--set", "material.name=X", "--set", "material.file={file}"],
 ])
 def test_bad_input_exits_one_without_csv(tmp_path, capsys, argv):

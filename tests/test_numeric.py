@@ -226,22 +226,48 @@ def test_rabi_grid_matches_full_basis_pipeline():
                 assert (f_R[i, j], f_L[i, j]) == (one.f_R, one.f_L)
 
 
-def test_rabi_grid_blocks_and_degenerate_cells(monkeypatch):
-    """Results do not depend on the block size, and a vanishing splitting
-    gives NaN in the grid where the scalar call raises."""
+def test_rabi_grid_gives_nan_where_the_splitting_vanishes():
+    """A vanishing splitting gives NaN in the grid, with no floating-point
+    warning, where the scalar call raises: at B = 0, and for a model whose
+    field generators vanish."""
     red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
                        n_excited=10)
     thetas = np.linspace(0.0, pi / 2, 7)
-    phis = np.linspace(0.0, pi, 5)
-    args = (1.0, thetas[:, None], phis[None, :], 0.03)
-    whole = red.rabi_grid(*args)
-    monkeypatch.setattr(numeric, "GRID_BLOCK", 4)
-    blocked = red.rabi_grid(*args)
-    assert np.array_equal(whole, blocked)
     f_L, f_R = red.rabi_grid(0.0, thetas, 0.0, 0.03)
     assert np.all(np.isnan(f_L)) and np.all(np.isnan(f_R))
     with pytest.raises(DegenerateQubitError):
         red.rabi(0.0, 0.3, 0.0, 0.03)
+    blank = replace(red, zeeman=np.zeros_like(red.zeeman),
+                    paramagnetic=np.zeros_like(red.paramagnetic))
+    for flag in (False, True):
+        with np.errstate(all="raise"):
+            f_L, f_R = blank.rabi_grid(1.0, thetas[:, None],
+                                       np.linspace(0.0, pi, 5)[None, :],
+                                       0.03, include_paramagnetic=flag)
+        assert f_L.shape == f_R.shape == (7, 5)
+        assert np.all(np.isnan(f_L)) and np.all(np.isnan(f_R))
+
+
+def test_rabi_grid_rejects_negative_drive():
+    red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
+                       n_excited=10)
+    with pytest.raises(ValueError, match="E_ac must be >= 0"):
+        red.rabi_grid(1.0, 0.3, 0.2, -0.03)
+    assert red.rabi_grid(1.0, 0.3, 0.2, 0.0)[1] == 0.0
+
+
+@pytest.mark.parametrize("material, orientation", [
+    ("Si", D110), ("Ge", Orientation.DOT_100), ("Ge", D110)])
+def test_g_matrices_are_diagonal_in_the_box_axes(material, orientation):
+    """Both tiers' gm and gp are diagonal in the box axes: a cheap check of
+    the symmetry of every field generator and of the dipole."""
+    red = reduce_model(get_material(material), BOX, orientation,
+                       BasisCutoff(4, 4, 3), E0=0.1)
+    for flag in (False, True):
+        for g in red.g_matrices(include_paramagnetic=flag):
+            diagonal = np.diag(g)
+            off = g - np.diag(diagonal)
+            assert np.max(np.abs(off)) <= 1e-12 * np.min(np.abs(diagonal))
 
 
 def test_rabi_grid_rejects_unusable_spectrum():

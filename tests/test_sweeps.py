@@ -87,6 +87,8 @@ def test_resolve_validates_values():
     for key in ("lz_min", "lz_max"):
         with pytest.raises(ConfigError, match=f"{key} must be > 0"):
             resolve_spec("lz-sweep", overrides=[f"sweep.{key}=0"])
+    with pytest.raises(ConfigError, match="E_ac must be >= 0"):
+        resolve_spec("e0-sweep", overrides=["fields.E_ac=-1"])
 
 
 def test_materials_table_columns_and_empty(tmp_path):
