@@ -18,18 +18,21 @@ a short weighted sum of products of the per-axis 1D tables of basis.py and
 spin is a 4x4 block. The assemblers only collect these terms.
 `HamiltonianMatrix @ V` applies them to a vector block factor by factor, one
 small matrix product per axis, without forming any N x N object; that is how
-the numerics apply the field generators and the dipole. The terms are summed
-into a sparse operator only when `HamiltonianMatrix.operator` is read, which
-the numerics do once, for the mirror-sector solve of the static H0. A dense
-N x N view is built only when `HamiltonianMatrix.matrix` is read.
+the numerics apply the field generators and the dipole. Summed entries come
+from one place, `HamiltonianMatrix.scatter_terms`: it forms each term's
+orbital factor O as a dense n_orbital x n_orbital array, and coef * (O[a, b]
+* spin[s, t]) is scattered from its nonzero entries into the (a, s), (b, t)
+slots. The numerics scatter only into the real mirror block of the static
+H0 (numeric._plus_sector); the dense N x N view `HamiltonianMatrix.matrix`
+scatters into all 16 spin slots and is built only when it is read.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import cos, pi, sin, sqrt
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,13 +41,13 @@ from .basis import (BasisCutoff, derivative_matrix, ksquared_matrix,
 from .constants import CONST
 from .materials import MaterialParams
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 # A dense N x N complex matrix takes 16 N^2 bytes, 1.07 GB at 8192. The
-# numerics never form one: their largest dense array is the real
-# N/2 x N/2 mirror block handed to eigh (2 N^2 bytes, N/2 <= 4096). The
-# guard still counts a full dense matrix, which any read of
+# numerics never form one. Their largest arrays are the real n x n mirror
+# block (n = N/2) and what eigh keeps alive with it (numeric.solve_spectrum):
+# up to numeric.FULL_EIGH_ROWS = 1024 rows, numpy's all-pairs driver holds
+# about 5 n^2 doubles (10 N^2 bytes, 42 MB at n = 1024); above, scipy's
+# subset driver holds about 2 n^2 doubles (4 N^2 bytes, 268 MB at n = 4096).
+# The guard still counts a full dense matrix, which any read of
 # HamiltonianMatrix.matrix allocates. Every HamiltonianMatrix checks it.
 MAX_DIMENSION = 8192
 
@@ -123,26 +126,37 @@ class HamiltonianMatrix:
                             f"{axis} factor has shape {np.shape(table)}, "
                             f"cutoff needs ({n}, {n})")
 
-    @cached_property
-    def operator(self) -> sp.sparray:
-        """The summed sparse operator, built term by term on first read."""
-        # scipy is imported where it is used, so the closed-form commands,
-        # which never assemble, do not load it
-        import scipy.sparse as sp
+    def scatter_terms(self) -> Iterator[tuple[complex, np.ndarray, np.ndarray,
+                                              np.ndarray, np.ndarray]]:
+        """(coef, a, b, o, spin) for each term in order: the term's orbital
+        factor O is formed as a dense n_orbital x n_orbital array (n_x
+        fastest), one term at a time, and (a, b, o) are its nonzero entries,
+        o = O[a, b]. The term's entry at orbitals (a, b) and spin slots
+        (s, t) is coef * (o * spin[s, t]); summing those in term order is the
+        one way the package sums an operator."""
         c = self.cutoff
         eyes = (np.eye(c.N_x), np.eye(c.N_y), np.eye(c.N_z))
-
-        def orbital_sum(orbital):
-            return sum(w * _kron3(*(eye if t is None else t
-                                    for eye, t in zip(eyes, tables)))
-                       for w, *tables in orbital)
-        return sum(coef * sp.kron(orbital_sum(orbital), spin, format="csr")
-                   for coef, orbital, spin in self.terms)
+        for coef, orbital, spin in self.terms:
+            O = None
+            for w, *tables in orbital:
+                x, y, z = (eye if t is None else t
+                           for eye, t in zip(eyes, tables))
+                product = w * np.kron(z, np.kron(y, x))
+                O = product if O is None else O + product
+            # through a boolean mask: numpy finds its nonzeros much faster
+            flat = np.flatnonzero(O != 0)
+            yield (coef, *np.divmod(flat, c.n_orbital), O.ravel()[flat],
+                   spin)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense complex view of the operator, built on first access."""
-        return self.operator.toarray().astype(complex, copy=False)
+        """Dense complex N x N view, built on first access."""
+        n = self.cutoff.n_orbital
+        M = np.zeros((n, 4, n, 4), dtype=complex)
+        for coef, a, b, o, spin in self.scatter_terms():
+            for s, t in zip(*np.nonzero(spin)):
+                M[a, s, b, t] += coef * (o * spin[s, t])
+        return M.reshape(4 * n, 4 * n)
 
     @property
     def dimension(self) -> int:
@@ -250,17 +264,6 @@ def _spin_weights(material: MaterialParams, orientation: Orientation) -> dict[st
         "xz": 2.0 * _SQ3 * g3 * _S_RE,
         "yz": 2.0 * _SQ3 * g3 * _S_IM,
     }
-
-
-def _kron3(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> sp.sparray:
-    """Sparse orbital kron with n_x fastest (to match the flat-index
-    ordering) of the dense 1D tables."""
-    import scipy.sparse as sp
-    # CSR factors and output: the default block format would store the
-    # zeros of the half-filled tables and carry them through every sum
-    return sp.kron(sp.csr_array(az),
-                   sp.kron(sp.csr_array(ay), sp.csr_array(ax), format="csr"),
-                   format="csr")
 
 
 def _check_dimension(cutoff: BasisCutoff) -> None:

@@ -43,7 +43,9 @@ _BASIS8 = ((1, _J32), (1, _JM12), (2, _J32), (2, _JM12),
 
 
 class NearDegeneracyError(ValueError):
-    """Perturbative mixing requested too close to a subband crossing."""
+    """A perturbative closed form used outside its range: mixing too close
+    to a subband crossing, or a flat-dot expansion whose correction outweighs
+    its leading term."""
 
 
 class DegenerateQubitError(ValueError):
@@ -460,6 +462,11 @@ def rabi_thin_dot(material: MaterialParams, geometry: BoxGeometry,
                   order: int = 2) -> float:
     """Leading flat-dot Rabi frequency in GHz; order 4 adds the first
     correction in (L_z/L)^2, which also brings in the azimuthal dependence.
+
+    Order 4 multiplies the leading term by 1 + correction. Where that factor
+    is negative (a dot narrow in x or y against its height), the expansion
+    has broken down and NearDegeneracyError is raised instead of returning
+    a negative frequency.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
@@ -481,7 +488,12 @@ def rabi_thin_dot(material: MaterialParams, geometry: BoxGeometry,
     corr = (A1 * Lz ** 2 / Ly ** 2 - A2 * Lz ** 2 / Lx ** 2
             - A3 * (5 * Lz ** 2 / Ly ** 2 - 2 * Lz ** 2 / Lx ** 2)
             * cos(2 * fields.phi))
-    return f2 * (1 + corr / (4 * m.gamma2 * (m.gamma1 + m.gamma2)))
+    factor = 1 + corr / (4 * m.gamma2 * (m.gamma1 + m.gamma2))
+    if factor < 0:
+        raise NearDegeneracyError(
+            f"flat-dot expansion breaks down: the (L_z/L)^2 correction "
+            f"factor is {factor:.3g} < 0 for L = ({Lx}, {Ly}, {Lz}) nm")
+    return f2 * factor
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ sine basis), so it is block diagonal in the M_z = +i sector
 one sector onto the other. Only the N/2 + sector is diagonalized, as a
 real symmetric block after a diagonal phase change; the partner of each
 of its states v is T v, so Kramers doublets come out exactly degenerate,
-interleaved as (v, T v), by construction.
+interleaved as (v, T v), by construction. The block is scattered term by
+term from the Kronecker terms of H0, so the other sector is never formed;
+only a block of more than FULL_EIGH_ROWS rows loads scipy for its eigh.
 
 All physical outputs are invariant under the pseudo-spin gauge (unitary
 rotations within each doublet); eigenvector phases are nevertheless fixed
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,13 +40,15 @@ from .hamiltonian import (BoxGeometry, FieldConfig, HamiltonianMatrix,
 from .materials import MaterialParams
 from .minimal import DegenerateQubitError
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
 DEFAULT_N_EXCITED = 40
 MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
+# Mirror blocks of up to this many rows are solved whole by numpy's eigh
+# (syevd, about 5 n^2 doubles live); larger ones by scipy's eigh for the
+# lowest states only (about 2 n^2 doubles, plus ~28 MB for loading scipy).
+# The two cost the same memory near n = 1100.
+FULL_EIGH_ROWS = 1024
 
 # the tiers a RabiResult can carry, indexed by include_paramagnetic
 CONVERGED_TIERS = ("converged_zeeman", "converged_full")
@@ -100,39 +103,54 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * (lead.conj() / np.hypot(lead.real, lead.imag))
 
 
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
+
 def _plus_sector(H: HamiltonianMatrix,
-                 ) -> tuple[np.ndarray, np.ndarray, sp.sparray, float]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The M_z = +i block of H, made real by a diagonal phase.
 
     A state is in the + sector when n_z - 1 and its spin slot (0..3 for
-    +3/2..-3/2) have equal parity. On it D = i^(n_x + n_z) (0-based n)
-    turns the block into D^* H_++ D, which is real symmetric when H is
-    time-reversal even: every term that flips the parity of n_x or n_z
-    carries a matching factor i from R or S. Returns the + sector's flat
-    indices, D on them, the real block as a sparse array, and the infinity
-    norm of the whole H; raises SolverError if H couples the sectors or the
-    phased block is not real. This is the one place the numerics sum H
-    into a sparse operator.
+    +3/2..-3/2) have equal parity, so each orbital holds two of its states.
+    On it D = i^(n_x + n_z) (0-based n) turns the block into D^* H_++ D,
+    which is real symmetric when H is time-reversal even: every term that
+    flips the parity of n_x or n_z carries a matching factor i from R or S.
+    The block is scattered term by term from HamiltonianMatrix.scatter_terms;
+    the phases are powers of i, so every product is exact and the block
+    equals the phased + rows of the summed H bit for bit. Returns the +
+    sector's flat indices, D on them, the real block and its infinity norm
+    (that of the whole H when H is time-reversal even); raises SolverError if
+    a term couples the sectors or a phased term is not real.
     """
-    import scipy.sparse as sp
     cutoff = H.cutoff
-    flat = np.arange(cutoff.dimension)
-    n_x = flat // 4 % cutoff.N_x
-    n_z = flat // (4 * cutoff.N_x * cutoff.N_y)
-    plus = (n_z + flat % 4) % 2 == 0
-    A = H.operator
-    norm = abs(A).sum(axis=1).max()
-    rows = A.tocsr()[plus]
-    if rows[:, ~plus].count_nonzero():
-        raise SolverError("H couples the two mirror (M_z) sectors; the "
-                          "sector solver needs a static Hamiltonian")
-    # the phases are powers of i, so every product below is exact
-    D = np.array([1, 1j, -1, -1j])[(n_x + n_z)[plus] % 4]
-    block = sp.diags_array(D.conj()) @ rows[:, plus] @ sp.diags_array(D)
-    if np.any(block.imag.data):
+    orbital = np.arange(cutoff.n_orbital)
+    n_z = orbital // (cutoff.N_x * cutoff.N_y)
+    k = orbital % cutoff.N_x + n_z
+    n = 2 * cutoff.n_orbital
+    # + sector row 2 a + s // 2 holds orbital a in spin slot s, s = n_z (mod 2)
+    block = np.zeros((n, n))
+    not_real = False
+    for coef, a, b, o, spin in H.scatter_terms():
+        # D^* at a times D at b, a power of i
+        phase = _POWERS_OF_I[(k[b] - k[a]) % 4]
+        parity_a, parity_b = n_z[a] % 2, n_z[b] % 2
+        for s, t in zip(*np.nonzero(spin)):
+            rows = parity_a == s % 2
+            plus = rows & (parity_b == t % 2)
+            if np.any(coef * (o[rows & ~plus] * spin[s, t])):
+                raise SolverError("H couples the two mirror (M_z) sectors; "
+                                  "the sector solver needs a static "
+                                  "Hamiltonian")
+            value = phase[plus] * (coef * (o[plus] * spin[s, t]))
+            not_real = not_real or np.any(value.imag)
+            block[2 * a[plus] + s // 2, 2 * b[plus] + t // 2] += value.real
+    if not_real:
         raise SolverError("the phased mirror (M_z) block of H is not real; "
                           "the sector solver needs a time-reversal-even H")
-    return np.flatnonzero(plus), D, block.real, norm
+    flat = np.arange(cutoff.dimension)
+    in_plus = (flat // (4 * cutoff.N_x * cutoff.N_y) + flat % 4) % 2 == 0
+    return (np.flatnonzero(in_plus), np.repeat(_POWERS_OF_I[k % 4], 2), block,
+            np.linalg.norm(block, np.inf))
 
 
 _T_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
@@ -152,7 +170,9 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     component off z breaks it) and be time-reversal even; only the real +
     sector block is diagonalized, densely (the dimension guard of
     HamiltonianMatrix bounds it by MAX_DIMENSION / 2 rows), and the states
-    come out as exactly degenerate (v, T v) pairs.
+    come out as exactly degenerate (v, T v) pairs. The driver follows the
+    block's row count: numpy's all-pairs eigh up to FULL_EIGH_ROWS, scipy's
+    subset eigh above.
     """
     dim = H.dimension
     n = min(n_states, dim)
@@ -160,11 +180,14 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     indices, phase, block, scale = _plus_sector(H)
     k = (n + 1) // 2
-    # imported here so that importing the package does not load scipy;
-    # importing it before _plus_sector raises the (10,10,6) peak RSS by 1 MB
-    import scipy.linalg
-    e, w = scipy.linalg.eigh(block.toarray(), subset_by_index=[0, k - 1],
-                             overwrite_a=True)
+    if block.shape[0] <= FULL_EIGH_ROWS:
+        e, w = np.linalg.eigh(block)
+        e, w = e[:k], w[:, :k]
+    else:
+        # imported here, so that only a block this large loads scipy
+        import scipy.linalg
+        e, w = scipy.linalg.eigh(block, subset_by_index=[0, k - 1],
+                                 overwrite_a=True)
     v = np.zeros((dim, k), dtype=complex)
     v[indices] = phase[:, None] * w
     vectors = np.empty((dim, 2 * k), dtype=complex)

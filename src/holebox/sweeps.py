@@ -77,6 +77,20 @@ class ConfigError(ValueError):
     """Invalid or inconsistent sweep configuration."""
 
 
+# The input domain: every geometry length and dot height (nm), and every
+# static field magnitude (mV/nm). Far outside it the closed forms overflow,
+# underflow or divide by zero, and no rectangular quantum dot lives there.
+LENGTH_RANGE = (0.1, 1e4)
+MAX_E0 = 1e3
+
+
+def _check_range(section: str, key: str, value: float, low: float,
+                 high: float) -> None:
+    if not low <= value <= high:
+        raise ConfigError(f"[{section}] {key} = {value!r} is outside "
+                          f"[{low!r}, {high!r}]")
+
+
 def _default_config(command: str) -> dict[str, dict[str, str]]:
     cfg = {
         "material": {"name": "Si", "file": ""},
@@ -228,6 +242,8 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
                                  for key in ("L_x", "L_y", "L_z")))
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    for key in ("L_x", "L_y", "L_z"):
+        _check_range("geometry", key, getattr(geometry, key), *LENGTH_RANGE)
     try:
         orientation = Orientation(g["orientation"].strip())
     except ValueError as err:
@@ -244,6 +260,7 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
             E_ac=_parse_float("fields", "E_ac", f["E_ac"]))
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    _check_range("fields", "E0", fields.E0, -MAX_E0, MAX_E0)
 
     s = cfg["solver"]
     parts = [p.strip() for p in s["cutoff"].split(",")]
@@ -266,8 +283,12 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
         for key, value in grid.items():
             if key.endswith("_count") and value < 2:
                 raise ConfigError(f"[sweep] {key} must be >= 2, got {value}")
-            if key in ("lz_min", "lz_max") and value <= 0:
-                raise ConfigError(f"[sweep] {key} must be > 0, got {value}")
+            if key in ("lz_min", "lz_max"):
+                if value <= 0:
+                    raise ConfigError(f"[sweep] {key} must be > 0, got {value}")
+                _check_range("sweep", key, value, *LENGTH_RANGE)
+            if key in ("e0_min", "e0_max"):
+                _check_range("sweep", key, value, -MAX_E0, MAX_E0)
 
     text = _canonical_text(cfg)
     return SweepSpec(

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import holebox
 import holebox.cli as cli
+import holebox.sweeps as sweeps
 from holebox.numeric import SolverError
 
 
@@ -63,6 +65,11 @@ def test_non_finite_setting_exits_one_without_csv(tmp_path, capsys, argv):
     ["e0-sweep", "--set", "material.name=Si,Ge"],
     ["lz-sweep", "--set", "sweep.lz_min=0"],
     ["e0-sweep", "--set", "fields.E_ac=-1", "--set", "sweep.e0_count=2"],
+    # lengths and static fields outside the input domain of resolve_spec
+    ["e0-sweep", "--set", "geometry.L_z=1e-9", "--set", "sweep.e0_count=2"],
+    ["lz-sweep", "--set", "sweep.lz_max=1e300", "--set", "sweep.lz_count=3"],
+    ["lz-sweep", "--set", "geometry.L_x=1e-9", "--set", "sweep.lz_count=3"],
+    ["e0-sweep", "--set", "sweep.e0_min=-2e3", "--set", "sweep.e0_count=2"],
     ["e0-sweep", "--set", "material.name=X", "--set", "material.file={file}"],
 ])
 def test_bad_input_exits_one_without_csv(tmp_path, capsys, argv):
@@ -141,13 +148,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert res.stdout.strip() == "False False False"
 
 
-def test_closed_form_commands_never_load_scipy(tmp_path):
+def test_closed_form_and_default_converged_commands_never_load_scipy(
+        tmp_path):
+    # the default converged angle-map, at cutoff (8,8,5), has a 640-row
+    # mirror block, which numpy's eigh solves; only larger blocks load scipy
     runs = [["materials-table"],
             ["e0-sweep", "--set", "sweep.e0_count=3"],
             ["lz-sweep", "--set", "sweep.lz_count=2"],
             ["angle-map", "--set", "sweep.theta_count=3",
              "--set", "sweep.phi_count=4"],
-            ["strain-sweep", "--set", "sweep.eps_count=2"]]
+            ["strain-sweep", "--set", "sweep.eps_count=2"],
+            ["angle-map", "--tier", "converged_zeeman,converged_full"]]
     src = str(Path(holebox.__file__).resolve().parents[1])
     code = ("import json, sys, holebox.cli\n"
             "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
@@ -256,3 +267,68 @@ def test_bench_ladder_and_checks_find_their_names(tmp_path, monkeypatch):
             for layer, quantity in design.LADDER_LAYERS}
     assert set(metrics) == want | {"minimal.minimal_exact_qubit.per_call_s"}
     assert all(value > 0 for value in metrics.values())
+
+
+# every command on a tiny grid; the converged angle-map at a small cutoff
+_EDGE_COMMANDS = {
+    "materials-table": ["materials-table"],
+    "e0-sweep": ["e0-sweep", "--set", "sweep.e0_count=2"],
+    "lz-sweep": ["lz-sweep", "--set", "sweep.lz_count=2"],
+    "angle-map": ["angle-map", "--set", "sweep.theta_count=2",
+                  "--set", "sweep.phi_count=2"],
+    "strain-sweep": ["strain-sweep", "--set", "sweep.eps_count=2"],
+    "angle-map-converged": _SMALL_CONVERGED_MAP[:3] + [
+        "--tier", "converged_zeeman,converged_full",
+        "--set", "sweep.theta_count=2", "--set", "sweep.phi_count=2"],
+}
+_EDGE_VALUES = ("0", "-1", "1e-300", "1e300", "nan")
+
+
+def _numeric_keys(command: str) -> list[str]:
+    keys = []
+    for section, settings in sweeps._default_config(command).items():
+        for key, raw in settings.items():
+            try:
+                float(raw)
+            except ValueError:
+                continue
+            keys.append(f"{section}.{key}")
+    return keys
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_COMMANDS))
+def test_every_numeric_setting_at_its_edges_exits_cleanly(tmp_path, capsys,
+                                                           name):
+    """Each numeric setting at 0, -1, 1e-300, 1e300 and nan either gives
+    exit 1 with a config error, or exit 0 with finite cells and frequencies
+    that are non-negative or empty; never a traceback or a warning (pytest
+    turns warnings into errors here)."""
+    argv = _EDGE_COMMANDS[name]
+    out = tmp_path / "x.csv"
+    failures = []
+    for key in _numeric_keys(argv[0]):
+        for value in _EDGE_VALUES:
+            setting = f"{key}={value}"
+            out.unlink(missing_ok=True)
+            try:
+                rc = cli.main(argv + ["--set", setting, "--out", str(out)])
+            except Exception as err:        # a traceback from the CLI
+                failures.append(f"{setting}: {type(err).__name__}: {err}")
+                continue
+            err = capsys.readouterr().err
+            if rc == 1 and "config error" in err:
+                continue
+            if rc != 0:
+                failures.append(f"{setting}: exit {rc}: {err.strip()}")
+                continue
+            lines = out.read_text("utf-8").splitlines()
+            header = lines[4].split(",")
+            for row in lines[5:]:
+                for column, cell in zip(header, row.split(",")):
+                    if cell == "" or column == "material":
+                        continue
+                    x = float(cell)
+                    if not math.isfinite(x) or (
+                            column.startswith(("f_R", "f_L")) and x < 0):
+                        failures.append(f"{setting}: {column} = {cell}")
+    assert failures == []

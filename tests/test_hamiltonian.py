@@ -198,14 +198,14 @@ _APPLY_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_APPLY_CASES))
 def test_kronecker_apply_matches_summed_operator(case, monkeypatch):
-    """H @ V, applied factor by factor, equals the summed sparse operator
+    """H @ V, applied factor by factor, equals the summed dense matrix
     times V, for a block, for a block taken in several passes, and for a
     single vector."""
     H = _APPLY_CASES[case]()
     rng = np.random.default_rng(7)
     V = (rng.standard_normal((H.dimension, 3))
          + 1j * rng.standard_normal((H.dimension, 3)))
-    want = H.operator @ V
+    want = H.matrix @ V
     scale = np.max(np.abs(want))
     assert scale > 0
     got = H @ V
@@ -260,8 +260,8 @@ def test_dimension_guard_refuses_before_allocating():
 
 
 def test_assemblers_match_dense_kron_reference():
-    """The sparse per-axis products, summed and densified, equal the dense
-    np.kron construction of every term exactly."""
+    """The per-term orbital factors, scattered into the spin slots and
+    summed, equal the dense np.kron construction of every term exactly."""
     N = (3, 2, 2)
     cut = BasisCutoff(*N)
     L = (BOX.L_x, BOX.L_y, BOX.L_z)

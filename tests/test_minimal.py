@@ -190,6 +190,18 @@ def test_thin_dot_orders_converge_to_linearized():
     assert f4 == approx(lin, rel=5e-3)
 
 
+def test_thin_dot_order4_refuses_a_negative_expansion():
+    # a dot narrow in x against its height: the (L_z/L)^2 correction is
+    # larger than the leading term, so order 4 refuses rather than going
+    # negative; order 2 is unaffected
+    narrow = replace(BOX, L_x=0.1)
+    assert rabi_thin_dot(SI, narrow, D110, REF_FIELDS, 2) > 0
+    with pytest.raises(NearDegeneracyError, match="breaks down"):
+        rabi_thin_dot(SI, narrow, D110, REF_FIELDS, 4)
+    # the reference box keeps a positive factor
+    assert rabi_thin_dot(SI, BOX, D110, REF_FIELDS, 4) > 0
+
+
 def test_renormalized_tracks_saturation():
     e_max = e0_max(SI, BOX, D110)
     lin = rabi_linearized(SI, BOX, D110, REF_FIELDS)

@@ -161,29 +161,37 @@ def test_reduced_model_keeps_ground_doublet_columns():
 
 
 def test_pipelines_sum_only_the_static_operator(monkeypatch):
-    """reduce_model and converged_rabi read HamiltonianMatrix.operator once,
-    for H0's mirror-sector solve: the field generators and the dipole are
-    only ever applied factor by factor, never summed into an operator."""
-    reads, static = [], []
-    build = HamiltonianMatrix.operator.func
+    """reduce_model and converged_rabi assemble H0 once and sum only its
+    terms, once, into the mirror block: they never read the dense .matrix,
+    and the field generators and the dipole are only ever applied factor by
+    factor, never summed in any form."""
+    summed, dense, static = [], [], []
+    terms = HamiltonianMatrix.scatter_terms
+    build = HamiltonianMatrix.matrix.func
 
-    def counted(self):
-        reads.append(self)
+    def counted_terms(self):
+        summed.append(self)
+        return terms(self)
+
+    def counted_matrix(self):
+        dense.append(self)
         return build(self)
 
     def assemble(*args, **kwargs):
         static.append(assemble_static(*args, **kwargs))
         return static[-1]
 
-    monkeypatch.setattr(HamiltonianMatrix, "operator", property(counted))
+    monkeypatch.setattr(HamiltonianMatrix, "scatter_terms", counted_terms)
+    monkeypatch.setattr(HamiltonianMatrix, "matrix", property(counted_matrix))
     monkeypatch.setattr(numeric, "assemble_static", assemble)
     cut = BasisCutoff(3, 3, 2)
     reduce_model(SI, BOX, D110, cut, E0=0.1, n_excited=10)
     assert len(static) == 1
-    assert len(reads) == 1 and reads[0] is static[0]
+    assert len(summed) == 1 and summed[0] is static[0]
     converged_rabi(SI, BOX, D110, REF_FIELDS, cut, n_excited=10)
     assert len(static) == 2
-    assert len(reads) == 2 and reads[1] is static[1]
+    assert len(summed) == 2 and summed[1] is static[1]
+    assert dense == []
 
 
 def test_reduced_model_matches_direct_pipeline():
@@ -339,18 +347,38 @@ _STATIC_CASES = [
 @pytest.mark.parametrize("material, orientation, cut, E0, strain",
                          _STATIC_CASES)
 def test_sector_solve_gives_exact_kramers_pairs(material, orientation, cut,
-                                                E0, strain):
+                                                E0, strain, monkeypatch):
+    """Both eigh drivers give exact (v, T v) pairs that pass the residual
+    check, and the same energies: numpy's, which these small blocks take,
+    and scipy's, forced by lowering the row threshold to zero."""
+    import scipy.linalg
     H0 = assemble_static(material, BOX, orientation, cut, E0=E0, strain=strain)
-    spec = solve_spectrum(H0, 20)
-    e, V = spec.energies, spec.vectors
-    assert np.array_equal(e[0::2], e[1::2])
-    assert e == approx(np.linalg.eigvalsh(H0.matrix)[:20], rel=0, abs=1e-10)
+    drivers = []
+    for module in (np.linalg, scipy.linalg):
+        def spy(*args, _eigh=module.eigh, **kwargs):
+            drivers.append(_eigh.__module__)
+            return _eigh(*args, **kwargs)
+        monkeypatch.setattr(module, "eigh", spy)
     T = np.kron(np.eye(cut.n_orbital), _T_SPIN)
-    for i in range(0, 20, 2):
-        pair = V[:, i:i + 2]
-        assert np.allclose(pair.conj().T @ pair, np.eye(2), atol=1e-12)
-        # the partner is T v up to the phase fixed by _fix_phases
-        assert abs(np.vdot(V[:, i + 1], T @ V[:, i].conj())) == approx(1.0)
+    scale = np.max(np.sum(np.abs(H0.matrix), axis=1))
+    energies = []
+    for rows in (numeric.FULL_EIGH_ROWS, 0):
+        monkeypatch.setattr(numeric, "FULL_EIGH_ROWS", rows)
+        spec = solve_spectrum(H0, 20)
+        e, V = spec.energies, spec.vectors
+        assert np.array_equal(e[0::2], e[1::2])
+        assert e == approx(np.linalg.eigvalsh(H0.matrix)[:20], rel=0,
+                           abs=1e-10)
+        residual = np.linalg.norm(H0 @ V - V * e, axis=0)
+        assert np.max(residual) <= numeric.RESIDUAL_TOL * scale
+        for i in range(0, 20, 2):
+            pair = V[:, i:i + 2]
+            assert np.allclose(pair.conj().T @ pair, np.eye(2), atol=1e-12)
+            # the partner is T v up to the phase fixed by _fix_phases
+            assert abs(np.vdot(V[:, i + 1], T @ V[:, i].conj())) == approx(1.0)
+        energies.append(e)
+    assert [d.split(".")[0] for d in drivers] == ["numpy", "scipy"]
+    assert energies[1] == approx(energies[0], rel=1e-12, abs=0)
 
 
 def test_sector_solve_rejects_mirror_breaking_hamiltonian():
@@ -380,7 +408,7 @@ def test_phased_plus_block_is_exactly_real(material, orientation, cut, E0,
     H0 = assemble_static(material, BOX, orientation, cut, E0=E0, strain=strain)
     want = _phased_plus_block(H0)
     assert np.all(want.imag == 0.0)
-    assert np.array_equal(numeric._plus_sector(H0)[2].toarray(), want.real)
+    assert np.array_equal(numeric._plus_sector(H0)[2], want.real)
 
 
 def test_sector_solve_rejects_complex_phased_block():
@@ -413,8 +441,8 @@ def test_sector_solve_rejects_field_along_z(material, orientation):
 
 
 def test_converged_rabi_stays_below_two_dense_matrices():
-    """The pipeline keeps its operators sparse: its traced peak stays below
-    two dense complex N x N matrices."""
+    """The pipeline forms no dense N x N operator: its traced peak stays
+    below two dense complex N x N matrices."""
     cut = BasisCutoff(8, 8, 5)
     N = cut.dimension
     assert N == 1280
