@@ -19,12 +19,13 @@ spin is a 4x4 block. The assemblers only collect these terms.
 `HamiltonianMatrix @ V` applies them to a vector block factor by factor, one
 small matrix product per axis, without forming any N x N object; that is how
 the numerics apply the field generators and the dipole. Summed entries come
-from one place, `HamiltonianMatrix.scatter_terms`: it forms each term's
-orbital factor O as a dense n_orbital x n_orbital array, and coef * (O[a, b]
-* spin[s, t]) is scattered from its nonzero entries into the (a, s), (b, t)
-slots. The numerics scatter only into the real mirror block of the static
-H0 (numeric._plus_sector); the dense N x N view `HamiltonianMatrix.matrix`
-scatters into all 16 spin slots and is built only when it is read.
+from one place, `HamiltonianMatrix.scatter_terms`: it builds the nonzero
+entries (a, b) of each term's orbital factor O from the nonzeros of its
+per-axis tables, never O itself, and coef * (O[a, b] * spin[s, t]) is
+scattered into the (a, s), (b, t) slots. The numerics scatter only into the
+real mirror block of the static H0 (numeric._plus_sector); the dense N x N
+view `HamiltonianMatrix.matrix` scatters into all 16 spin slots and is built
+only when it is read.
 """
 from __future__ import annotations
 
@@ -42,17 +43,20 @@ from .constants import CONST
 from .materials import MaterialParams
 
 # A dense N x N complex matrix takes 16 N^2 bytes, 1.07 GB at 8192. The
-# numerics never form one. Their largest arrays are the real n x n mirror
-# block (n = N/2) and what eigh keeps alive with it (numeric.solve_spectrum):
+# numerics never form one. Their largest array is the real n x n mirror
+# block (n = N/2), and what eigh keeps alive with it (numeric.solve_spectrum):
 # up to numeric.FULL_EIGH_ROWS = 1024 rows, numpy's all-pairs driver holds
 # about 5 n^2 doubles (10 N^2 bytes, 42 MB at n = 1024); above, scipy's
-# subset driver holds about 2 n^2 doubles (4 N^2 bytes, 268 MB at n = 4096).
+# subset driver overwrites the block in place and adds only O(n) workspace
+# and the kept eigenvectors, about 1 n^2 doubles (2 N^2 bytes, 134 MB at
+# n = 4096).
 # The guard still counts a full dense matrix, which any read of
 # HamiltonianMatrix.matrix allocates. Every HamiltonianMatrix checks it.
 MAX_DIMENSION = 8192
 
-# columns of V per pass of HamiltonianMatrix @ V: one pass keeps its few
-# temporaries in cache, and memory does not grow with the number of columns
+# columns of V per pass of HamiltonianMatrix @ V (and of the solver's norm
+# and residual passes): one pass keeps its few temporaries in cache, and
+# memory does not grow with the number of columns
 APPLY_COLUMNS = 16
 
 
@@ -128,25 +132,62 @@ class HamiltonianMatrix:
 
     def scatter_terms(self) -> Iterator[tuple[complex, np.ndarray, np.ndarray,
                                               np.ndarray, np.ndarray]]:
-        """(coef, a, b, o, spin) for each term in order: the term's orbital
-        factor O is formed as a dense n_orbital x n_orbital array (n_x
-        fastest), one term at a time, and (a, b, o) are its nonzero entries,
-        o = O[a, b]. The term's entry at orbitals (a, b) and spin slots
-        (s, t) is coef * (o * spin[s, t]); summing those in term order is the
-        one way the package sums an operator."""
-        c = self.cutoff
-        eyes = (np.eye(c.N_x), np.eye(c.N_y), np.eye(c.N_z))
+        """(coef, a, b, o, spin) for each term in order: (a, b) are the
+        nonzero entries of the term's orbital factor O (orbitals flat with
+        n_x fastest), each once and in no set order, and o = O[a, b]. The
+        term's entry at orbitals (a, b) and spin slots (s, t) is
+        coef * (o * spin[s, t]); summing those in term order is the one way
+        the package sums an operator.
+
+        O is never formed, so memory follows the term's nonzeros, not
+        n_orbital^2. Each product's nonzeros are the Kronecker product of
+        its tables' nonzeros, valued w * (z * (y * x)) as np.kron rounds
+        them; a term adds its products in order and drops the entries that
+        cancel to exactly zero, so (a, b, o) are the nonzeros of the dense
+        sum bit for bit."""
         for coef, orbital, spin in self.terms:
-            O = None
-            for w, *tables in orbital:
-                x, y, z = (eye if t is None else t
-                           for eye, t in zip(eyes, tables))
-                product = w * np.kron(z, np.kron(y, x))
-                O = product if O is None else O + product
-            # through a boolean mask: numpy finds its nonzeros much faster
-            flat = np.flatnonzero(O != 0)
-            yield (coef, *np.divmod(flat, c.n_orbital), O.ravel()[flat],
-                   spin)
+            yield (coef, *self._orbital_entries(orbital), spin)
+
+    def _orbital_entries(self, orbital: tuple[Product, ...],
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, o) of a term's orbital factor: its products' entries added
+        in order at the union of their keys, then the exact zeros dropped."""
+        products = [self._product_entries(product) for product in orbital]
+        keys, o = products[0]       # a lone product's keys are distinct
+        if len(products) > 1:
+            # the distinct keys, sorted; np.unique would import numpy.ma
+            keys = np.concatenate([k for k, _ in products])
+            keys.sort()
+            distinct = np.ones(keys.shape, dtype=bool)
+            distinct[1:] = keys[1:] != keys[:-1]
+            keys = keys[distinct]
+            o = np.zeros(keys.shape)
+            for k, v in products:
+                o[np.searchsorted(keys, k)] += v
+        del products    # freed before the outputs are built
+        kept = o != 0
+        return (*np.divmod(keys[kept], self.cutoff.n_orbital), o[kept])
+
+    def _product_entries(self, product: Product,
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """Flat keys a * n_orbital + b and values of the nonzero entries of
+        w * z (x) y (x) x, built axis by axis from x (fastest) to z: an
+        entry (r, c) of an axis of stride s adds s * (r * n_orbital + c) to
+        the key of the faster axes. An identity axis multiplies by 1.0,
+        which is exact."""
+        c = self.cutoff
+        w, *tables = product
+        key, value = np.zeros(1, dtype=np.intp), np.ones(1)
+        stride = 1
+        for size, table in zip((c.N_x, c.N_y, c.N_z), tables):
+            if table is None:
+                table = np.eye(size)
+            rows, cols = np.nonzero(table)
+            key = np.add.outer(stride * (rows * c.n_orbital + cols),
+                               key).ravel()
+            value = np.multiply.outer(table[rows, cols], value).ravel()
+            stride *= size
+        return key, w * value
 
     @cached_property
     def matrix(self) -> np.ndarray:

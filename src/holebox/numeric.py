@@ -34,9 +34,10 @@ import numpy as np
 
 from .basis import BasisCutoff
 from .constants import CONST
-from .hamiltonian import (BoxGeometry, FieldConfig, HamiltonianMatrix,
-                          Orientation, StrainConfig, assemble_paramagnetic,
-                          assemble_static, assemble_zeeman, dipole_y)
+from .hamiltonian import (APPLY_COLUMNS, BoxGeometry, FieldConfig,
+                          HamiltonianMatrix, Orientation, StrainConfig,
+                          assemble_paramagnetic, assemble_static,
+                          assemble_zeeman, dipole_y)
 from .materials import MaterialParams
 from .minimal import DegenerateQubitError
 
@@ -46,8 +47,10 @@ DEFAULT_N_EXCITED = 40
 MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
 # Mirror blocks of up to this many rows are solved whole by numpy's eigh
 # (syevd, about 5 n^2 doubles live); larger ones by scipy's eigh for the
-# lowest states only (about 2 n^2 doubles, plus ~28 MB for loading scipy).
-# The two cost the same memory near n = 1100.
+# lowest states only, in place in the block (about 1 n^2 doubles, plus
+# ~22 MB for loading scipy). The two cost the same memory near n = 830. The
+# threshold stays above that: the numpy branch also skips the ~0.3 s scipy
+# import, and no benchmarked block lies between 640 and 1200 rows.
 FULL_EIGH_ROWS = 1024
 
 # the tiers a RabiResult can carry, indexed by include_paramagnetic
@@ -118,9 +121,10 @@ def _plus_sector(H: HamiltonianMatrix,
     The block is scattered term by term from HamiltonianMatrix.scatter_terms;
     the phases are powers of i, so every product is exact and the block
     equals the phased + rows of the summed H bit for bit. Returns the +
-    sector's flat indices, D on them, the real block and its infinity norm
-    (that of the whole H when H is time-reversal even); raises SolverError if
-    a term couples the sectors or a phased term is not real.
+    sector's flat indices, D on them, the real block (in Fortran order) and
+    its infinity norm (that of the whole H when H is time-reversal even);
+    raises SolverError if a term couples the sectors or a phased term is not
+    real.
     """
     cutoff = H.cutoff
     orbital = np.arange(cutoff.n_orbital)
@@ -128,7 +132,8 @@ def _plus_sector(H: HamiltonianMatrix,
     k = orbital % cutoff.N_x + n_z
     n = 2 * cutoff.n_orbital
     # + sector row 2 a + s // 2 holds orbital a in spin slot s, s = n_z (mod 2)
-    block = np.zeros((n, n))
+    # (column-major, LAPACK's order, so that eigh needs no copy of the block)
+    block = np.zeros((n, n), order="F")
     not_real = False
     for coef, a, b, o, spin in H.scatter_terms():
         # D^* at a times D at b, a power of i
@@ -149,8 +154,12 @@ def _plus_sector(H: HamiltonianMatrix,
                           "the sector solver needs a time-reversal-even H")
     flat = np.arange(cutoff.dimension)
     in_plus = (flat // (4 * cutoff.N_x * cutoff.N_y) + flat % 4) % 2 == 0
+    # the largest column sum of |block|, the infinity norm of the symmetric
+    # block, a few contiguous columns at a time: no n x n |block| is formed
+    scale = np.max([np.sum(np.abs(block[:, j:j + APPLY_COLUMNS]), axis=0).max()
+                    for j in range(0, n, APPLY_COLUMNS)])
     return (np.flatnonzero(in_plus), np.repeat(_POWERS_OF_I[k % 4], 2), block,
-            np.linalg.norm(block, np.inf))
+            scale)
 
 
 _T_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
@@ -172,7 +181,9 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     HamiltonianMatrix bounds it by MAX_DIMENSION / 2 rows), and the states
     come out as exactly degenerate (v, T v) pairs. The driver follows the
     block's row count: numpy's all-pairs eigh up to FULL_EIGH_ROWS, scipy's
-    subset eigh above.
+    subset eigh, in place in the block, above. The block is freed before
+    the vectors are built, and the residual is checked a few columns at a
+    time, so no n x n array outlives eigh.
     """
     dim = H.dimension
     n = min(n_states, dim)
@@ -182,18 +193,24 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     k = (n + 1) // 2
     if block.shape[0] <= FULL_EIGH_ROWS:
         e, w = np.linalg.eigh(block)
-        e, w = e[:k], w[:, :k]
+        # a copy, so that the n x n eigenvector matrix is freed with the block
+        e, w = e[:k], w[:, :k].copy()
     else:
         # imported here, so that only a block this large loads scipy
         import scipy.linalg
+        # the Fortran-order block is overwritten in place, not copied
         e, w = scipy.linalg.eigh(block, subset_by_index=[0, k - 1],
                                  overwrite_a=True)
-    v = np.zeros((dim, k), dtype=complex)
-    v[indices] = phase[:, None] * w
-    vectors = np.empty((dim, 2 * k), dtype=complex)
-    vectors[:, 0::2], vectors[:, 1::2] = v, _time_reversed(v)
+    del block       # scipy's driver has overwritten it; H checks the result
+    vectors = np.zeros((dim, 2 * k), dtype=complex)
+    vectors[indices, 0::2] = phase[:, None] * w
+    vectors[:, 1::2] = _time_reversed(vectors[:, 0::2])
     energies, vectors = np.repeat(e, 2)[:n], vectors[:, :n]
-    residual = np.max(np.linalg.norm(H @ vectors - vectors * energies, axis=0))
+    # in passes of a few columns, so that H V is never formed whole
+    residual = np.max([np.linalg.norm(
+        H @ vectors[:, j:j + APPLY_COLUMNS]
+        - vectors[:, j:j + APPLY_COLUMNS] * energies[j:j + APPLY_COLUMNS],
+        axis=0).max() for j in range(0, n, APPLY_COLUMNS)])
     if scale > 0 and residual > RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {residual:.3e} exceeds "

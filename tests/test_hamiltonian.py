@@ -326,3 +326,77 @@ def test_assemblers_match_dense_kron_reference():
                              strain=eps)
     assert np.array_equal(static.matrix,
                           lk[Orientation.DOT_110] + electric + strain)
+
+
+def _scatter_operators(cut):
+    """Every assembler's operator at one cutoff: both static orientations
+    with E0 and strain, Zeeman, both paramagnetic orientations, the dipole."""
+    return ([assemble_static(SI, BOX, o, cut, E0=0.15,
+                             strain=StrainConfig(2e-4)) for o in Orientation]
+            + [assemble_zeeman(SI, 1.3, 0.7, 0.4, cut)]
+            + [assemble_paramagnetic(SI, BOX, 1.3, 0.7, 0.4, cut,
+                                     orientation=o) for o in Orientation]
+            + [dipole_y(BOX, cut)])
+
+
+def _dense_orbital_factor(orbital, cut):
+    """A term's orbital factor summed densely, product by product, from
+    np.kron of the per-axis tables (identities for None)."""
+    eyes = (np.eye(cut.N_x), np.eye(cut.N_y), np.eye(cut.N_z))
+    O = None
+    for w, *tables in orbital:
+        x, y, z = (eye if t is None else t for eye, t in zip(eyes, tables))
+        product = w * np.kron(z, np.kron(y, x))
+        O = product if O is None else O + product
+    return O
+
+
+@pytest.mark.parametrize("cut", [BasisCutoff(3, 4, 2), BasisCutoff(4, 3, 5)])
+def test_scatter_terms_yield_the_nonzeros_of_dense_kron(cut):
+    """For every term, scatter_terms yields exactly the nonzero entries of
+    the dense np.kron sum, each once and bit for bit, with the term's own
+    coefficient and spin block."""
+    for H in _scatter_operators(cut):
+        scattered = list(H.scatter_terms())
+        assert len(scattered) == len(H.terms)
+        for (coef, orbital, spin), (c, a, b, o, s) in zip(H.terms, scattered):
+            assert c == coef and s is spin
+            O = _dense_orbital_factor(orbital, cut)
+            order = np.lexsort((b, a))
+            rows, cols = np.nonzero(O)
+            assert np.array_equal(a[order], rows)
+            assert np.array_equal(b[order], cols)
+            assert np.array_equal(o[order], O[rows, cols])
+
+
+def test_scatter_terms_drop_products_that_cancel():
+    """In the paramagnetic xy, xz and yz channels the same-axis products
+    q_a - q_b cancel to exactly 0.0 on the diagonal, where every
+    posderiv_matrix element is -0.5; those entries are dropped."""
+    cut = BasisCutoff(3, 4, 2)
+    for n in (cut.N_x, cut.N_y, cut.N_z):
+        assert np.all(np.diag(posderiv_matrix(n)) == -0.5)
+    H = assemble_paramagnetic(SI, BOX, 1.3, 0.7, 0.4, cut, orientation=D110)
+    for (_, orbital, _), (_, a, b, _, _) in list(
+            zip(H.terms, H.scatter_terms()))[3:]:
+        assert any(np.all(np.diag(_dense_orbital_factor((p,), cut)) != 0.0)
+                   for p in orbital)
+        assert np.all(np.diag(_dense_orbital_factor(orbital, cut)) == 0.0)
+        assert a.size > 0 and not np.any(a == b)
+
+
+def test_scatter_terms_form_no_orbital_square_array():
+    """At (10,10,6), n_orbital = 600: scattering every assembler's terms
+    stays below one n_orbital x n_orbital float64 array (2.9 MB), so no
+    dense orbital factor is formed."""
+    cut = BasisCutoff(10, 10, 6)
+    operators = _scatter_operators(cut)
+    tracemalloc.start()
+    try:
+        for H in operators:
+            for _ in H.scatter_terms():
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cut.n_orbital ** 2

@@ -453,3 +453,25 @@ def test_converged_rabi_stays_below_two_dense_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 16 * N ** 2
+
+
+def test_scipy_sector_solve_holds_one_block(monkeypatch):
+    """On the scipy branch the block is solved in place and freed before
+    the vectors are built: at (8,8,5) the traced peak of solve_spectrum
+    stays below one real n x n block (n = N/2) plus two N x n_states
+    complex arrays."""
+    import scipy.linalg  # noqa: F401  loaded before tracing starts
+    monkeypatch.setattr(numeric, "FULL_EIGH_ROWS", 0)
+    # a first scipy solve, so that its lazily built wrappers are not traced
+    solve_spectrum(assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2)), 4)
+    cut = BasisCutoff(8, 8, 5)
+    N, n_states = cut.dimension, 82
+    H0 = assemble_static(get_material("Ge"), BOX, Orientation.DOT_100, cut,
+                         E0=0.1)
+    tracemalloc.start()
+    try:
+        solve_spectrum(H0, n_states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (N // 2) ** 2 + 2 * 16 * N * n_states
