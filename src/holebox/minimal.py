@@ -9,8 +9,9 @@ that yields the Rabi frequency at first order in B.
 
 Two independent evaluation routes coexist on purpose:
 - rabi_linearized: channel-resolved closed forms, first order in E0;
-- minimal_exact_rabi: exact diagonalization of the 8x8 minimal Hamiltonian,
-  nonperturbative in E0, with a generic sum over excited doublets.
+- minimal_exact_rabi: exact static eigenstates of the 8x8 minimal
+  Hamiltonian, nonperturbative in E0 and first order in B, summed over the
+  three excited doublets into two real 3x3 g-matrices (MinimalExactModel).
 They must agree in slope as E0 -> 0; tests enforce it.
 
 Sign conventions: Lambda = -e E0 <1|y|2> > 0 for E0 > 0; h = -R/W carries
@@ -340,60 +341,44 @@ _ZEEMAN8 = np.stack([zeeman_spin_block(1.0, 1.0, axis)[np.ix_(_J8, _J8)]
                      * _SAME_N8 for axis in np.eye(3)])
 _DIPOLE8 = ((_J8[:, None] == _J8[None, :]) & ~_SAME_N8).astype(float)
 
-GRID_BLOCK = 4096  # field directions per batched step of qubit_grid
+# Pauli matrices sigma_x, sigma_y, sigma_z on the (u_0, d_0) ground doublet
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
 class MinimalExactModel:
-    """The exact minimal-basis route for one dot, E0 and strain.
-
-    The eight eigenstates are the columns of the real 4x4 static block,
-    each placed in the first four slots (u_k) and in its time-reversed copy
-    (d_k), ordered (u_0, d_0, u_1, d_1, ...). Only the ground-doublet rows
-    of the rotated operators enter the qubit, so those are all it keeps.
-    """
-    zeeman: np.ndarray  # (3, 2, 8) complex: <u_0, d_0| kappa Z_axis |n>
-    dipole: np.ndarray  # (2, 6) real: <u_0, d_0| y |n>, n excited
-    gaps: np.ndarray    # (6,) E_0 - E_n, n excited
+    """The exact minimal-basis route for one dot, E0 and strain, as two real
+    3x3 matrices: gm[j, i] = Tr(sigma_j A_i) (meV/T), with A_i the ground
+    block of kappa Z_i, and gp[j, i] = Tr(sigma_j (C_i + C_i^H)) (nm/T), with
+    C_i = sum_n <g|kappa Z_i|n><n|y|g> / (E_0 - E_n) over the six excited
+    states n."""
+    gm: np.ndarray
+    gp: np.ndarray
 
     def qubit_grid(self, B: float, thetas, phis,
                    E_ac: float) -> tuple[np.ndarray, np.ndarray]:
-        """(f_R, f_L) in GHz for every direction of the broadcast angle
-        arrays: the splitting of the ground doublet and the drive matrix
-        element at first order in B, summed over the six excited states."""
-        th, ph = np.broadcast_arrays(np.asarray(thetas, dtype=float),
-                                     np.asarray(phis, dtype=float))
-        f_R, f_L = np.empty(th.shape), np.empty(th.shape)
-        flat = [a.reshape(-1) for a in (th, ph, f_R, f_L)]
-        for lo in range(0, th.size, GRID_BLOCK):
-            t, p, out_R, out_L = (a[lo:lo + GRID_BLOCK] for a in flat)
-            out_R[:], out_L[:] = self._qubit_block(B, t, p, E_ac)
-        return f_R, f_L
-
-    def _qubit_block(self, B: float, theta: np.ndarray, phi: np.ndarray,
-                     E_ac: float) -> tuple[np.ndarray, np.ndarray]:
-        # the contractions are written out elementwise, not as matmul, so a
-        # direction's result does not depend on the batch it is part of
-        s = np.sin(theta)
-        b = (s * np.cos(phi), s * np.sin(phi), np.cos(theta))
-        z = self.zeeman
-        # ground rows of B Z(b): (n, 2, 8)
-        rows = B * (b[0][:, None, None] * z[0] + b[1][:, None, None] * z[1]
-                    + b[2][:, None, None] * z[2])
-        w, U = np.linalg.eigh(rows[:, :, :2])
-        f_L = (w[:, 1] - w[:, 0]) / CONST.h_planck
-        s0, s1 = U[:, :, 0], U[:, :, 1]
-        c1 = s1.conj()
-        exc = rows[:, :, 2:]
-        y_up = c1[:, 0, None] * self.dipole[0] + c1[:, 1, None] * self.dipole[1]
-        y_dn = s0[:, 0, None] * self.dipole[0] + s0[:, 1, None] * self.dipole[1]
-        z_up = c1[:, 0, None] * exc[:, 0] + c1[:, 1, None] * exc[:, 1]
-        # <n|Z|s0> = conj(<s0|Z|n>): Z is Hermitian
-        z_dn = (s0[:, 0, None] * exc[:, 0].conj()
-                + s0[:, 1, None] * exc[:, 1].conj())
-        total = ((y_up * z_dn + z_up * y_dn) / self.gaps).sum(axis=1)
-        f_R = CONST.e_scale * E_ac * np.abs(total) / CONST.h_planck
-        return f_R, f_L
+        """(f_R, f_L) in GHz for every direction b of the broadcast angle
+        arrays. With v = gm b and w = gp b, the ground doublet splits by
+        |B| |v|, so f_L = |B| |v| / h, and the drive matrix element at first
+        order in B gives f_R = e E_ac |B| |v x w| / (2 h |v|), 0 where v
+        vanishes. Raises ValueError for E_ac < 0."""
+        if E_ac < 0:
+            raise ValueError(f"E_ac must be >= 0, got {E_ac}")
+        th, ph = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+        b = (np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th))
+        # written out per axis, not as matmul, so a direction's result does
+        # not depend on the batch it is part of
+        v, w = ([g[j, 0] * b[0] + g[j, 1] * b[1] + g[j, 2] * b[2]
+                 for j in range(3)] for g in (self.gm, self.gp))
+        v_norm = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        cross = np.sqrt((v[1] * w[2] - v[2] * w[1]) ** 2
+                        + (v[2] * w[0] - v[0] * w[2]) ** 2
+                        + (v[0] * w[1] - v[1] * w[0]) ** 2)
+        B = abs(B)
+        # v = 0 makes v x w = 0 too, so dividing by 1 there gives f_R = 0
+        f_R = (CONST.e_scale * E_ac * B * cross
+               / (2 * CONST.h_planck * np.where(v_norm > 0, v_norm, 1.0)))
+        return f_R, B * v_norm / CONST.h_planck
 
 
 def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
@@ -404,8 +389,10 @@ def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
 
     The static 8x8 Hamiltonian splits into a real 4x4 block and its
     time-reversed copy, so one real diagonalization yields all four
-    doublets; the unit-axis Zeeman generators and the dipole are rotated
-    into that eigenbasis.
+    doublets. Each eigenvector is placed in the first four slots (u_k) and
+    in the time-reversed copy (d_k), ordered (u_0, d_0, u_1, d_1, ...); the
+    unit-axis Zeeman generators and the dipole are rotated into that basis
+    and contracted into (gm, gp).
     """
     sp = subband_params(material, geometry, orientation, strain=strain)
     energies, V = np.linalg.eigh(
@@ -413,11 +400,15 @@ def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
     W = np.zeros((8, 8))
     W[:4, 0::2] = V
     W[4:, 1::2] = V
-    ground = W[:, :2].T
-    zeeman = material.kappa * np.einsum("ga,xab,bn->xgn", ground, _ZEEMAN8, W)
-    dipole = position_element(1, 2, geometry.L_y) * (ground @ _DIPOLE8 @ W)
-    return MinimalExactModel(zeeman=zeeman, dipole=dipole[:, 2:],
-                             gaps=energies[0] - np.repeat(energies[1:], 2))
+    # <u_0, d_0| kappa Z_i |n> for all n, <n| y |u_0, d_0> for n excited
+    Z = material.kappa * np.einsum("ag,xab,bn->xgn", W[:, :2], _ZEEMAN8, W)
+    y12 = position_element(1, 2, geometry.L_y)
+    Y = y12 * (W[:, 2:].T @ _DIPOLE8 @ W[:, :2])
+    gaps = energies[0] - np.repeat(energies[1:], 2)
+    C = Z[:, :, 2:] @ (Y / gaps[:, None])
+    gm, gp = (np.einsum("jab,iba->ji", _PAULI, X).real
+              for X in (Z[:, :, :2], C + C.mT.conj()))
+    return MinimalExactModel(gm=gm, gp=gp)
 
 
 def minimal_exact_qubit(material: MaterialParams, geometry: BoxGeometry,

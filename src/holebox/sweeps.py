@@ -492,8 +492,8 @@ def _optimal_direction(spec: SweepSpec,
         return t.reshape(-1), p.reshape(-1), f_R.reshape(-1)
 
     def window(x: int, span: int, step: int) -> np.ndarray:
-        return np.unique(np.clip(np.arange(x - span, x + span + 1, step),
-                                 0, 90 * _MDEG))
+        return np.arange(max(x - span, 0), min(x + span, 90 * _MDEG) + 1,
+                         step)
 
     axis = np.arange(0, 90 * _MDEG + 1, _STEPS[0])
     grid_t, grid_p, grid_f = scan(axis, axis)

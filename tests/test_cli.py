@@ -151,7 +151,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 def test_closed_form_and_default_converged_commands_never_load_scipy(
         tmp_path):
     # the default converged angle-map, at cutoff (8,8,5), has a 640-row
-    # mirror block, which numpy's eigh solves; only larger blocks load scipy
+    # mirror block, which numpy's eigh solves; only larger blocks load scipy.
+    # No run needs numpy.ma either (np.unique imports it on first use)
     runs = [["materials-table"],
             ["e0-sweep", "--set", "sweep.e0_count=3"],
             ["lz-sweep", "--set", "sweep.lz_count=2"],
@@ -164,11 +165,12 @@ def test_closed_form_and_default_converged_commands_never_load_scipy(
             "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
             "    out = f'{sys.argv[2]}/{k}.csv'\n"
             "    assert holebox.cli.main(argv + ['--out', out]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print('numpy.ma' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code, json.dumps(runs),
                           str(tmp_path)], cwd=src, capture_output=True,
                          text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "[]"
+    assert res.stdout.splitlines()[-2:] == ["[]", "False"]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
         f"{k}.csv" for k in range(len(runs))]
 

@@ -16,7 +16,6 @@ from holebox import (BoxGeometry, DegenerateQubitError, FieldConfig,
                      strain_equivalent_height, strain_transition_eps,
                      subband_params)
 from holebox.constants import CONST
-from holebox.minimal import GRID_BLOCK
 from holebox.sweeps import _optimal_direction, resolve_spec
 from oracles import (direct_rabi_first_order, exact_qubit8,
                      well_separated_sample)
@@ -323,11 +322,36 @@ def test_batched_exact_route_vanishes_at_zero_field():
         0.0, THETAS, PHIS, 0.03)
     assert f_R.shape == (7, 9)
     assert not f_R.any() and not f_L.any()
+    # kappa = 0: the doublet does not split at any field, and f_R is 0
+    # rather than 0/0
+    model = minimal_exact_model(replace(SI, kappa=0.0), BOX, D110, 0.1)
+    with np.errstate(all="raise"):
+        f_R, f_L = model.qubit_grid(1.0, THETAS, PHIS, 0.03)
+    assert f_R.shape == f_L.shape == (7, 9)
+    assert not f_R.any() and not f_L.any()
+
+
+def test_batched_exact_route_rejects_negative_drive():
+    model = minimal_exact_model(SI, BOX, D110, 0.1)
+    with pytest.raises(ValueError, match="E_ac must be >= 0"):
+        model.qubit_grid(1.0, 0.7, 1.5, -0.03)
+
+
+@pytest.mark.parametrize("name, orientation, eps", [
+    (m, o, 0.0) for m in ("Si", "Ge") for o in Orientation]
+    + [("Si", o, eps) for o in Orientation for eps in (5e-4, 1e-3)])
+def test_exact_g_matrices_are_diagonal_in_the_box_axes(name, orientation,
+                                                       eps):
+    model = minimal_exact_model(get_material(name), BOX, orientation, 0.1,
+                                strain=StrainConfig(eps))
+    for g in (model.gm, model.gp):
+        assert g.shape == (3, 3) and g.dtype == float
+        diag = np.abs(np.diag(g))
+        assert np.all(np.abs(g - np.diag(np.diag(g))) <= 1e-12 * diag.min())
 
 
 def test_scalar_exact_route_is_one_batched_element():
     n = 65
-    assert n * n > GRID_BLOCK      # the grid spans two blocks
     th = np.radians(np.linspace(0, 90, n))[:, None]
     ph = np.radians(np.linspace(0, 180, n))[None, :]
     strain = StrainConfig(5e-4)
