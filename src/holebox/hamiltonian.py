@@ -81,7 +81,8 @@ class BoxGeometry:
                 raise ValueError(f"{axis} must be positive, got {L}")
 
 
-@dataclass(frozen=True)
+# slotted: a direction grid holds one instance per point
+@dataclass(frozen=True, slots=True)
 class FieldConfig:
     B: float = 0.0      # T
     theta: float = 0.0  # rad, polar angle of b_hat

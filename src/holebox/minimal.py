@@ -161,7 +161,9 @@ class ElectricMixing:
         return (self.c_2m_1m, self.c_2p_1p, self.c_2m_1p, self.c_2p_1m)
 
 
-DEGENERACY_TOL = 1e-6  # meV; below this the perturbative mixing is rejected
+# meV; a smaller gap in a first-order denominator (a subband crossing, or an
+# excited doublet at the ground energy) is rejected
+DEGENERACY_TOL = 1e-6
 
 
 def mixing_strength(E0: float, L_y: float) -> float:
@@ -257,12 +259,18 @@ def rabi_linearized(material: MaterialParams, geometry: BoxGeometry,
     Each excited doublet contributes one transverse matrix element built
     from its Zeeman blocks (Z factors), its electric admixtures (the four
     c coefficients) and the bare dipoles D. B and E0 enter linearly and
-    live inside those factors.
+    live inside those factors. Raises DegenerateQubitError where |1+> is
+    degenerate with the ground doublet (Q1 = R1 = 0, as in a cube), whose
+    channel divides by E1- - E1+.
     """
     if fields.B == 0.0 or fields.E0 == 0.0 or fields.E_ac == 0.0:
         return 0.0
     sp = subband_params(material, geometry, orientation, strain=strain)
     m1, m2 = mixed_subbands(sp)
+    if m1.E_plus - m1.E_minus <= DEGENERACY_TOL:
+        raise DegenerateQubitError(
+            f"|1+> at E = {m1.E_plus:.9f} meV is degenerate with the ground "
+            "doublet; first-order sum invalid")
     em = electric_mixing((m1, m2), fields.E0, geometry)
     qc = qubit_coefficients((m1, m2), fields.theta, fields.phi, fields.B, material)
     if qc.degenerate:
@@ -392,11 +400,16 @@ def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
     doublets. Each eigenvector is placed in the first four slots (u_k) and
     in the time-reversed copy (d_k), ordered (u_0, d_0, u_1, d_1, ...); the
     unit-axis Zeeman generators and the dipole are rotated into that basis
-    and contracted into (gm, gp).
+    and contracted into (gm, gp). Raises DegenerateQubitError for an excited
+    doublet degenerate with the ground one, whose gap the sum divides by.
     """
     sp = subband_params(material, geometry, orientation, strain=strain)
     energies, V = np.linalg.eigh(
         _static_block(sp, mixing_strength(E0, geometry.L_y)))
+    if energies[1] - energies[0] <= DEGENERACY_TOL:
+        raise DegenerateQubitError(
+            f"excited doublet at E = {energies[1]:.9f} meV is degenerate with "
+            "the ground doublet; first-order sum invalid")
     W = np.zeros((8, 8))
     W[:4, 0::2] = V
     W[4:, 1::2] = V

@@ -8,12 +8,14 @@ azimuth from the x axis), E0 = 0.1 mV/nm, E_ac = 0.03 mV/nm.
 CSV files are byte-deterministic: floats use the shortest round-trip
 representation, absent values are empty cells, metadata lines are
 prefixed with '#', and the fully resolved config is echoed to a sidecar
-'<out>.cfg' whose hash is quoted in the CSV header.
+'<out>.cfg'. The CSV header quotes the first 12 hex digits of the
+sidecar's SHA-256, computed with the interpreter's built-in SHA-256
+module rather than hashlib, which would load OpenSSL into every run.
+Rows are streamed into the file, so a table is never held whole as text.
 """
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
@@ -35,6 +37,14 @@ from .minimal import (DegenerateQubitError, NearDegeneracyError,  # noqa: F401
                       rabi_thin_dot, renormalized_rabi,
                       strain_equivalent_height, subband_params)
 from .numeric import PairingError, ReducedModel, SolverError, reduce_model
+
+try:  # the interpreter's own SHA-256 (3.12+, then 3.10/3.11), not OpenSSL's
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 COMMANDS = ("materials-table", "e0-sweep", "lz-sweep", "angle-map",
             "strain-sweep")
@@ -295,7 +305,7 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
         kind=command, tiers=tier_tuple, material=material, geometry=geometry,
         orientation=orientation, fields=fields, cutoff=cutoff,
         n_excited=n_excited, grid=grid, resolved_text=text,
-        config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest()[:12],
+        config_hash=sha256(text.encode("utf-8")).hexdigest()[:12],
         table_materials=table)
 
 
@@ -317,14 +327,13 @@ def _fmt(value) -> str:
 def _write_csv(out: str | Path, spec: SweepSpec, columns: list[str],
                rows: Iterable[Sequence]) -> Path:
     out = Path(out)
-    lines = [f"# holebox {spec.kind}",
-             f"# config-hash: {spec.config_hash}",
-             f"# tiers: {','.join(spec.tiers) if spec.tiers else 'none'}",
-             f"# units: {_UNITS}",
-             ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# holebox {spec.kind}\n"
+                 f"# config-hash: {spec.config_hash}\n"
+                 f"# tiers: {','.join(spec.tiers) if spec.tiers else 'none'}\n"
+                 f"# units: {_UNITS}\n"
+                 f"{','.join(columns)}\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     with open(str(out) + ".cfg", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(spec.resolved_text)
     return out
@@ -377,17 +386,21 @@ class _Sweep:
         return cells
 
     @cached_property
-    def exact(self) -> list[tuple[float, float]]:
-        """(f_R, f_L) of the exact minimal route."""
+    def exact(self) -> list[tuple[float | None, float | None]]:
+        """(f_R, f_L) of the exact minimal route; a point error of a static
+        problem empties both cells of all its directions."""
         s, cells = self.spec, []
         for g, f, thetas, phis in self.static:
             dot = (s.material, g, s.orientation)
-            if thetas.size == 1:    # the one-direction case of qubit_grid
-                cells.append(minimal_exact_qubit(*dot, f))
-                continue
-            f_R, f_L = minimal_exact_model(*dot, f.E0).qubit_grid(
-                f.B, thetas, phis, f.E_ac)
-            cells += zip(f_R.tolist(), f_L.tolist())
+            try:
+                if thetas.size == 1:    # the one-direction case of qubit_grid
+                    cells.append(minimal_exact_qubit(*dot, f))
+                else:
+                    f_R, f_L = minimal_exact_model(*dot, f.E0).qubit_grid(
+                        f.B, thetas, phis, f.E_ac)
+                    cells += zip(f_R.tolist(), f_L.tolist())
+            except SOLVER_ERRORS:
+                cells += [(None, None)] * thetas.size
         return cells
 
     @cached_property
@@ -523,12 +536,15 @@ def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
         sp = subband_params(spec.material, spec.geometry, spec.orientation,
                             strain=strain)
         hh = mixed_subbands(sp)[0].heavy_weight
-        t_opt, p_opt = _optimal_direction(spec, strain)
-        fields = replace(spec.fields, theta=radians(t_opt),
-                         phi=radians(p_opt))
-        f_R, f_L = minimal_exact_qubit(spec.material, spec.geometry,
-                                       spec.orientation, fields,
-                                       strain=strain)
+        try:
+            t_opt, p_opt = _optimal_direction(spec, strain)
+            fields = replace(spec.fields, theta=radians(t_opt),
+                             phi=radians(p_opt))
+            f_R, f_L = minimal_exact_qubit(spec.material, spec.geometry,
+                                           spec.orientation, fields,
+                                           strain=strain)
+        except SOLVER_ERRORS:   # no optimum: empty cells, like a sweep's
+            t_opt = p_opt = f_R = f_L = None
         lz2 = strain_equivalent_height(spec.material, spec.geometry.L_z, eps)
         lz_eff = sqrt(lz2) if 0.0 < lz2 < inf else None
         rows.append([eps, hh, f_R, f_L, t_opt, p_opt, lz_eff, eps == 0.0])

@@ -137,22 +137,25 @@ def test_threads_flag_gives_identical_angle_map(tmp_path):
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy is imported only where the converged-basis numerics use it, so
-    # importing the CLI, which every command pays for, loads none of it
+    # importing the CLI, which every command pays for, loads none of it;
+    # nor OpenSSL, as the config hash uses the built-in SHA-256
     src = str(Path(holebox.__file__).resolve().parents[1])
     code = ("import sys, holebox.cli; "
             "print('scipy.optimize' in sys.modules, "
             "'scipy.sparse.linalg' in sys.modules, "
-            "any(m.startswith('scipy') for m in sys.modules))")
+            "any(m.startswith('scipy') for m in sys.modules), "
+            "'_hashlib' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], cwd=src,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False False False"
+    assert res.stdout.strip() == "False False False False"
 
 
 def test_closed_form_and_default_converged_commands_never_load_scipy(
         tmp_path):
     # the default converged angle-map, at cutoff (8,8,5), has a 640-row
     # mirror block, which numpy's eigh solves; only larger blocks load scipy.
-    # No run needs numpy.ma either (np.unique imports it on first use)
+    # No run needs numpy.ma either (np.unique imports it on first use), nor
+    # OpenSSL's _hashlib (hashlib imports it)
     runs = [["materials-table"],
             ["e0-sweep", "--set", "sweep.e0_count=3"],
             ["lz-sweep", "--set", "sweep.lz_count=2"],
@@ -166,13 +169,50 @@ def test_closed_form_and_default_converged_commands_never_load_scipy(
             "    out = f'{sys.argv[2]}/{k}.csv'\n"
             "    assert holebox.cli.main(argv + ['--out', out]) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-            "print('numpy.ma' in sys.modules)")
+            "print('numpy.ma' in sys.modules)\n"
+            "print('_hashlib' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code, json.dumps(runs),
                           str(tmp_path)], cwd=src, capture_output=True,
                          text=True, check=True)
-    assert res.stdout.splitlines()[-2:] == ["[]", "False"]
+    assert res.stdout.splitlines()[-3:] == ["[]", "False", "False"]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
         f"{k}.csv" for k in range(len(runs))]
+
+
+_CUBE = ["--set", "geometry.L_x=20", "--set", "geometry.L_y=20",
+         "--set", "geometry.L_z=20"]
+
+
+def test_cube_dot_exits_zero_with_empty_cells_not_nan(tmp_path):
+    # L_x = L_y = L_z makes Q1 = R1 = 0, so |1+> is degenerate with the
+    # ground doublet: the linearized |1+> channel would divide by
+    # E1- - E1+ = 0 at every E0, and the exact route by a zero gap at E0 = 0.
+    # Those cells are empty, with no floating-point warning (an error here)
+    e0, am, ss = (tmp_path / f"{name}.csv" for name in ("e0", "am", "ss"))
+    assert cli.main(["e0-sweep", "--out", str(e0), "--set",
+                     "sweep.e0_count=3"] + _CUBE) == 0
+    assert cli.main(["angle-map", "--out", str(am), "--set", "fields.E0=0",
+                     "--set", "sweep.theta_count=3",
+                     "--set", "sweep.phi_count=3"] + _CUBE) == 0
+    # strain splits |1+> off, so only the unstrained row has no optimum
+    assert cli.main(["strain-sweep", "--out", str(ss), "--set", "fields.E0=0",
+                     "--set", "sweep.eps_count=2"] + _CUBE) == 0
+    for out in (e0, am, ss):
+        assert "nan" not in out.read_text("utf-8")
+    lines = e0.read_text("utf-8").splitlines()
+    assert lines[4] == ("E0,f_L,f_R_minimal_exact,f_R_linearized,"
+                        "f_R_renormalized")
+    rows = [line.split(",") for line in lines[5:]]
+    assert rows[0] == ["0.0", "", "", "0.0", "0.0"]
+    for row in rows[1:]:
+        assert float(row[1]) > 0 and row[2] != "" and row[3:] == ["", ""]
+    lines = am.read_text("utf-8").splitlines()
+    assert lines[4].endswith(",f_R_minimal_exact") and len(lines) == 5 + 9
+    assert all(line.endswith(",") for line in lines[5:])
+    rows = [line.split(",") for line in ss.read_text("utf-8").splitlines()[5:]]
+    assert [row[0] for row in rows] == ["0.0", "0.001"]
+    assert rows[0][2:6] == ["", "", "", ""]
+    assert "" not in rows[1][2:6]
 
 
 _SMALL_CONVERGED_MAP = ["angle-map", "--set", "solver.cutoff=3,3,2",

@@ -278,6 +278,17 @@ def test_degenerate_direction_flagged():
     assert qc.f_L == 0.0
 
 
+def test_excited_doublet_at_the_ground_energy_raises():
+    # a cube has Q1 = R1 = 0: |1+> sits at the ground energy, and at E0 = 0
+    # nothing splits it off, so both first-order sums would divide by zero
+    cube = BoxGeometry(20.0, 20.0, 20.0)
+    with pytest.raises(DegenerateQubitError, match="degenerate"):
+        minimal_exact_model(SI, cube, D110, 0.0)
+    with pytest.raises(DegenerateQubitError, match="degenerate"):
+        rabi_linearized(SI, cube, D110, REF_FIELDS)
+    assert minimal_exact_qubit(SI, cube, D110, REF_FIELDS)[1] > 0
+
+
 def test_minimal_exact_handles_zero_drive():
     f_R, f_L = minimal_exact_qubit(SI, BOX, D110,
                                    replace(REF_FIELDS, E_ac=0.0))

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from math import radians
 from pathlib import Path
 
@@ -121,6 +123,28 @@ def test_sidecar_echoes_resolved_config(tmp_path):
     assert text == spec.resolved_text
     assert "B = 2.5" in text
     assert f"# config-hash: {spec.config_hash}" in out.read_text("utf-8")
+    # the digest a reader (and the benchmark's check) recomputes from the file
+    assert spec.config_hash == hashlib.sha256(
+        sidecar.read_bytes()).hexdigest()[:12]
+
+
+def test_csv_rows_are_streamed(tmp_path):
+    # a default angle-map's 4,186 rows: writing them holds a few rows, not
+    # the table as text
+    spec = resolve_spec("angle-map")
+    columns = ["theta_deg", "phi_deg", "f_R_analytic2", "f_R_analytic4",
+               "f_R_minimal_exact"]
+    rows = [(t / 3, p / 7, t * p / 11, 1 / (1 + t + p), None)
+            for t in range(46) for p in range(91)]
+    tracemalloc.start()
+    try:
+        out = sweeps._write_csv(tmp_path / "big.csv", spec, columns, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert len(out.read_text("utf-8").splitlines()) == 5 + 4186
+    assert peak < size / 4, (peak, size)
 
 
 def test_e0_sweep_respects_tier_selection(tmp_path):
