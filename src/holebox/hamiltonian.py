@@ -44,12 +44,10 @@ from .materials import MaterialParams
 
 # A dense N x N complex matrix takes 16 N^2 bytes, 1.07 GB at 8192. The
 # numerics never form one. Their largest array is the real n x n mirror
-# block (n = N/2), and what eigh keeps alive with it (numeric.solve_spectrum):
-# up to numeric.FULL_EIGH_ROWS = 1024 rows, numpy's all-pairs driver holds
-# about 5 n^2 doubles (10 N^2 bytes, 42 MB at n = 1024); above, scipy's
-# subset driver overwrites the block in place and adds only O(n) workspace
-# and the kept eigenvectors, about 1 n^2 doubles (2 N^2 bytes, 134 MB at
-# n = 4096).
+# block (n = N/2), which LAPACK's subset dsyevr (numeric.solve_spectrum)
+# overwrites in place at every size, adding only the n x k kept
+# eigenvectors and O(n) workspace: about 1 n^2 doubles plus n k (2 N^2
+# bytes, 134 MB at n = 4096).
 # The guard still counts a full dense matrix, which any read of
 # HamiltonianMatrix.matrix allocates. Every HamiltonianMatrix checks it.
 MAX_DIMENSION = 8192

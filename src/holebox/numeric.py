@@ -18,8 +18,10 @@ one sector onto the other. Only the N/2 + sector is diagonalized, as a
 real symmetric block after a diagonal phase change; the partner of each
 of its states v is T v, so Kramers doublets come out exactly degenerate,
 interleaved as (v, T v), by construction. The block is scattered term by
-term from the Kronecker terms of H0, so the other sector is never formed;
-only a block of more than FULL_EIGH_ROWS rows loads scipy for its eigh.
+term from the Kronecker terms of H0, so the other sector is never formed.
+Its lowest states come from LAPACK's subset eigensolver dsyevr (MRRR), in
+place in the block. dsyevr is taken from scipy's compiled LAPACK module,
+loaded on the first solve without importing the scipy package itself.
 
 All physical outputs are invariant under the pseudo-spin gauge (unitary
 rotations within each doublet); eigenvector phases are nevertheless fixed
@@ -27,6 +29,10 @@ deterministically so that intermediate dumps are reproducible.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -45,13 +51,6 @@ DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
 DEFAULT_N_EXCITED = 40
 MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
-# Mirror blocks of up to this many rows are solved whole by numpy's eigh
-# (syevd, about 5 n^2 doubles live); larger ones by scipy's eigh for the
-# lowest states only, in place in the block (about 1 n^2 doubles, plus
-# ~22 MB for loading scipy). The two cost the same memory near n = 830. The
-# threshold stays above that: the numpy branch also skips the ~0.3 s scipy
-# import, and no benchmarked block lies between 640 and 1200 rows.
-FULL_EIGH_ROWS = 1024
 
 # the tiers a RabiResult can carry, indexed by include_paramagnetic
 CONVERGED_TIERS = ("converged_zeeman", "converged_full")
@@ -172,6 +171,36 @@ def _time_reversed(vectors: np.ndarray) -> np.ndarray:
     return (spin * _T_SIGNS[:, None]).reshape(dim, k)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's compiled LAPACK module, which holds dsyevr, loaded once per
+    process without running the scipy or scipy.linalg package __init__: that
+    import takes ~0.3 s and ~28 MB (numpy.random, hashlib, OpenSSL) for this
+    one routine. The module is registered under its own name, so a later
+    import of scipy.linalg reuses it. If the extension file cannot be found
+    or loaded directly, the public scipy.linalg.lapack, which exposes the
+    same functions, is imported instead."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")    # locates, does not import
+        spec = scipy and importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "linalg"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+        try:
+            if spec is None:
+                raise ImportError(f"no {_FLAPACK} extension file")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            from scipy.linalg import lapack as module
+        else:
+            sys.modules[_FLAPACK] = module
+    return module
+
+
 def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     """Lowest n_states eigenpairs, ascending and deterministically phased.
 
@@ -179,11 +208,14 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     component off z breaks it) and be time-reversal even; only the real +
     sector block is diagonalized, densely (the dimension guard of
     HamiltonianMatrix bounds it by MAX_DIMENSION / 2 rows), and the states
-    come out as exactly degenerate (v, T v) pairs. The driver follows the
-    block's row count: numpy's all-pairs eigh up to FULL_EIGH_ROWS, scipy's
-    subset eigh, in place in the block, above. The block is freed before
-    the vectors are built, and the residual is checked a few columns at a
-    time, so no n x n array outlives eigh.
+    come out as exactly degenerate (v, T v) pairs. LAPACK's dsyevr computes
+    only the lowest (n_states + 1) // 2 states of the block, overwriting the
+    block in place, with the arguments scipy.linalg.eigh passes for
+    subset_by_index: about 1 n^2 doubles plus the n x k eigenvectors live.
+    The block is freed before the vectors are built, and the residual is
+    checked a few columns at a time, so no n x n array outlives the solve.
+    Raises SolverError if dsyevr reports a failure or misses states, or if
+    the residual check fails or is NaN.
     """
     dim = H.dimension
     n = min(n_states, dim)
@@ -191,17 +223,19 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     indices, phase, block, scale = _plus_sector(H)
     k = (n + 1) // 2
-    if block.shape[0] <= FULL_EIGH_ROWS:
-        e, w = np.linalg.eigh(block)
-        # a copy, so that the n x n eigenvector matrix is freed with the block
-        e, w = e[:k], w[:, :k].copy()
-    else:
-        # imported here, so that only a block this large loads scipy
-        import scipy.linalg
-        # the Fortran-order block is overwritten in place, not copied
-        e, w = scipy.linalg.eigh(block, subset_by_index=[0, k - 1],
-                                 overwrite_a=True)
-    del block       # scipy's driver has overwritten it; H checks the result
+    lapack = _lapack()
+    lwork, liwork, info = lapack.dsyevr_lwork(block.shape[0], lower=1)
+    if info != 0:
+        raise SolverError(f"LAPACK dsyevr_lwork failed (info = {info})")
+    # the Fortran-order block is overwritten in place, not copied
+    e, w, found, _, info = lapack.dsyevr(
+        block, compute_v=1, range="I", lower=1, il=1, iu=k,
+        lwork=int(lwork), liwork=liwork, overwrite_a=1)
+    del block       # dsyevr has overwritten it; H checks the result
+    if info != 0 or found < k:
+        raise SolverError(f"LAPACK dsyevr failed (info = {info}) or found "
+                          f"fewer than the {k} requested eigenpairs")
+    e = e[:k]
     vectors = np.zeros((dim, 2 * k), dtype=complex)
     vectors[indices, 0::2] = phase[:, None] * w
     vectors[:, 1::2] = _time_reversed(vectors[:, 0::2])
@@ -211,7 +245,8 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
         H @ vectors[:, j:j + APPLY_COLUMNS]
         - vectors[:, j:j + APPLY_COLUMNS] * energies[j:j + APPLY_COLUMNS],
         axis=0).max() for j in range(0, n, APPLY_COLUMNS)])
-    if scale > 0 and residual > RESIDUAL_TOL * scale:
+    # written so that a NaN residual (or norm) fails it
+    if not residual <= RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.0e} * |H| = {RESIDUAL_TOL * scale:.3e}")

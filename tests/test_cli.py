@@ -152,10 +152,10 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 def test_closed_form_and_default_converged_commands_never_load_scipy(
         tmp_path):
-    # the default converged angle-map, at cutoff (8,8,5), has a 640-row
-    # mirror block, which numpy's eigh solves; only larger blocks load scipy.
-    # No run needs numpy.ma either (np.unique imports it on first use), nor
-    # OpenSSL's _hashlib (hashlib imports it)
+    # the closed-form commands load nothing of scipy; the default converged
+    # angle-map loads only scipy's LAPACK extension, for dsyevr, never the
+    # scipy package. No run needs numpy.ma either (np.unique imports it on
+    # first use), nor OpenSSL's _hashlib (hashlib imports it)
     runs = [["materials-table"],
             ["e0-sweep", "--set", "sweep.e0_count=3"],
             ["lz-sweep", "--set", "sweep.lz_count=2"],
@@ -168,15 +168,39 @@ def test_closed_form_and_default_converged_commands_never_load_scipy(
             "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
             "    out = f'{sys.argv[2]}/{k}.csv'\n"
             "    assert holebox.cli.main(argv + ['--out', out]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "    if k in (4, 5):\n"
+            "        print(sorted(m for m in sys.modules\n"
+            "                     if m.startswith('scipy')))\n"
             "print('numpy.ma' in sys.modules)\n"
             "print('_hashlib' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code, json.dumps(runs),
                           str(tmp_path)], cwd=src, capture_output=True,
                          text=True, check=True)
-    assert res.stdout.splitlines()[-3:] == ["[]", "False", "False"]
+    # each run prints the path it wrote
+    assert res.stdout.splitlines()[-6:] == [
+        f"{tmp_path}/4.csv", "[]", f"{tmp_path}/5.csv",
+        "['scipy.linalg._flapack']", "False", "False"]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
         f"{k}.csv" for k in range(len(runs))]
+
+
+def test_converged_run_above_1024_rows_loads_no_scipy_package(tmp_path):
+    # cutoff (10,10,6) has a 1200-row mirror block; solving it must not
+    # import the scipy package, which would load numpy.random and OpenSSL
+    argv = ["angle-map", "--tier", "converged_full",
+            "--set", "material.name=Ge", "--set", "geometry.orientation=100",
+            "--set", "solver.cutoff=10,10,6", "--set", "sweep.theta_count=2",
+            "--set", "sweep.phi_count=2", "--out", str(tmp_path / "ge.csv")]
+    src = str(Path(holebox.__file__).resolve().parents[1])
+    code = ("import json, sys, holebox.cli\n"
+            "assert holebox.cli.main(json.loads(sys.argv[1])) == 0\n"
+            "print([m for m in ('scipy', 'scipy.linalg', 'numpy.random',\n"
+            "                   '_hashlib', 'scipy.linalg._flapack')\n"
+            "       if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                         cwd=src, capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"
+    assert (tmp_path / "ge.csv").is_file()
 
 
 _CUBE = ["--set", "geometry.L_x=20", "--set", "geometry.L_y=20",

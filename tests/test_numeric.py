@@ -1,6 +1,10 @@
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from math import pi, radians
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -347,38 +351,100 @@ _STATIC_CASES = [
 @pytest.mark.parametrize("material, orientation, cut, E0, strain",
                          _STATIC_CASES)
 def test_sector_solve_gives_exact_kramers_pairs(material, orientation, cut,
-                                                E0, strain, monkeypatch):
-    """Both eigh drivers give exact (v, T v) pairs that pass the residual
-    check, and the same energies: numpy's, which these small blocks take,
-    and scipy's, forced by lowering the row threshold to zero."""
-    import scipy.linalg
+                                                E0, strain):
+    """The subset dsyevr solve gives exact (v, T v) pairs that pass the
+    residual check, with the energies of the phased + block."""
     H0 = assemble_static(material, BOX, orientation, cut, E0=E0, strain=strain)
-    drivers = []
-    for module in (np.linalg, scipy.linalg):
-        def spy(*args, _eigh=module.eigh, **kwargs):
-            drivers.append(_eigh.__module__)
-            return _eigh(*args, **kwargs)
-        monkeypatch.setattr(module, "eigh", spy)
     T = np.kron(np.eye(cut.n_orbital), _T_SPIN)
     scale = np.max(np.sum(np.abs(H0.matrix), axis=1))
-    energies = []
-    for rows in (numeric.FULL_EIGH_ROWS, 0):
-        monkeypatch.setattr(numeric, "FULL_EIGH_ROWS", rows)
-        spec = solve_spectrum(H0, 20)
-        e, V = spec.energies, spec.vectors
-        assert np.array_equal(e[0::2], e[1::2])
-        assert e == approx(np.linalg.eigvalsh(H0.matrix)[:20], rel=0,
-                           abs=1e-10)
-        residual = np.linalg.norm(H0 @ V - V * e, axis=0)
-        assert np.max(residual) <= numeric.RESIDUAL_TOL * scale
-        for i in range(0, 20, 2):
-            pair = V[:, i:i + 2]
-            assert np.allclose(pair.conj().T @ pair, np.eye(2), atol=1e-12)
-            # the partner is T v up to the phase fixed by _fix_phases
-            assert abs(np.vdot(V[:, i + 1], T @ V[:, i].conj())) == approx(1.0)
-        energies.append(e)
-    assert [d.split(".")[0] for d in drivers] == ["numpy", "scipy"]
-    assert energies[1] == approx(energies[0], rel=1e-12, abs=0)
+    spec = solve_spectrum(H0, 20)
+    e, V = spec.energies, spec.vectors
+    assert np.array_equal(e[0::2], e[1::2])
+    assert e == approx(np.linalg.eigvalsh(H0.matrix)[:20], rel=0, abs=1e-10)
+    residual = np.linalg.norm(H0 @ V - V * e, axis=0)
+    assert np.max(residual) <= numeric.RESIDUAL_TOL * scale
+    for i in range(0, 20, 2):
+        pair = V[:, i:i + 2]
+        assert np.allclose(pair.conj().T @ pair, np.eye(2), atol=1e-12)
+        # the partner is T v up to the phase fixed by _fix_phases
+        assert abs(np.vdot(V[:, i + 1], T @ V[:, i].conj())) == approx(1.0)
+    block = np.linalg.eigvalsh(_phased_plus_block(H0).real)[:10]
+    assert e[0::2] == approx(block, rel=1e-12, abs=0)
+
+
+def _patch_dsyevr(monkeypatch, change):
+    """Route solve_spectrum's dsyevr through change(e, w, m, isuppz, info)."""
+    lapack = numeric._lapack()
+
+    def dsyevr(*args, **kwargs):
+        return change(*lapack.dsyevr(*args, **kwargs))
+    monkeypatch.setattr(numeric, "_lapack", lambda: SimpleNamespace(
+        dsyevr=dsyevr, dsyevr_lwork=lapack.dsyevr_lwork))
+
+
+@pytest.mark.parametrize("change", [
+    lambda e, w, m, isuppz, info: (e, w, m, isuppz, 1),
+    lambda e, w, m, isuppz, info: (e, w, m - 1, isuppz, info)],
+    ids=["info", "missing_states"])
+def test_lapack_failure_raises_solver_error(change, monkeypatch):
+    """A dsyevr failure (info != 0) or a short subset is a typed error."""
+    H0 = assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1)
+    _patch_dsyevr(monkeypatch, change)
+    with pytest.raises(numeric.SolverError, match="dsyevr"):
+        solve_spectrum(H0, 8)
+
+
+def test_nan_eigenvectors_fail_the_residual_check(monkeypatch):
+    """NaN vectors give a NaN residual, which must fail the check rather
+    than return NaN energies and vectors."""
+    H0 = assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1)
+    _patch_dsyevr(monkeypatch, lambda e, w, m, isuppz, info:
+                  (e, np.full_like(w, np.nan), m, isuppz, info))
+    with pytest.raises(numeric.SolverError, match="residual"):
+        solve_spectrum(H0, 8)
+
+
+def test_lapack_loads_without_the_scipy_package_and_falls_back(tmp_path):
+    """In a fresh process the first solve loads scipy's LAPACK extension
+    alone, and a later import of scipy.linalg reuses it; when the extension
+    file cannot be found, the solve goes through scipy.linalg.lapack
+    instead and gives the same bits."""
+    src = str(Path(numeric.__file__).resolve().parents[1])
+    code = """\
+import importlib.abc, importlib.machinery, sys
+import numpy as np
+from holebox import BasisCutoff, BoxGeometry, Orientation, get_material
+from holebox.hamiltonian import assemble_static
+from holebox.numeric import _lapack, solve_spectrum
+
+class Missing(importlib.machinery.FileFinder):
+    def find_spec(self, fullname, target=None):
+        return None
+
+if sys.argv[1] == "fallback":
+    # the import system keeps its own reference to the class (importlib.abc,
+    # imported above, registers it by name), so only the solver's lookup
+    # of the extension file misses
+    importlib.machinery.FileFinder = Missing
+H0 = assemble_static(get_material("Ge"), BoxGeometry(40.0, 30.0, 10.0),
+                     Orientation.DOT_100, BasisCutoff(3, 3, 3), E0=0.1)
+spec = solve_spectrum(H0, 12)
+np.save(sys.argv[2], np.column_stack([spec.energies, spec.vectors.T]))
+print("scipy.linalg.lapack" in sys.modules, "scipy" in sys.modules)
+dsyevr = _lapack().dsyevr
+import scipy.linalg
+print(scipy.linalg.lapack.dsyevr is dsyevr)
+"""
+    results = {}
+    for mode in ("direct", "fallback"):
+        out = tmp_path / f"{mode}.npy"
+        res = subprocess.run([sys.executable, "-c", code, mode, str(out)],
+                             cwd=src, capture_output=True, text=True,
+                             check=True)
+        results[mode] = res.stdout.split(), np.load(out)
+    assert results["direct"][0] == ["False", "False", "True"]
+    assert results["fallback"][0] == ["True", "True", "True"]
+    assert np.array_equal(results["direct"][1], results["fallback"][1])
 
 
 def test_sector_solve_rejects_mirror_breaking_hamiltonian():
@@ -455,14 +521,11 @@ def test_converged_rabi_stays_below_two_dense_matrices():
     assert peak < 2 * 16 * N ** 2
 
 
-def test_scipy_sector_solve_holds_one_block(monkeypatch):
-    """On the scipy branch the block is solved in place and freed before
-    the vectors are built: at (8,8,5) the traced peak of solve_spectrum
-    stays below one real n x n block (n = N/2) plus two N x n_states
-    complex arrays."""
-    import scipy.linalg  # noqa: F401  loaded before tracing starts
-    monkeypatch.setattr(numeric, "FULL_EIGH_ROWS", 0)
-    # a first scipy solve, so that its lazily built wrappers are not traced
+def test_scipy_sector_solve_holds_one_block():
+    """dsyevr solves the block in place and it is freed before the vectors
+    are built: at (8,8,5) the traced peak of solve_spectrum stays below one
+    real n x n block (n = N/2) plus two N x n_states complex arrays."""
+    # a first solve, so that loading the LAPACK module is not traced
     solve_spectrum(assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2)), 4)
     cut = BasisCutoff(8, 8, 5)
     N, n_states = cut.dimension, 82
