@@ -3,47 +3,51 @@
 Closed-form minimal-basis theory and a converged numerical solver for
 the Larmor and electrically driven Rabi frequencies of the heavy-hole
 ground doublet, plus sweep tooling behind the ``holebox`` command.
+
+Each exported name is imported from its module on first access (PEP 562),
+so ``import holebox`` loads nothing, and numpy loads with the first name
+whose module needs it: the closed forms, the input types and the material
+tables run without it.
 """
-from .basis import BasisCutoff
-from .constants import CONST, PhysicalConstants
-from .hamiltonian import (AssemblyError, BoxGeometry, FieldConfig,
-                          HamiltonianMatrix, Orientation, StrainConfig,
-                          assemble_paramagnetic, assemble_static,
-                          assemble_zeeman, bhat_from_angles, dipole_y)
-from .materials import (FigureOfMerit, MaterialError, MaterialParams,
-                        builtin_materials, figures_of_merit, get_material,
-                        load_materials)
-from .minimal import (DegenerateQubitError, ElectricMixing, MinimalExactModel,
-                      MixedSubband, NearDegeneracyError, QubitCoefficients,
-                      SubbandParams, e0_max, e0_max_thin, electric_mixing,
-                      light_hole_rabi, minimal_exact_model,
-                      minimal_exact_qubit, minimal_exact_rabi, mixed_subbands,
-                      qubit_coefficients, rabi_linearized, rabi_thin_dot,
-                      renormalized_rabi, strain_divergence_eps,
-                      strain_equal_mixing_eps, strain_equivalent_height,
-                      strain_transition_eps, subband_params)
-from .numeric import (KramersDoublet, PairingError, RabiResult, ReducedModel,
-                      SolverError, SpinorSpectrum, converged_rabi,
-                      pair_doublets, rabi_sum_over_states, reduce_model,
-                      solve_spectrum)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssemblyError", "BasisCutoff", "BoxGeometry", "CONST",
-    "DegenerateQubitError", "ElectricMixing", "FieldConfig", "FigureOfMerit",
-    "HamiltonianMatrix", "KramersDoublet", "MaterialError", "MaterialParams",
-    "MinimalExactModel", "MixedSubband", "NearDegeneracyError", "Orientation", "PairingError",
-    "PhysicalConstants", "QubitCoefficients", "RabiResult", "ReducedModel",
-    "SolverError", "SpinorSpectrum", "StrainConfig", "SubbandParams",
-    "assemble_paramagnetic", "assemble_static", "assemble_zeeman",
-    "bhat_from_angles", "builtin_materials", "converged_rabi", "dipole_y",
-    "e0_max", "e0_max_thin", "electric_mixing", "figures_of_merit",
-    "get_material", "light_hole_rabi", "load_materials",
-    "minimal_exact_model", "minimal_exact_qubit", "minimal_exact_rabi",
-    "mixed_subbands", "pair_doublets", "qubit_coefficients", "rabi_linearized",
-    "rabi_sum_over_states", "rabi_thin_dot", "reduce_model",
-    "renormalized_rabi", "solve_spectrum", "strain_divergence_eps",
-    "strain_equal_mixing_eps", "strain_equivalent_height",
-    "strain_transition_eps", "subband_params",
-]
+_EXPORTS = {
+    "constants": ("CONST", "PhysicalConstants"),
+    "inputs": ("AssemblyError", "BasisCutoff", "BoxGeometry", "FieldConfig",
+               "Orientation", "PairingError", "SolverError", "StrainConfig",
+               "bhat_from_angles"),
+    "hamiltonian": ("HamiltonianMatrix", "assemble_paramagnetic",
+                    "assemble_static", "assemble_zeeman", "dipole_y"),
+    "materials": ("FigureOfMerit", "MaterialError", "MaterialParams",
+                  "builtin_materials", "figures_of_merit", "get_material",
+                  "load_materials"),
+    "minimal": ("DegenerateQubitError", "ElectricMixing", "MinimalExactModel",
+                "MixedSubband", "NearDegeneracyError", "QubitCoefficients",
+                "SubbandParams", "e0_max", "e0_max_thin", "electric_mixing",
+                "light_hole_rabi", "minimal_exact_model",
+                "minimal_exact_qubit", "minimal_exact_rabi", "mixed_subbands",
+                "qubit_coefficients", "rabi_linearized", "rabi_thin_dot",
+                "renormalized_rabi", "strain_divergence_eps",
+                "strain_equal_mixing_eps", "strain_equivalent_height",
+                "strain_transition_eps", "subband_params"),
+    "numeric": ("KramersDoublet", "RabiResult", "ReducedModel",
+                "SpinorSpectrum", "converged_rabi", "pair_doublets",
+                "rabi_sum_over_states", "reduce_model", "solve_spectrum"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

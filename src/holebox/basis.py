@@ -14,29 +14,13 @@ suite, not integrated at runtime).  The sign convention is anchored by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import pi
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .inputs import BasisCutoff  # noqa: F401  (its former home)
 
-
-@dataclass(frozen=True)
-class BasisCutoff:
-    N_x: int
-    N_y: int
-    N_z: int
-
-    def __post_init__(self):
-        for axis, n in (("N_x", self.N_x), ("N_y", self.N_y), ("N_z", self.N_z)):
-            if not (isinstance(n, int) and n >= 1):
-                raise ValueError(f"{axis} must be a positive integer, got {n!r}")
-
-    @property
-    def n_orbital(self) -> int:
-        return self.N_x * self.N_y * self.N_z
-
-    @property
-    def dimension(self) -> int:
-        return 4 * self.n_orbital
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def position_element(n: int, m: int, L: float) -> float:
@@ -44,7 +28,7 @@ def position_element(n: int, m: int, L: float) -> float:
     if (n + m) % 2 == 0:
         return 0.0
     s, d = n + m, n - m
-    return 2.0 * L / np.pi ** 2 * (1.0 / s ** 2 - 1.0 / d ** 2)
+    return 2.0 * L / pi ** 2 * (1.0 / s ** 2 - 1.0 / d ** 2)
 
 
 def derivative_element(n: int, m: int, L: float) -> float:
@@ -58,7 +42,7 @@ def ksquared_element(n: int, m: int, L: float) -> float:
     """<chi_n| -d^2/du^2 |chi_m> = delta_nm (n pi / L)^2."""
     if n != m:
         return 0.0
-    return (n * np.pi / L) ** 2
+    return (n * pi / L) ** 2
 
 
 def posderiv_element(n: int, m: int) -> float:
@@ -79,6 +63,7 @@ def posderiv_element(n: int, m: int) -> float:
 
 
 def _table(fn, N: int) -> np.ndarray:
+    import numpy as np  # the element functions above run without numpy
     out = np.empty((N, N))
     for i in range(N):
         for j in range(N):

@@ -2,13 +2,17 @@
 
 Exit codes: 0 on success, 1 for configuration or I/O problems, 2 when a
 solver fails on the resolved inputs.
+
+Importing this module loads no numpy, and neither do --help, a
+configuration error, materials-table or lz-sweep; the other commands
+import it when they start (see holebox.sweeps).
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .hamiltonian import AssemblyError
+from .inputs import AssemblyError
 from .materials import MaterialError
 from .sweeps import (COMMANDS, SOLVER_ERRORS, ConfigError, resolve_spec,
                      run_angle_map, run_e0_sweep, run_lz_sweep,

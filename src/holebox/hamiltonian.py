@@ -29,17 +29,19 @@ only when it is read.
 """
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, pi, sin, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .basis import (BasisCutoff, derivative_matrix, ksquared_matrix,
-                    posderiv_matrix, position_matrix)
+from .basis import (derivative_matrix, ksquared_matrix, posderiv_matrix,
+                    position_matrix)
 from .constants import CONST
+# the input types and bhat_from_angles, defined without numpy, keep this home
+from .inputs import (AssemblyError, BasisCutoff, BoxGeometry,  # noqa: F401
+                     FieldConfig, Orientation, StrainConfig, bhat_from_angles)
 from .materials import MaterialParams
 
 # A dense N x N complex matrix takes 16 N^2 bytes, 1.07 GB at 8192. The
@@ -56,48 +58,6 @@ MAX_DIMENSION = 8192
 # and residual passes): one pass keeps its few temporaries in cache, and
 # memory does not grow with the number of columns
 APPLY_COLUMNS = 16
-
-
-class AssemblyError(ValueError):
-    """Invalid assembly request (dimension overflow, missing parameters)."""
-
-
-class Orientation(enum.Enum):
-    DOT_110 = "110"
-    DOT_100 = "100"
-
-
-@dataclass(frozen=True)
-class BoxGeometry:
-    L_x: float  # nm
-    L_y: float  # nm
-    L_z: float  # nm
-
-    def __post_init__(self):
-        for axis, L in (("L_x", self.L_x), ("L_y", self.L_y), ("L_z", self.L_z)):
-            if not L > 0:
-                raise ValueError(f"{axis} must be positive, got {L}")
-
-
-# slotted: a direction grid holds one instance per point
-@dataclass(frozen=True, slots=True)
-class FieldConfig:
-    B: float = 0.0      # T
-    theta: float = 0.0  # rad, polar angle of b_hat
-    phi: float = 0.0    # rad, azimuth of b_hat
-    E0: float = 0.0     # mV/nm, static field along +y
-    E_ac: float = 0.0   # mV/nm, drive amplitude along +y
-
-    def __post_init__(self):
-        if self.B < 0:
-            raise ValueError(f"B must be >= 0, got {self.B}")
-        if self.E_ac < 0:
-            raise ValueError(f"E_ac must be >= 0, got {self.E_ac}")
-
-
-@dataclass(frozen=True)
-class StrainConfig:
-    eps_parallel: float  # dimensionless, eps_xx = eps_yy
 
 
 # One Kronecker term: coef * O (x) spin, where the orbital factor O is a
@@ -262,10 +222,6 @@ def _along_axes(S: np.ndarray, w: float, tables, cutoff: BasisCutoff,
             S = _product(w * table, S.reshape(shape))
             w = 1.0
     return (S if w == 1.0 else w * S).reshape(4, -1)
-
-
-def bhat_from_angles(theta: float, phi: float) -> np.ndarray:
-    return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,18 @@ of the qubit amplitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import cos, hypot, inf, pi, sin, sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .basis import position_element
 from .constants import CONST
-from .hamiltonian import (BoxGeometry, FieldConfig, Orientation, StrainConfig,
-                          bhat_from_angles, zeeman_spin_block)
+from .inputs import (BoxGeometry, FieldConfig, Orientation, StrainConfig,
+                     bhat_from_angles)
 from .materials import MaterialParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQ3 = sqrt(3.0)
 
@@ -308,17 +311,17 @@ def rabi_linearized(material: MaterialParams, geometry: BoxGeometry,
 
     def bra(z3, z4):
         # <1| projection of a doublet-changing Zeeman block
-        return -4 * al * be * z3 - 2 * be ** 2 * z4 + 2 * al ** 2 * np.conj(z4)
+        return -4 * al * be * z3 - 2 * be ** 2 * z4 + 2 * al ** 2 * z4.conjugate()
 
     c2m1m, c2p1p, c2m1p, c2p1m = em.lambda_coeffs
     E1m, E1p, E2m, E2p = m1.E_minus, m1.E_plus, m2.E_minus, m2.E_plus
 
     bra_a = (-4 * al * be * (Z1(2) - Z1(1)) - 2 * be ** 2 * (Z2(2) - Z2(1))
-             + 2 * al ** 2 * (np.conj(Z2(2)) - np.conj(Z2(1))))
+             + 2 * al ** 2 * (Z2(2).conjugate() - Z2(1).conjugate()))
     pi_2m = D1 / (E1m - E2m) * (c2m1m * bra_a + c2p1m * bra(Z3(2), Z4(2))
                                 - c2m1p * bra(Z3(1), Z4(1)))
     bra_b = (-4 * al * be * (Z5(2) - Z1(1)) - 2 * be ** 2 * (Z6(2) - Z2(1))
-             + 2 * al ** 2 * (np.conj(Z6(2)) - np.conj(Z2(1))))
+             + 2 * al ** 2 * (Z6(2).conjugate() - Z2(1).conjugate()))
     pi_2p = D2 / (E1m - E2p) * (c2m1m * bra(Z3(2), Z4(2))
                                 - c2p1p * bra(Z3(1), Z4(1)) + c2p1m * bra_b)
     pi_1p = (bra(Z3(1), Z4(1)) / (E1m - E1p)
@@ -330,27 +333,25 @@ def rabi_linearized(material: MaterialParams, geometry: BoxGeometry,
 # ---------------------------------------------------------------------------
 # exact minimal-basis route
 
-def _static_block(sp: SubbandParams, lam: float) -> np.ndarray:
-    # basis (1,+3/2), (1,-1/2), (2,+3/2), (2,-1/2); the time-reversed block
-    # is identical because the matrix is real
-    return np.array([
-        [sp.P1 + sp.Q1, sp.R1, lam, 0.0],
-        [sp.R1, sp.P1 - sp.Q1, 0.0, lam],
-        [lam, 0.0, sp.P2 + sp.Q2, sp.R2],
-        [0.0, lam, sp.R2, sp.P2 - sp.Q2]])
+@cache
+def _templates() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """8x8 templates over _BASIS8, built on the exact route's first use so
+    that the closed forms run without numpy: the Zeeman block for b along
+    x, y, z per unit kappa and B (it is linear in b), where the dipole
+    carries <1|y|2>, and the Pauli matrices sigma_x, sigma_y, sigma_z on the
+    (u_0, d_0) ground doublet."""
+    import numpy as np
 
-
-_N8 = np.array([n for n, _ in _BASIS8])
-_J8 = np.array([j for _, j in _BASIS8])
-_SAME_N8 = _N8[:, None] == _N8[None, :]
-# 8x8 templates over _BASIS8: the Zeeman block for b along x, y, z per unit
-# kappa and B (it is linear in b), and where the dipole carries <1|y|2>
-_ZEEMAN8 = np.stack([zeeman_spin_block(1.0, 1.0, axis)[np.ix_(_J8, _J8)]
-                     * _SAME_N8 for axis in np.eye(3)])
-_DIPOLE8 = ((_J8[:, None] == _J8[None, :]) & ~_SAME_N8).astype(float)
-
-# Pauli matrices sigma_x, sigma_y, sigma_z on the (u_0, d_0) ground doublet
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    from .hamiltonian import zeeman_spin_block
+    n8 = np.array([n for n, _ in _BASIS8])
+    j8 = np.array([j for _, j in _BASIS8])
+    same_n8 = n8[:, None] == n8[None, :]
+    zeeman = np.stack([zeeman_spin_block(1.0, 1.0, axis)[np.ix_(j8, j8)]
+                       * same_n8 for axis in np.eye(3)])
+    dipole = ((j8[:, None] == j8[None, :]) & ~same_n8).astype(float)
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                      [[1, 0], [0, -1]]])
+    return zeeman, dipole, pauli
 
 
 @dataclass(frozen=True)
@@ -370,6 +371,7 @@ class MinimalExactModel:
         |B| |v|, so f_L = |B| |v| / h, and the drive matrix element at first
         order in B gives f_R = e E_ac |B| |v x w| / (2 h |v|), 0 where v
         vanishes. Raises ValueError for E_ac < 0."""
+        import numpy as np
         if E_ac < 0:
             raise ValueError(f"E_ac must be >= 0, got {E_ac}")
         th, ph = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
@@ -403,9 +405,17 @@ def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
     and contracted into (gm, gp). Raises DegenerateQubitError for an excited
     doublet degenerate with the ground one, whose gap the sum divides by.
     """
+    import numpy as np
+    zeeman8, dipole8, pauli = _templates()
     sp = subband_params(material, geometry, orientation, strain=strain)
-    energies, V = np.linalg.eigh(
-        _static_block(sp, mixing_strength(E0, geometry.L_y)))
+    lam = mixing_strength(E0, geometry.L_y)
+    # basis (1,+3/2), (1,-1/2), (2,+3/2), (2,-1/2); the time-reversed block
+    # is identical because the matrix is real
+    energies, V = np.linalg.eigh(np.array([
+        [sp.P1 + sp.Q1, sp.R1, lam, 0.0],
+        [sp.R1, sp.P1 - sp.Q1, 0.0, lam],
+        [lam, 0.0, sp.P2 + sp.Q2, sp.R2],
+        [0.0, lam, sp.R2, sp.P2 - sp.Q2]]))
     if energies[1] - energies[0] <= DEGENERACY_TOL:
         raise DegenerateQubitError(
             f"excited doublet at E = {energies[1]:.9f} meV is degenerate with "
@@ -414,12 +424,12 @@ def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
     W[:4, 0::2] = V
     W[4:, 1::2] = V
     # <u_0, d_0| kappa Z_i |n> for all n, <n| y |u_0, d_0> for n excited
-    Z = material.kappa * np.einsum("ag,xab,bn->xgn", W[:, :2], _ZEEMAN8, W)
+    Z = material.kappa * np.einsum("ag,xab,bn->xgn", W[:, :2], zeeman8, W)
     y12 = position_element(1, 2, geometry.L_y)
-    Y = y12 * (W[:, 2:].T @ _DIPOLE8 @ W[:, :2])
+    Y = y12 * (W[:, 2:].T @ dipole8 @ W[:, :2])
     gaps = energies[0] - np.repeat(energies[1:], 2)
     C = Z[:, :, 2:] @ (Y / gaps[:, None])
-    gm, gp = (np.einsum("jab,iba->ji", _PAULI, X).real
+    gm, gp = (np.einsum("jab,iba->ji", pauli, X).real
               for X in (Z[:, :, :2], C + C.mT.conj()))
     return MinimalExactModel(gm=gm, gp=gp)
 

@@ -38,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisCutoff
 from .constants import CONST
-from .hamiltonian import (APPLY_COLUMNS, BoxGeometry, FieldConfig,
-                          HamiltonianMatrix, Orientation, StrainConfig,
+from .hamiltonian import (APPLY_COLUMNS, HamiltonianMatrix,
                           assemble_paramagnetic, assemble_static,
                           assemble_zeeman, dipole_y)
+from .inputs import (BasisCutoff, BoxGeometry, FieldConfig, Orientation,
+                     PairingError, SolverError, StrainConfig)
 from .materials import MaterialParams
 from .minimal import DegenerateQubitError
 
@@ -54,15 +54,6 @@ MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
 
 # the tiers a RabiResult can carry, indexed by include_paramagnetic
 CONVERGED_TIERS = ("converged_zeeman", "converged_full")
-
-
-class SolverError(RuntimeError):
-    """H does not fit the sector solve, or its eigenpairs fail the residual
-    check."""
-
-
-class PairingError(ValueError):
-    """The spectrum is not a sequence of exactly degenerate pairs."""
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ prefixed with '#', and the fully resolved config is echoed to a sidecar
 sidecar's SHA-256, computed with the interpreter's built-in SHA-256
 module rather than hashlib, which would load OpenSSL into every run.
 Rows are streamed into the file, so a table is never held whole as text.
+
+Importing this module loads no numpy: the spec, the grids, the CSV code
+and the closed forms run on Python floats, so materials-table and lz-sweep
+never load it. e0-sweep, angle-map and strain-sweep import numpy and the
+converged route first thing, before they build their grid.
 """
 from __future__ import annotations
 
@@ -21,13 +26,12 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import groupby, product
-from math import inf, isfinite, isnan, radians, sqrt
+from math import inf, isfinite, isnan, nan, radians, sqrt
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .basis import BasisCutoff
-from .hamiltonian import BoxGeometry, FieldConfig, Orientation, StrainConfig
+from .inputs import (BasisCutoff, BoxGeometry, FieldConfig, Orientation,
+                     PairingError, SolverError, StrainConfig)
 from .materials import (MaterialParams, builtin_materials, figures_of_merit,
                         load_materials)
 # minimal_exact_rabi is not called here; bench/tracer.py wraps it by this name
@@ -36,7 +40,11 @@ from .minimal import (DegenerateQubitError, NearDegeneracyError,  # noqa: F401
                       minimal_exact_rabi, mixed_subbands, rabi_linearized,
                       rabi_thin_dot, renormalized_rabi,
                       strain_equivalent_height, subband_params)
-from .numeric import PairingError, ReducedModel, SolverError, reduce_model
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .numeric import ReducedModel
 
 try:  # the interpreter's own SHA-256 (3.12+, then 3.10/3.11), not OpenSSL's
     from _sha2 import sha256
@@ -85,6 +93,25 @@ SOLVER_ERRORS = (DegenerateQubitError, NearDegeneracyError, PairingError,
 
 class ConfigError(ValueError):
     """Invalid or inconsistent sweep configuration."""
+
+
+def _import_numerics() -> None:
+    """Import numpy and the converged route, and bind reduce_model here
+    unless it was rebound first (as a tracer or a test does). The grid
+    commands call this before they build their grid: numpy's import
+    allocates enough to start garbage-collector passes, and each pass walks
+    every live grid point."""
+    from . import numeric
+    globals().setdefault("reduce_model", numeric.reduce_model)
+
+
+def __getattr__(name: str):
+    # PEP 562: reduce_model is bound on first access, so that importing this
+    # module loads no numpy
+    if name == "reduce_model":
+        _import_numerics()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The input domain: every geometry length and dot height (nm), and every
@@ -317,10 +344,10 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
@@ -340,9 +367,20 @@ def _write_csv(out: str | Path, spec: SweepSpec, columns: list[str],
 
 
 def _axis(spec: SweepSpec, name: str, unit: str = "") -> list[float]:
+    """The grid's <name>_count points from <name>_min to <name>_max, both
+    included, equal to numpy.linspace bit for bit: point i is
+    i * step + start, or (i / (count - 1)) * delta + start where the step
+    underflows to zero, and the last point is exactly the maximum."""
     g = spec.grid
-    return np.linspace(g[f"{name}_min{unit}"], g[f"{name}_max{unit}"],
-                       int(g[f"{name}_count"])).tolist()
+    start, stop = g[f"{name}_min{unit}"], g[f"{name}_max{unit}"]
+    div = int(g[f"{name}_count"]) - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(div)]
+    else:
+        points = [i * step + start for i in range(div)]
+    return points + [stop]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +410,8 @@ class _Sweep:
         self.spec, self.points = spec, points
         runs = [list(run) for _, run in groupby(
             points, lambda p: (p[0], p[1].B, p[1].E0, p[1].E_ac))]
-        self.static = [(*run[0], np.array([f.theta for _, f in run]),
-                        np.array([f.phi for _, f in run])) for run in runs]
+        self.static = [(*run[0], [f.theta for _, f in run],
+                        [f.phi for _, f in run]) for run in runs]
 
     def closed_form(self, fn) -> list[float | None]:
         """fn(material, geometry, orientation, fields) at each point, or None."""
@@ -393,14 +431,14 @@ class _Sweep:
         for g, f, thetas, phis in self.static:
             dot = (s.material, g, s.orientation)
             try:
-                if thetas.size == 1:    # the one-direction case of qubit_grid
+                if len(thetas) == 1:    # the one-direction case of qubit_grid
                     cells.append(minimal_exact_qubit(*dot, f))
                 else:
                     f_R, f_L = minimal_exact_model(*dot, f.E0).qubit_grid(
                         f.B, thetas, phis, f.E_ac)
                     cells += zip(f_R.tolist(), f_L.tolist())
             except SOLVER_ERRORS:
-                cells += [(None, None)] * thetas.size
+                cells += [(None, None)] * len(thetas)
         return cells
 
     @cached_property
@@ -427,10 +465,10 @@ class _Sweep:
             try:
                 f_R = model.rabi_grid(
                     f.B, thetas, phis, f.E_ac, n_excited=self.spec.n_excited,
-                    include_paramagnetic=include_paramagnetic)[1]
+                    include_paramagnetic=include_paramagnetic)[1].tolist()
             except SOLVER_ERRORS:
-                f_R = np.full(thetas.size, np.nan)
-            cells += [None if isnan(v) else v for v in f_R.tolist()]
+                f_R = [nan] * len(thetas)
+            cells += [None if isnan(v) else v for v in f_R]
         return cells
 
     def write(self, out: str | Path, leading: dict[str, list]) -> Path:
@@ -441,6 +479,7 @@ class _Sweep:
 
 
 def run_e0_sweep(spec: SweepSpec, out: str | Path) -> Path:
+    _import_numerics()
     grid = _axis(spec, "e0")
     sweep = _Sweep(spec, [(spec.geometry, replace(spec.fields, E0=e0))
                           for e0 in grid])
@@ -454,6 +493,7 @@ def run_lz_sweep(spec: SweepSpec, out: str | Path) -> Path:
 
 
 def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
+    _import_numerics()
     thetas, phis = zip(*product(_axis(spec, "theta", "_deg"),
                                 _axis(spec, "phi", "_deg")))
     sweep = _Sweep(spec, [(spec.geometry, replace(
@@ -472,6 +512,7 @@ _MAX_STARTS = 4  # a flat map (B, E0 or E_ac zero) is all local maxima
 def _local_maxima(f: np.ndarray) -> np.ndarray:
     """Flat indices of the points of a 2D grid that no neighbour (the
     diagonals included) exceeds, highest first."""
+    import numpy as np
     pad = np.pad(f, 1, constant_values=-np.inf)
     keep = np.ones(f.shape, dtype=bool)
     for di in (0, 1, 2):
@@ -494,6 +535,7 @@ def _optimal_direction(spec: SweepSpec,
     0.001 degrees. Near the heavy/light crossing two maxima lie within
     1e-4 of each other and tens of degrees apart, hence every start.
     """
+    import numpy as np
     f = spec.fields
     model = minimal_exact_model(spec.material, spec.geometry,
                                 spec.orientation, f.E0, strain=strain)
@@ -523,6 +565,7 @@ def _optimal_direction(spec: SweepSpec,
 
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
+    _import_numerics()
     spec.material.require_strain()
     grid = _axis(spec, "eps")
     if not any(abs(e) < 1e-15 for e in grid):

@@ -150,6 +150,42 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert res.stdout.strip() == "False False False False"
 
 
+def test_closed_form_commands_and_cli_exits_never_load_numpy(tmp_path):
+    # import, --help, a config error, materials-table and lz-sweep run only
+    # scalar closed forms, so none of them may load numpy or scipy; e0-sweep
+    # calls the exact minimal route and must still load numpy. Modules only
+    # accumulate, so each step is checked after the ones before it
+    steps = [["--help"],
+             ["e0-sweep", "--set", "geometry.L_x=0"],
+             ["materials-table"],
+             ["lz-sweep"],
+             ["e0-sweep", "--set", "sweep.e0_count=3"]]
+    src = str(Path(holebox.__file__).resolve().parents[1])
+    code = ("import contextlib, io, json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'numpy' or m.split('.')[0] == 'scipy')\n"
+            "import holebox.cli\n"
+            "print(json.dumps(['import', 0, loaded()]))\n"
+            "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    if argv[0] != '--help':\n"
+            "        argv = argv + ['--out', f'{sys.argv[2]}/{k}.csv']\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            rc = holebox.cli.main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            rc = exc.code\n"
+            "    print(json.dumps([argv[0], rc, loaded()]))")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(steps),
+                          str(tmp_path)], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert [json.loads(line) for line in res.stdout.splitlines()] == [
+        ["import", 0, []], ["--help", 0, []], ["e0-sweep", 1, []],
+        ["materials-table", 0, []], ["lz-sweep", 0, []],
+        ["e0-sweep", 0, ["numpy"]]]
+
+
 def test_closed_form_and_default_converged_commands_never_load_scipy(
         tmp_path):
     # the closed-form commands load nothing of scipy; the default converged

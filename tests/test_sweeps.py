@@ -2,7 +2,9 @@ import hashlib
 import tracemalloc
 from math import radians
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from pytest import approx
 
@@ -91,6 +93,27 @@ def test_resolve_validates_values():
             resolve_spec("lz-sweep", overrides=[f"sweep.{key}=0"])
     with pytest.raises(ConfigError, match="E_ac must be >= 0"):
         resolve_spec("e0-sweep", overrides=["fields.E_ac=-1"])
+
+
+_LOW, _HIGH = sweeps.LENGTH_RANGE
+
+
+@pytest.mark.parametrize("start,stop", [
+    (0.0, 1.0), (1.0, 10.0), (10.0, 1.0), (-5.0, -1.0), (-1.0, -5.0),
+    (-0.3, 0.7), (0.0, 0.001), (0.0, 90.0), (0.0, 180.0), (3.0, 3.0),
+    (-0.0, -0.0), (_LOW, _HIGH), (_HIGH, _LOW), (_LOW, _LOW),
+    (-sweeps.MAX_E0, sweeps.MAX_E0), (sweeps.MAX_E0, -sweeps.MAX_E0),
+    (0.0, 5e-324)])
+def test_axis_equals_linspace_bit_for_bit(start, stop):
+    # the grid is built without numpy; every point must still carry the
+    # bits numpy.linspace gives, signed zeros included
+    for count in (2, 10, 46, 91, 101, 10001):
+        spec = SimpleNamespace(grid={"x_min": start, "x_max": stop,
+                                     "x_count": count})
+        axis = sweeps._axis(spec, "x")
+        assert all(type(x) is float for x in axis)
+        assert (np.array(axis).tobytes()
+                == np.linspace(start, stop, count).tobytes()), count
 
 
 def test_materials_table_columns_and_empty(tmp_path):
