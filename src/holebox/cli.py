@@ -4,8 +4,8 @@ Exit codes: 0 on success, 1 for configuration or I/O problems, 2 when a
 solver fails on the resolved inputs.
 
 Importing this module loads no numpy, and neither do --help, a
-configuration error, materials-table or lz-sweep; the other commands
-import it when they start (see holebox.sweeps).
+configuration error or any command at its default tiers; only an
+angle-map that requests a converged tier imports it (see holebox.sweeps).
 """
 from __future__ import annotations
 
@@ -67,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma separated result tiers to compute")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="accepted for compatibility (N >= 1); has no "
-                            "effect, every grid sweep runs batched")
+                            "effect: the closed forms run in one Python "
+                            "thread, a converged grid as batched numpy "
+                            "passes")
         p.add_argument("--set", metavar="SECTION.KEY=VALUE", action="append",
                        default=[], dest="overrides",
                        help="override one config value; repeatable")

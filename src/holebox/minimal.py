@@ -14,6 +14,12 @@ Two independent evaluation routes coexist on purpose:
   three excited doublets into two real 3x3 g-matrices (MinimalExactModel).
 They must agree in slope as E0 -> 0; tests enforce it.
 
+Both routes run on Python floats, the exact one with its own 4x4 Jacobi
+eigensolver and its own Zeeman and dipole templates, so this module loads
+no numpy and shares no code with the converged numerics; only
+MinimalExactModel.qubit_grid, the array form of MinimalExactModel.qubit,
+imports numpy, when it is called.
+
 Sign conventions: Lambda = -e E0 <1|y|2> > 0 for E0 > 0; h = -R/W carries
 the sign of -R; beta is real non-negative and alpha carries all the phase
 of the qubit amplitudes.
@@ -333,62 +339,142 @@ def rabi_linearized(material: MaterialParams, geometry: BoxGeometry,
 # ---------------------------------------------------------------------------
 # exact minimal-basis route
 
-@cache
-def _templates() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """8x8 templates over _BASIS8, built on the exact route's first use so
-    that the closed forms run without numpy: the Zeeman block for b along
-    x, y, z per unit kappa and B (it is linear in b), where the dipole
-    carries <1|y|2>, and the Pauli matrices sigma_x, sigma_y, sigma_z on the
-    (u_0, d_0) ground doublet."""
-    import numpy as np
+_JACOBI_SWEEPS = 50  # a 4x4 block converges in well under ten
 
-    from .hamiltonian import zeeman_spin_block
-    n8 = np.array([n for n, _ in _BASIS8])
-    j8 = np.array([j for _, j in _BASIS8])
-    same_n8 = n8[:, None] == n8[None, :]
-    zeeman = np.stack([zeeman_spin_block(1.0, 1.0, axis)[np.ix_(j8, j8)]
-                       * same_n8 for axis in np.eye(3)])
-    dipole = ((j8[:, None] == j8[None, :]) & ~same_n8).astype(float)
-    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
-                      [[1, 0], [0, -1]]])
-    return zeeman, dipole, pauli
+
+def _jacobi_eigh(a) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors of the real
+    symmetric matrix a (a sequence of rows), by cyclic Jacobi rotations in
+    Rutishauser's form. An off-diagonal element that, even a hundred times
+    over, changes neither diagonal element it couples is set to zero, and
+    the sweeps stop when every off-diagonal element is zero.
+    Returns (w, vecs) with vecs[k] the eigenvector of w[k]."""
+    n = len(a)
+    a = [[float(x) for x in row] for row in a]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    for _ in range(_JACOBI_SWEEPS):
+        if not any(a[p][q] for p, q in pairs):
+            break
+        for p, q in pairs:
+            apq, app, aqq = a[p][q], a[p][p], a[q][q]
+            g = 100.0 * abs(apq)
+            if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                a[p][q] = a[q][p] = 0.0
+                continue
+            # t = tan of the angle that zeroes a[p][q], the smaller root
+            h = aqq - app
+            if abs(h) + g == abs(h):
+                t = apq / h
+            else:
+                theta = 0.5 * h / apq
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            a[p][p], a[q][q] = app - t * apq, aqq + t * apq
+            a[p][q] = a[q][p] = 0.0
+            for r in range(n):
+                if r != p and r != q:
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = arp - s * (arq + tau * arp)
+                    a[r][q] = a[q][r] = arq + s * (arp - tau * arq)
+                vrp, vrq = v[r][p], v[r][q]
+                v[r][p] = vrp - s * (vrq + tau * vrp)
+                v[r][q] = vrq + s * (vrp - tau * vrq)
+    order = sorted(range(n), key=lambda k: a[k][k])
+    return [a[k][k] for k in order], [[row[k] for row in v] for k in order]
+
+
+def _zeeman4(bx: float, by: float, bz: float) -> tuple[tuple, ...]:
+    """The 4x4 block of 2 mu_B J.b per unit kappa and B, in the
+    (+3/2, +1/2, -1/2, -3/2) order."""
+    bp, bm = complex(bx, by), complex(bx, -by)
+    return tuple(tuple(CONST.mu_B * x for x in row) for row in (
+        (3 * bz, _SQ3 * bm, 0, 0),
+        (_SQ3 * bp, bz, 2 * bm, 0),
+        (0, 2 * bp, -bz, _SQ3 * bm),
+        (0, 0, _SQ3 * bp, -3 * bz)))
+
+
+@cache
+def _templates() -> tuple[tuple[tuple, ...], tuple[tuple[int, int], ...]]:
+    """The nonzero entries (a, b, value) over _BASIS8 of the Zeeman block
+    for b along x, y and z per unit kappa and B (it is linear in b), and the
+    slot pairs (a, b) where the dipole carries <1|y|2>. Built on the exact
+    route's first use, not at import."""
+    zeeman = tuple(
+        tuple((a, b, block[ja][jb])
+              for a, (na, ja) in enumerate(_BASIS8)
+              for b, (nb, jb) in enumerate(_BASIS8)
+              if na == nb and block[ja][jb] != 0)
+        for block in (_zeeman4(1.0, 0.0, 0.0), _zeeman4(0.0, 1.0, 0.0),
+                      _zeeman4(0.0, 0.0, 1.0)))
+    dipole = tuple((a, b) for a, (na, ja) in enumerate(_BASIS8)
+                   for b, (nb, jb) in enumerate(_BASIS8)
+                   if ja == jb and na != nb)
+    return zeeman, dipole
+
+
+def _pauli_parts(x00, x01, x10, x11) -> tuple[float, float, float]:
+    """Re Tr(sigma_j X) for j = x, y, z of the 2x2 matrix X."""
+    return (x01 + x10).real, (x10 - x01).imag, (x00 - x11).real
 
 
 @dataclass(frozen=True)
 class MinimalExactModel:
     """The exact minimal-basis route for one dot, E0 and strain, as two real
-    3x3 matrices: gm[j, i] = Tr(sigma_j A_i) (meV/T), with A_i the ground
-    block of kappa Z_i, and gp[j, i] = Tr(sigma_j (C_i + C_i^H)) (nm/T), with
+    3x3 matrices, each a tuple of three rows of three floats
+    (np.asarray(model.gm) gives the array): gm[j][i] = Tr(sigma_j A_i)
+    (meV/T), with A_i the ground block of kappa Z_i, and
+    gp[j][i] = Tr(sigma_j (C_i + C_i^H)) (nm/T), with
     C_i = sum_n <g|kappa Z_i|n><n|y|g> / (E_0 - E_n) over the six excited
     states n."""
-    gm: np.ndarray
-    gp: np.ndarray
+    gm: tuple[tuple[float, float, float], ...]
+    gp: tuple[tuple[float, float, float], ...]
 
-    def qubit_grid(self, B: float, thetas, phis,
-                   E_ac: float) -> tuple[np.ndarray, np.ndarray]:
-        """(f_R, f_L) in GHz for every direction b of the broadcast angle
-        arrays. With v = gm b and w = gp b, the ground doublet splits by
-        |B| |v|, so f_L = |B| |v| / h, and the drive matrix element at first
-        order in B gives f_R = e E_ac |B| |v x w| / (2 h |v|), 0 where v
-        vanishes. Raises ValueError for E_ac < 0."""
-        import numpy as np
+    def qubit(self, B: float, theta: float, phi: float,
+              E_ac: float) -> tuple[float, float]:
+        """(f_R, f_L) in GHz for the field direction b at (theta, phi). With
+        v = gm b and w = gp b, the ground doublet splits by |B| |v|, so
+        f_L = |B| |v| / h, and the drive matrix element at first order in B
+        gives f_R = e E_ac |B| |v x w| / (2 h |v|), 0 where v vanishes.
+        Raises ValueError for E_ac < 0."""
         if E_ac < 0:
             raise ValueError(f"E_ac must be >= 0, got {E_ac}")
-        th, ph = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
-        b = (np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th))
-        # written out per axis, not as matmul, so a direction's result does
-        # not depend on the batch it is part of
-        v, w = ([g[j, 0] * b[0] + g[j, 1] * b[1] + g[j, 2] * b[2]
-                 for j in range(3)] for g in (self.gm, self.gp))
-        v_norm = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-        cross = np.sqrt((v[1] * w[2] - v[2] * w[1]) ** 2
-                        + (v[2] * w[0] - v[0] * w[2]) ** 2
-                        + (v[0] * w[1] - v[1] * w[0]) ** 2)
+        # bhat_from_angles, written out: this runs once per direction
+        st = sin(theta)
+        b0, b1, b2 = st * cos(phi), st * sin(phi), cos(theta)
+        (m0, m1, m2), (m3, m4, m5), (m6, m7, m8) = self.gm
+        (p0, p1, p2), (p3, p4, p5), (p6, p7, p8) = self.gp
+        v0, v1, v2 = (m0 * b0 + m1 * b1 + m2 * b2, m3 * b0 + m4 * b1 + m5 * b2,
+                      m6 * b0 + m7 * b1 + m8 * b2)
+        w0, w1, w2 = (p0 * b0 + p1 * b1 + p2 * b2, p3 * b0 + p4 * b1 + p5 * b2,
+                      p6 * b0 + p7 * b1 + p8 * b2)
+        # products, not powers: a float power raises OverflowError
+        v_norm = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+        c0, c1, c2 = v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
+        cross = sqrt(c0 * c0 + c1 * c1 + c2 * c2)
         B = abs(B)
         # v = 0 makes v x w = 0 too, so dividing by 1 there gives f_R = 0
         f_R = (CONST.e_scale * E_ac * B * cross
-               / (2 * CONST.h_planck * np.where(v_norm > 0, v_norm, 1.0)))
+               / (2 * CONST.h_planck * (v_norm if v_norm > 0 else 1.0)))
         return f_R, B * v_norm / CONST.h_planck
+
+    def qubit_grid(self, B: float, thetas, phis,
+                   E_ac: float) -> tuple[np.ndarray, np.ndarray]:
+        """(f_R, f_L) arrays of qubit() over the broadcast angle arrays, so a
+        direction rounds alike alone and in a grid. Imports numpy when
+        called."""
+        import numpy as np
+        th, ph = np.broadcast_arrays(np.asarray(thetas, dtype=float),
+                                     np.asarray(phis, dtype=float))
+        cells = np.array([self.qubit(B, t, p, E_ac) for t, p in
+                          zip(th.ravel().tolist(), ph.ravel().tolist())],
+                         dtype=float).reshape(*th.shape, 2)
+        return cells[..., 0], cells[..., 1]
 
 
 def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
@@ -401,50 +487,54 @@ def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
     time-reversed copy, so one real diagonalization yields all four
     doublets. Each eigenvector is placed in the first four slots (u_k) and
     in the time-reversed copy (d_k), ordered (u_0, d_0, u_1, d_1, ...); the
-    unit-axis Zeeman generators and the dipole are rotated into that basis
-    and contracted into (gm, gp). Raises DegenerateQubitError for an excited
-    doublet degenerate with the ground one, whose gap the sum divides by.
+    unit-axis Zeeman templates and the dipole are contracted between these
+    states, entry by nonzero entry, into (gm, gp). Raises
+    DegenerateQubitError for an excited doublet degenerate with the ground
+    one, whose gap the sum divides by.
     """
-    import numpy as np
-    zeeman8, dipole8, pauli = _templates()
+    zeeman, dipole = _templates()
     sp = subband_params(material, geometry, orientation, strain=strain)
     lam = mixing_strength(E0, geometry.L_y)
     # basis (1,+3/2), (1,-1/2), (2,+3/2), (2,-1/2); the time-reversed block
     # is identical because the matrix is real
-    energies, V = np.linalg.eigh(np.array([
-        [sp.P1 + sp.Q1, sp.R1, lam, 0.0],
-        [sp.R1, sp.P1 - sp.Q1, 0.0, lam],
-        [lam, 0.0, sp.P2 + sp.Q2, sp.R2],
-        [0.0, lam, sp.R2, sp.P2 - sp.Q2]]))
+    energies, vecs = _jacobi_eigh((
+        (sp.P1 + sp.Q1, sp.R1, lam, 0.0),
+        (sp.R1, sp.P1 - sp.Q1, 0.0, lam),
+        (lam, 0.0, sp.P2 + sp.Q2, sp.R2),
+        (0.0, lam, sp.R2, sp.P2 - sp.Q2)))
     if energies[1] - energies[0] <= DEGENERACY_TOL:
         raise DegenerateQubitError(
             f"excited doublet at E = {energies[1]:.9f} meV is degenerate with "
             "the ground doublet; first-order sum invalid")
-    W = np.zeros((8, 8))
-    W[:4, 0::2] = V
-    W[4:, 1::2] = V
-    # <u_0, d_0| kappa Z_i |n> for all n, <n| y |u_0, d_0> for n excited
-    Z = material.kappa * np.einsum("ag,xab,bn->xgn", W[:, :2], zeeman8, W)
-    y12 = position_element(1, 2, geometry.L_y)
-    Y = y12 * (W[:, 2:].T @ dipole8 @ W[:, :2])
-    gaps = energies[0] - np.repeat(energies[1:], 2)
-    C = Z[:, :, 2:] @ (Y / gaps[:, None])
-    gm, gp = (np.einsum("jab,iba->ji", pauli, X).real
-              for X in (Z[:, :, :2], C + C.mT.conj()))
-    return MinimalExactModel(gm=gm, gp=gp)
+    zero = [0.0] * 4
+    states = [s for vec in vecs for s in (vec + zero, zero + vec)]
+    ground = states[:2]
+    # Z[i][g][n] = <g| kappa Z_i |n> for all n, Y[k][h] = <n| y |h> over
+    # the gap E_0 - E_n for the excited n = states[k + 2]
+    kappa, y12 = material.kappa, position_element(1, 2, geometry.L_y)
+    Z = [[[kappa * sum(g[a] * z * n[b] for a, b, z in entries)
+           for n in states] for g in ground] for entries in zeeman]
+    Y = [[y12 * sum(n[a] * h[b] for a, b in dipole)
+          / (energies[0] - energies[k // 2 + 1]) for h in ground]
+         for k, n in enumerate(states[2:])]
+    gm = zip(*(_pauli_parts(Zi[0][0], Zi[0][1], Zi[1][0], Zi[1][1])
+               for Zi in Z))
+    # Re Tr(sigma_j C^H) = Re Tr(sigma_j C), so C + C^H gives twice C
+    C = [[sum(zg[k + 2] * Y[k][h] for k in range(6)) for zg in Zi
+          for h in (0, 1)] for Zi in Z]
+    gp = zip(*(_pauli_parts(*(2 * c for c in Ci)) for Ci in C))
+    return MinimalExactModel(gm=tuple(gm), gp=tuple(gp))
 
 
 def minimal_exact_qubit(material: MaterialParams, geometry: BoxGeometry,
                         orientation: Orientation, fields: FieldConfig, *,
                         strain: StrainConfig | None = None,
                         ) -> tuple[float, float]:
-    """(f_R, f_L) in GHz from exact minimal-basis eigenstates: the
-    one-direction case of MinimalExactModel.qubit_grid."""
+    """(f_R, f_L) in GHz from exact minimal-basis eigenstates: one direction
+    of MinimalExactModel.qubit."""
     model = minimal_exact_model(material, geometry, orientation, fields.E0,
                                 strain=strain)
-    f_R, f_L = model.qubit_grid(fields.B, fields.theta, fields.phi,
-                                fields.E_ac)
-    return float(f_R), float(f_L)
+    return model.qubit(fields.B, fields.theta, fields.phi, fields.E_ac)
 
 
 def minimal_exact_rabi(material: MaterialParams, geometry: BoxGeometry,

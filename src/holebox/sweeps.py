@@ -13,10 +13,11 @@ sidecar's SHA-256, computed with the interpreter's built-in SHA-256
 module rather than hashlib, which would load OpenSSL into every run.
 Rows are streamed into the file, so a table is never held whole as text.
 
-Importing this module loads no numpy: the spec, the grids, the CSV code
-and the closed forms run on Python floats, so materials-table and lz-sweep
-never load it. e0-sweep, angle-map and strain-sweep import numpy and the
-converged route first thing, before they build their grid.
+Importing this module loads no numpy: the spec, the grids, the CSV code,
+the closed forms, the exact minimal route and the strain-sweep optimum run
+on Python floats, so no command loads it at its default tiers. Only an
+angle-map that requests a converged tier imports numpy and the converged
+route, first thing, before it builds its grid.
 """
 from __future__ import annotations
 
@@ -42,8 +43,6 @@ from .minimal import (DegenerateQubitError, NearDegeneracyError,  # noqa: F401
                       strain_equivalent_height, subband_params)
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .numeric import ReducedModel
 
 try:  # the interpreter's own SHA-256 (3.12+, then 3.10/3.11), not OpenSSL's
@@ -97,10 +96,10 @@ class ConfigError(ValueError):
 
 def _import_numerics() -> None:
     """Import numpy and the converged route, and bind reduce_model here
-    unless it was rebound first (as a tracer or a test does). The grid
-    commands call this before they build their grid: numpy's import
-    allocates enough to start garbage-collector passes, and each pass walks
-    every live grid point."""
+    unless it was rebound first (as a tracer or a test does). angle-map
+    calls this before it builds its grid when a converged tier is
+    requested: numpy's import allocates enough to start garbage-collector
+    passes, and each pass walks every live grid point."""
     from . import numeric
     globals().setdefault("reduce_model", numeric.reduce_model)
 
@@ -403,7 +402,8 @@ class _Sweep:
     """The (geometry, fields) points of one sweep and the results that
     several tier columns share. A run of points that differ only in field
     direction shares one static problem: its exact minimal and converged
-    models are built once and evaluate the run in one batched call."""
+    models are built once, and evaluate the run direction by direction
+    (exact) or in one batched call (converged)."""
 
     def __init__(self, spec: SweepSpec,
                  points: list[tuple[BoxGeometry, FieldConfig]]):
@@ -431,12 +431,12 @@ class _Sweep:
         for g, f, thetas, phis in self.static:
             dot = (s.material, g, s.orientation)
             try:
-                if len(thetas) == 1:    # the one-direction case of qubit_grid
+                if len(thetas) == 1:    # one direction of the same kernel
                     cells.append(minimal_exact_qubit(*dot, f))
                 else:
-                    f_R, f_L = minimal_exact_model(*dot, f.E0).qubit_grid(
-                        f.B, thetas, phis, f.E_ac)
-                    cells += zip(f_R.tolist(), f_L.tolist())
+                    qubit = minimal_exact_model(*dot, f.E0).qubit
+                    cells += [qubit(f.B, t, p, f.E_ac)
+                              for t, p in zip(thetas, phis)]
             except SOLVER_ERRORS:
                 cells += [(None, None)] * len(thetas)
         return cells
@@ -479,7 +479,6 @@ class _Sweep:
 
 
 def run_e0_sweep(spec: SweepSpec, out: str | Path) -> Path:
-    _import_numerics()
     grid = _axis(spec, "e0")
     sweep = _Sweep(spec, [(spec.geometry, replace(spec.fields, E0=e0))
                           for e0 in grid])
@@ -493,7 +492,8 @@ def run_lz_sweep(spec: SweepSpec, out: str | Path) -> Path:
 
 
 def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
-    _import_numerics()
+    if any(t.startswith("converged_") for t in spec.tiers):
+        _import_numerics()
     thetas, phis = zip(*product(_axis(spec, "theta", "_deg"),
                                 _axis(spec, "phi", "_deg")))
     sweep = _Sweep(spec, [(spec.geometry, replace(
@@ -509,17 +509,15 @@ _STEPS = (5000, 1000, 100, 10, 1)  # the global grid, then each refinement
 _MAX_STARTS = 4  # a flat map (B, E0 or E_ac zero) is all local maxima
 
 
-def _local_maxima(f: np.ndarray) -> np.ndarray:
-    """Flat indices of the points of a 2D grid that no neighbour (the
-    diagonals included) exceeds, highest first."""
-    import numpy as np
-    pad = np.pad(f, 1, constant_values=-np.inf)
-    keep = np.ones(f.shape, dtype=bool)
-    for di in (0, 1, 2):
-        for dj in (0, 1, 2):
-            keep &= f >= pad[di:di + f.shape[0], dj:dj + f.shape[1]]
-    idx = np.flatnonzero(keep)
-    return idx[np.argsort(-f.flat[idx], kind="stable")]
+def _local_maxima(f: list[float], n: int) -> list[int]:
+    """Indices of the points of an n x n grid, flattened row by row, that
+    no neighbour (the diagonals included) exceeds, highest first and in
+    index order among equals."""
+    near = [range(max(i - 1, 0), min(i + 2, n)) for i in range(n)]
+    keep = [k for k in range(n * n)
+            if all(f[k] >= f[i * n + j] for i in near[k // n]
+                   for j in near[k % n])]
+    return sorted(keep, key=f.__getitem__, reverse=True)
 
 
 def _optimal_direction(spec: SweepSpec,
@@ -532,40 +530,40 @@ def _optimal_direction(spec: SweepSpec,
     two mirror optima, which tie at theta = 90, resolve to one. A 5-degree
     grid finds the local maxima; each is refined by nested grids, each
     ten times finer than the last and spanning one step of it, down to
-    0.001 degrees. Near the heavy/light crossing two maxima lie within
-    1e-4 of each other and tens of degrees apart, hence every start.
+    0.001 degrees, keeping the first of equal maxima. Near the heavy/light
+    crossing two maxima lie within 1e-4 of each other and tens of degrees
+    apart, hence every start.
     """
-    import numpy as np
     f = spec.fields
-    model = minimal_exact_model(spec.material, spec.geometry,
-                                spec.orientation, f.E0, strain=strain)
+    B, E_ac = f.B, f.E_ac
+    qubit = minimal_exact_model(spec.material, spec.geometry,
+                                spec.orientation, f.E0, strain=strain).qubit
 
-    def scan(ts: np.ndarray, ps: np.ndarray):
-        t, p = np.meshgrid(ts, ps, indexing="ij")
-        f_R, _ = model.qubit_grid(f.B, np.radians(t / _MDEG),
-                                  np.radians(p / _MDEG), f.E_ac)
-        return t.reshape(-1), p.reshape(-1), f_R.reshape(-1)
+    def scan(ts: range, ps: range) -> tuple[list[tuple[int, int]],
+                                            list[float]]:
+        phis = [radians(p / _MDEG) for p in ps]
+        return [(t, p) for t in ts for p in ps], [
+            qubit(B, theta, phi, E_ac)[0]
+            for theta in [radians(t / _MDEG) for t in ts] for phi in phis]
 
-    def window(x: int, span: int, step: int) -> np.ndarray:
-        return np.arange(max(x - span, 0), min(x + span, 90 * _MDEG) + 1,
-                         step)
+    def window(x: int, span: int, step: int) -> range:
+        return range(max(x - span, 0), min(x + span, 90 * _MDEG) + 1, step)
 
-    axis = np.arange(0, 90 * _MDEG + 1, _STEPS[0])
-    grid_t, grid_p, grid_f = scan(axis, axis)
+    axis = range(0, 90 * _MDEG + 1, _STEPS[0])
+    starts, grid_f = scan(axis, axis)
     best = (-1.0, 0, 0)
-    for k in _local_maxima(grid_f.reshape(axis.size, axis.size))[:_MAX_STARTS]:
-        t0, p0 = int(grid_t[k]), int(grid_p[k])
+    for k in _local_maxima(grid_f, len(axis))[:_MAX_STARTS]:
+        t0, p0 = starts[k]
         for span, step in zip(_STEPS, _STEPS[1:]):
-            t, p, f_R = scan(window(t0, span, step), window(p0, span, step))
-            k = int(np.argmax(f_R))
-            t0, p0 = int(t[k]), int(p[k])
+            points, f_R = scan(window(t0, span, step), window(p0, span, step))
+            k = max(range(len(f_R)), key=f_R.__getitem__)
+            t0, p0 = points[k]
         if f_R[k] > best[0]:
             best = (f_R[k], t0, p0)
     return best[1] / _MDEG, best[2] / _MDEG
 
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
-    _import_numerics()
     spec.material.require_strain()
     grid = _axis(spec, "eps")
     if not any(abs(e) < 1e-15 for e in grid):

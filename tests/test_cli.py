@@ -151,20 +151,29 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_closed_form_commands_and_cli_exits_never_load_numpy(tmp_path):
-    # import, --help, a config error, materials-table and lz-sweep run only
-    # scalar closed forms, so none of them may load numpy or scipy; e0-sweep
-    # calls the exact minimal route and must still load numpy. Modules only
-    # accumulate, so each step is checked after the ones before it
+    # import, --help, a config error and every command at its default tiers
+    # run on Python floats, the exact minimal route and the strain-sweep
+    # optimum included, so none of them may load numpy, scipy or the
+    # converged numerics; a converged angle-map must load numpy. Modules
+    # only accumulate, so each step is checked after the ones before it
     steps = [["--help"],
              ["e0-sweep", "--set", "geometry.L_x=0"],
              ["materials-table"],
              ["lz-sweep"],
-             ["e0-sweep", "--set", "sweep.e0_count=3"]]
+             ["e0-sweep", "--set", "sweep.e0_count=3"],
+             ["angle-map", "--set", "sweep.theta_count=3",
+              "--set", "sweep.phi_count=4"],
+             ["strain-sweep", "--set", "sweep.eps_count=2"],
+             ["angle-map", "--tier", "converged_full",
+              "--set", "solver.cutoff=3,3,2", "--set", "sweep.theta_count=2",
+              "--set", "sweep.phi_count=2"]]
     src = str(Path(holebox.__file__).resolve().parents[1])
     code = ("import contextlib, io, json, sys\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules\n"
-            "                  if m == 'numpy' or m.split('.')[0] == 'scipy')\n"
+            "                  if m in ('numpy', 'holebox.hamiltonian',\n"
+            "                           'holebox.numeric')\n"
+            "                  or m.split('.')[0] == 'scipy')\n"
             "import holebox.cli\n"
             "print(json.dumps(['import', 0, loaded()]))\n"
             "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
@@ -183,7 +192,9 @@ def test_closed_form_commands_and_cli_exits_never_load_numpy(tmp_path):
     assert [json.loads(line) for line in res.stdout.splitlines()] == [
         ["import", 0, []], ["--help", 0, []], ["e0-sweep", 1, []],
         ["materials-table", 0, []], ["lz-sweep", 0, []],
-        ["e0-sweep", 0, ["numpy"]]]
+        ["e0-sweep", 0, []], ["angle-map", 0, []], ["strain-sweep", 0, []],
+        ["angle-map", 0, ["holebox.hamiltonian", "holebox.numeric", "numpy",
+                          "scipy.linalg._flapack"]]]
 
 
 def test_closed_form_and_default_converged_commands_never_load_scipy(
@@ -273,6 +284,20 @@ def test_cube_dot_exits_zero_with_empty_cells_not_nan(tmp_path):
     assert [row[0] for row in rows] == ["0.0", "0.001"]
     assert rows[0][2:6] == ["", "", "", ""]
     assert "" not in rows[1][2:6]
+
+
+@pytest.mark.parametrize("setting", ["fields.E_ac=0", "fields.B=0"])
+def test_strain_sweep_on_a_flat_map_reports_the_origin(tmp_path, setting):
+    # without drive or field f_R is 0 in every direction, so every grid
+    # point is a local maximum; the first start, (0, 0), wins every row
+    out = tmp_path / "flat.csv"
+    assert cli.main(["strain-sweep", "--out", str(out), "--set", setting,
+                     "--set", "sweep.eps_count=2"]) == 0
+    rows = [line.split(",")
+            for line in out.read_text("utf-8").splitlines()[5:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[2] == "0.0" and row[4:6] == ["0.0", "0.0"]
 
 
 _SMALL_CONVERGED_MAP = ["angle-map", "--set", "solver.cutoff=3,3,2",

@@ -16,6 +16,7 @@ from holebox import (BoxGeometry, DegenerateQubitError, FieldConfig,
                      strain_equivalent_height, strain_transition_eps,
                      subband_params)
 from holebox.constants import CONST
+from holebox.minimal import _jacobi_eigh, mixing_strength
 from holebox.sweeps import _optimal_direction, resolve_spec
 from oracles import (direct_rabi_first_order, exact_qubit8,
                      well_separated_sample)
@@ -296,6 +297,61 @@ def test_minimal_exact_handles_zero_drive():
 
 
 # ---------------------------------------------------------------------------
+# the Jacobi eigensolver of the exact route
+
+def _static_block(E0):
+    sp = subband_params(SI, BOX, D110)
+    lam = mixing_strength(E0, BOX.L_y)
+    return np.array([[sp.P1 + sp.Q1, sp.R1, lam, 0.0],
+                     [sp.R1, sp.P1 - sp.Q1, 0.0, lam],
+                     [lam, 0.0, sp.P2 + sp.Q2, sp.R2],
+                     [0.0, lam, sp.R2, sp.P2 - sp.Q2]])
+
+
+def _symmetric(seed, scale=1.0):
+    a = np.random.default_rng(seed).standard_normal((4, 4))
+    return scale * (a + a.T)
+
+
+JACOBI_CASES = {
+    **{f"random{seed}": _symmetric(seed) for seed in range(20)},
+    "diagonal": np.diag([3.0, -1.0, 2.0, 0.5]),
+    # E0 = 0: the two subbands decouple into 2x2 blocks
+    "block_diagonal": _static_block(0.0),
+    "static": _static_block(0.1),
+    # eigenvalues 1, 3 (twice) and 5, all exact in binary
+    "degenerate_pair": np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0],
+                                 [0.0, 0.0, 4.0, 1.0], [0.0, 0.0, 1.0, 4.0]]),
+    "scaled_1e-6": _symmetric(20, 1e-6),
+    "scaled_1e4": _symmetric(21, 1e4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_CASES))
+def test_jacobi_eigh_matches_lapack(name):
+    a = JACOBI_CASES[name]
+    w, vecs = _jacobi_eigh(a.tolist())
+    norm = np.linalg.norm(a, 2)
+    assert all(x <= y for x, y in zip(w, w[1:]))
+    assert np.all(np.abs(np.array(w) - np.linalg.eigh(a)[0]) <= 1e-13 * norm)
+    V = np.array(vecs).T
+    assert np.all(np.abs(V.T @ V - np.eye(4)) <= 1e-14)
+    assert np.all(np.abs(a @ V - V * w) <= 1e-13 * norm)
+    # the same bits on every call
+    assert _jacobi_eigh(a.tolist()) == (w, vecs)
+
+
+def test_exact_kernel_vanishes_without_splitting():
+    # B = 0 or kappa = 0 leaves v = 0: f_R is 0, not a division by zero
+    model = minimal_exact_model(SI, BOX, D110, 0.1)
+    assert model.qubit(0.0, 0.7, 1.5, 0.03) == (0.0, 0.0)
+    dead = minimal_exact_model(replace(SI, kappa=0.0), BOX, D110, 0.1)
+    assert dead.qubit(1.0, 0.7, 1.5, 0.03) == (0.0, 0.0)
+    assert minimal_exact_qubit(replace(SI, kappa=0.0), BOX, D110,
+                               replace(REF_FIELDS, B=0.0)) == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # the exact route batched over field directions
 
 GE = get_material("Ge")
@@ -356,7 +412,9 @@ def test_exact_g_matrices_are_diagonal_in_the_box_axes(name, orientation,
     model = minimal_exact_model(get_material(name), BOX, orientation, 0.1,
                                 strain=StrainConfig(eps))
     for g in (model.gm, model.gp):
-        assert g.shape == (3, 3) and g.dtype == float
+        assert len(g) == 3 and all(
+            len(row) == 3 and all(type(x) is float for x in row) for row in g)
+        g = np.array(g)
         diag = np.abs(np.diag(g))
         assert np.all(np.abs(g - np.diag(np.diag(g))) <= 1e-12 * diag.min())
 

@@ -205,6 +205,15 @@ def test_strain_sweep_marks_reference_and_absent_heights(tmp_path):
     assert lz_col[eps_col.index(0.0)] != ""
 
 
+def test_local_maxima_highest_first_then_in_index_order():
+    # the strain-sweep optimum refines only the first _MAX_STARTS of these
+    f = [1.0, 0.0, 2.0,
+         0.0, 0.0, 0.0,
+         2.0, 0.0, 3.0]
+    assert sweeps._local_maxima(f, 3) == [8, 2, 6, 0]
+    assert sweeps._local_maxima([0.0] * 9, 3) == list(range(9))
+
+
 def test_strain_sweep_needs_strain_parameters():
     from holebox import MaterialError
     spec = resolve_spec("strain-sweep", overrides=["material.name=Ge",
