@@ -15,10 +15,8 @@ Two independent evaluation routes coexist on purpose:
 They must agree in slope as E0 -> 0; tests enforce it.
 
 Both routes run on Python floats, the exact one with its own 4x4 Jacobi
-eigensolver and its own Zeeman and dipole templates, so this module loads
-no numpy and shares no code with the converged numerics; only
-MinimalExactModel.qubit_grid, the array form of MinimalExactModel.qubit,
-imports numpy, when it is called.
+eigensolver and its own Zeeman and dipole templates, so this module imports
+no numpy and shares no code with the converged numerics.
 
 Sign conventions: Lambda = -e E0 <1|y|2> > 0 for E0 > 0; h = -R/W carries
 the sign of -R; beta is real non-negative and alpha carries all the phase
@@ -29,16 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import cos, hypot, inf, pi, sin, sqrt
-from typing import TYPE_CHECKING
 
 from .basis import position_element
 from .constants import CONST
 from .inputs import (BoxGeometry, FieldConfig, Orientation, StrainConfig,
                      bhat_from_angles)
 from .materials import MaterialParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _SQ3 = sqrt(3.0)
 
@@ -227,14 +221,10 @@ class QubitCoefficients:
     degenerate: bool
 
 
-def qubit_coefficients(ms, theta: float, phi: float, B: float,
+def qubit_coefficients(m1: MixedSubband, theta: float, phi: float, B: float,
                        material: MaterialParams) -> QubitCoefficients:
-    """Principal g-factors and qubit amplitudes of the lower doublet.
-
-    Accepts the (lower, upper) subband pair or the lower subband alone;
-    only (h_1, l_1) enter.
-    """
-    m1 = ms[0] if isinstance(ms, tuple) else ms
+    """Principal g-factors and qubit amplitudes of the lower doublet, from
+    the lower subband m1 alone."""
     h1, l1 = m1.h, m1.l
     kap = material.kappa
     gx = 4 * kap * (_SQ3 * h1 * l1 + l1 * l1)
@@ -281,7 +271,7 @@ def rabi_linearized(material: MaterialParams, geometry: BoxGeometry,
             f"|1+> at E = {m1.E_plus:.9f} meV is degenerate with the ground "
             "doublet; first-order sum invalid")
     em = electric_mixing((m1, m2), fields.E0, geometry)
-    qc = qubit_coefficients((m1, m2), fields.theta, fields.phi, fields.B, material)
+    qc = qubit_coefficients(m1, fields.theta, fields.phi, fields.B, material)
     if qc.degenerate:
         raise DegenerateQubitError(
             "ground doublet does not split in this field; Rabi frequency undefined")
@@ -322,14 +312,12 @@ def rabi_linearized(material: MaterialParams, geometry: BoxGeometry,
     c2m1m, c2p1p, c2m1p, c2p1m = em.lambda_coeffs
     E1m, E1p, E2m, E2p = m1.E_minus, m1.E_plus, m2.E_minus, m2.E_plus
 
-    bra_a = (-4 * al * be * (Z1(2) - Z1(1)) - 2 * be ** 2 * (Z2(2) - Z2(1))
-             + 2 * al ** 2 * (Z2(2).conjugate() - Z2(1).conjugate()))
-    pi_2m = D1 / (E1m - E2m) * (c2m1m * bra_a + c2p1m * bra(Z3(2), Z4(2))
+    pi_2m = D1 / (E1m - E2m) * (c2m1m * bra(Z1(2) - Z1(1), Z2(2) - Z2(1))
+                                + c2p1m * bra(Z3(2), Z4(2))
                                 - c2m1p * bra(Z3(1), Z4(1)))
-    bra_b = (-4 * al * be * (Z5(2) - Z1(1)) - 2 * be ** 2 * (Z6(2) - Z2(1))
-             + 2 * al ** 2 * (Z6(2).conjugate() - Z2(1).conjugate()))
     pi_2p = D2 / (E1m - E2p) * (c2m1m * bra(Z3(2), Z4(2))
-                                - c2p1p * bra(Z3(1), Z4(1)) + c2p1m * bra_b)
+                                - c2p1p * bra(Z3(1), Z4(1))
+                                + c2p1m * bra(Z5(2) - Z1(1), Z6(2) - Z2(1)))
     pi_1p = (bra(Z3(1), Z4(1)) / (E1m - E1p)
              * (D1 * (c2m1p + c2p1m) + D2 * (c2p1p - c2m1m)))
     total = pi_2m + pi_2p + pi_1p
@@ -426,10 +414,9 @@ def _pauli_parts(x00, x01, x10, x11) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class MinimalExactModel:
     """The exact minimal-basis route for one dot, E0 and strain, as two real
-    3x3 matrices, each a tuple of three rows of three floats
-    (np.asarray(model.gm) gives the array): gm[j][i] = Tr(sigma_j A_i)
-    (meV/T), with A_i the ground block of kappa Z_i, and
-    gp[j][i] = Tr(sigma_j (C_i + C_i^H)) (nm/T), with
+    3x3 matrices, each a tuple of three rows of three floats:
+    gm[j][i] = Tr(sigma_j A_i) (meV/T), with A_i the ground block of
+    kappa Z_i, and gp[j][i] = Tr(sigma_j (C_i + C_i^H)) (nm/T), with
     C_i = sum_n <g|kappa Z_i|n><n|y|g> / (E_0 - E_n) over the six excited
     states n."""
     gm: tuple[tuple[float, float, float], ...]
@@ -462,19 +449,6 @@ class MinimalExactModel:
         f_R = (CONST.e_scale * E_ac * B * cross
                / (2 * CONST.h_planck * (v_norm if v_norm > 0 else 1.0)))
         return f_R, B * v_norm / CONST.h_planck
-
-    def qubit_grid(self, B: float, thetas, phis,
-                   E_ac: float) -> tuple[np.ndarray, np.ndarray]:
-        """(f_R, f_L) arrays of qubit() over the broadcast angle arrays, so a
-        direction rounds alike alone and in a grid. Imports numpy when
-        called."""
-        import numpy as np
-        th, ph = np.broadcast_arrays(np.asarray(thetas, dtype=float),
-                                     np.asarray(phis, dtype=float))
-        cells = np.array([self.qubit(B, t, p, E_ac) for t, p in
-                          zip(th.ravel().tolist(), ph.ravel().tolist())],
-                         dtype=float).reshape(*th.shape, 2)
-        return cells[..., 0], cells[..., 1]
 
 
 def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
@@ -604,7 +578,7 @@ def rabi_thin_dot(material: MaterialParams, geometry: BoxGeometry,
 # large-E0 renormalization
 
 def e0_max(material: MaterialParams, geometry: BoxGeometry,
-           orientation: Orientation = Orientation.DOT_110) -> float:
+           orientation: Orientation) -> float:
     """Field scale (mV/nm) where the ground-state dipole saturates."""
     m1, m2 = mixed_subbands(subband_params(material, geometry, orientation))
     D1 = position_element(1, 2, geometry.L_y) * (m1.h * m2.h + m1.l * m2.l)
@@ -620,7 +594,7 @@ def e0_max_thin(material: MaterialParams, geometry: BoxGeometry) -> float:
 
 def renormalized_rabi(fr_linear: float, E0: float, geometry: BoxGeometry,
                       material: MaterialParams, *,
-                      orientation: Orientation = Orientation.DOT_110,
+                      orientation: Orientation,
                       e_max: float | None = None) -> float:
     """Scale a linear-in-E0 Rabi frequency by the dipole saturation factor.
 

@@ -273,9 +273,10 @@ def rabi_sum_over_states(doublets: list[KramersDoublet],
                          Hm_prime: HamiltonianMatrix,
                          dipole_y: HamiltonianMatrix, E_ac: float,
                          n_excited: int = DEFAULT_N_EXCITED, *,
-                         tier: str = CONVERGED_TIERS[True]) -> RabiResult:
+                         tier: str) -> RabiResult:
     """First-order-in-B Larmor and Rabi frequencies of the ground doublet,
-    with the drive matrix element summed doublet by doublet."""
+    with the drive matrix element summed doublet by doublet. tier names the
+    operator Hm_prime: converged_zeeman or converged_full."""
     if len(doublets) < 2:
         raise ValueError("need the ground doublet plus at least one excited")
     ground = doublets[0]

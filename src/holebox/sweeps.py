@@ -520,10 +520,10 @@ def _local_maxima(f: list[float], n: int) -> list[int]:
     return sorted(keep, key=f.__getitem__, reverse=True)
 
 
-def _optimal_direction(spec: SweepSpec,
-                       strain: StrainConfig) -> tuple[float, float]:
-    """(theta_deg, phi_deg) maximizing the exact minimal-basis Rabi
-    frequency over theta and phi in [0, 90] degrees.
+def _optimal_direction(spec: SweepSpec, strain: StrainConfig
+                       ) -> tuple[float, float, float, float]:
+    """(theta_deg, phi_deg, f_R, f_L) at the direction maximizing the exact
+    minimal-basis Rabi frequency over theta and phi in [0, 90] degrees.
 
     f_R(theta, phi) = f_R(theta, 180 - phi) (the mirror x -> -x combined
     with time reversal), so phi in [0, 90] covers every direction and the
@@ -560,13 +560,20 @@ def _optimal_direction(spec: SweepSpec,
             t0, p0 = points[k]
         if f_R[k] > best[0]:
             best = (f_R[k], t0, p0)
-    return best[1] / _MDEG, best[2] / _MDEG
+    t_opt, p_opt = best[1] / _MDEG, best[2] / _MDEG
+    return (t_opt, p_opt, *qubit(B, radians(t_opt), radians(p_opt), E_ac))
 
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
     spec.material.require_strain()
     grid = _axis(spec, "eps")
-    if not any(abs(e) < 1e-15 for e in grid):
+    # the point nearest zero is the unstrained reference when it misses zero
+    # only by rounding (-1.08e-19 on some grids); snapping one point keeps
+    # the rows of a grid finer than 1e-15 distinct
+    k = min(range(len(grid)), key=lambda i: abs(grid[i]))
+    if abs(grid[k]) < 1e-15:
+        grid[k] = 0.0
+    else:
         grid.append(0.0)
     grid.sort()
     columns = ["eps_parallel", "hh_weight", "f_R", "f_L",
@@ -578,12 +585,7 @@ def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
                             strain=strain)
         hh = mixed_subbands(sp)[0].heavy_weight
         try:
-            t_opt, p_opt = _optimal_direction(spec, strain)
-            fields = replace(spec.fields, theta=radians(t_opt),
-                             phi=radians(p_opt))
-            f_R, f_L = minimal_exact_qubit(spec.material, spec.geometry,
-                                           spec.orientation, fields,
-                                           strain=strain)
+            t_opt, p_opt, f_R, f_L = _optimal_direction(spec, strain)
         except SOLVER_ERRORS:   # no optimum: empty cells, like a sweep's
             t_opt = p_opt = f_R = f_L = None
         lz2 = strain_equivalent_height(spec.material, spec.geometry.L_z, eps)

@@ -133,7 +133,8 @@ def test_04_static_field_dependence():
 
     e_m = e0_max(SI, BOX, D110)
     ren = np.array([renormalized_rabi(slope_lin * float(e), float(e), BOX, SI,
-                                      e_max=e_m) for e in grid])
+                                      orientation=D110, e_max=e_m)
+                    for e in grid])
     mask = exact > 0
     worst = np.max(np.abs(ren[mask] - exact[mask]) / exact[mask])
     assert worst < 0.15, f"renormalized curve off by {worst:.1%}"
@@ -273,7 +274,8 @@ def test_11_pseudospin_gauge_invariance():
     doublets = pair_doublets(solve_spectrum(H0, 16))
     HZ = assemble_zeeman(SI, REF.B, REF.theta, REF.phi, cut)
     Y = dipole_y(BOX, cut)
-    ref = rabi_sum_over_states(doublets, HZ, Y, REF.E_ac, n_excited=7)
+    ref = rabi_sum_over_states(doublets, HZ, Y, REF.E_ac, n_excited=7,
+                               tier="converged_zeeman")
     rng = np.random.default_rng(404)
     for _ in range(20):
         rotated = []
@@ -286,7 +288,8 @@ def test_11_pseudospin_gauge_invariance():
                 v_up=U[0, 0] * d.v_up + U[1, 0] * d.v_down,
                 v_down=U[0, 1] * d.v_up + U[1, 1] * d.v_down,
                 index=d.index))
-        got = rabi_sum_over_states(rotated, HZ, Y, REF.E_ac, n_excited=7)
+        got = rabi_sum_over_states(rotated, HZ, Y, REF.E_ac, n_excited=7,
+                                   tier="converged_zeeman")
         assert got.f_R == approx(ref.f_R, rel=1e-10)
         assert got.f_L == approx(ref.f_L, rel=1e-10)
     _finish("11 pseudospin-gauge", 60.0, t0)

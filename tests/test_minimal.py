@@ -1,10 +1,14 @@
+import subprocess
+import sys
 from dataclasses import replace
 from math import hypot, pi, radians, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from pytest import approx
 
+import holebox
 from holebox import (BoxGeometry, DegenerateQubitError, FieldConfig,
                      MaterialParams, NearDegeneracyError, Orientation,
                      StrainConfig, e0_max, e0_max_thin, electric_mixing,
@@ -17,7 +21,7 @@ from holebox import (BoxGeometry, DegenerateQubitError, FieldConfig,
                      subband_params)
 from holebox.constants import CONST
 from holebox.minimal import _jacobi_eigh, mixing_strength
-from holebox.sweeps import _optimal_direction, resolve_spec
+from holebox.sweeps import _optimal_direction, resolve_spec, run_angle_map
 from oracles import (direct_rabi_first_order, exact_qubit8,
                      well_separated_sample)
 
@@ -98,9 +102,9 @@ def test_qubit_coefficients_normalization_and_larmor():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m, g = well_separated_sample(rng)
-        ms = mixed_subbands(subband_params(m, g, D110))
+        m1, _ = mixed_subbands(subband_params(m, g, D110))
         theta, phi = rng.uniform(0, pi), rng.uniform(0, 2 * pi)
-        qc = qubit_coefficients(ms, theta, phi, 1.0, m)
+        qc = qubit_coefficients(m1, theta, phi, 1.0, m)
         assert abs(qc.alpha) ** 2 + abs(qc.beta) ** 2 == approx(1.0, rel=1e-12)
         s = sqrt((qc.g_x * np.sin(theta) * np.cos(phi)) ** 2
                  + (qc.g_y * np.sin(theta) * np.sin(phi)) ** 2
@@ -118,8 +122,8 @@ def test_exact_route_matches_perturbative_at_weak_field():
 def test_exact_larmor_matches_doublet_g_at_zero_field():
     fields = replace(REF_FIELDS, E0=0.0)
     _, f_L = minimal_exact_qubit(SI, BOX, D110, fields)
-    ms = mixed_subbands(subband_params(SI, BOX, D110))
-    qc = qubit_coefficients(ms, fields.theta, fields.phi, fields.B, SI)
+    m1, _ = mixed_subbands(subband_params(SI, BOX, D110))
+    qc = qubit_coefficients(m1, fields.theta, fields.phi, fields.B, SI)
     assert f_L == approx(qc.f_L, rel=1e-10)
 
 
@@ -205,11 +209,21 @@ def test_thin_dot_order4_refuses_a_negative_expansion():
 def test_renormalized_tracks_saturation():
     e_max = e0_max(SI, BOX, D110)
     lin = rabi_linearized(SI, BOX, D110, REF_FIELDS)
-    ren = renormalized_rabi(lin, 0.1, BOX, SI, e_max=e_max)
+    ren = renormalized_rabi(lin, 0.1, BOX, SI, orientation=D110, e_max=e_max)
     assert ren < lin
-    assert renormalized_rabi(lin, 0.0, BOX, SI, e_max=e_max) == approx(lin)
+    assert renormalized_rabi(lin, 0.0, BOX, SI, orientation=D110,
+                             e_max=e_max) == approx(lin)
     factor = (1 + 0.5 * (0.1 / e_max) ** 2) ** -1.5
     assert ren == approx(lin * factor, rel=1e-12)
+
+
+def test_dot_orientation_is_never_assumed():
+    # the [110] and [100] saturation fields of this box differ by 40%
+    with pytest.raises(TypeError):
+        e0_max(SI, BOX)
+    with pytest.raises(TypeError):
+        renormalized_rabi(1.0, 1.0, BOX, SI)
+    assert e0_max(SI, BOX, Orientation.DOT_100) > 1.3 * e0_max(SI, BOX, D110)
 
 
 def test_e0_max_thin_value():
@@ -273,8 +287,8 @@ def test_strain_equal_mixing_dips_the_drive():
 def test_degenerate_direction_flagged():
     # with g_x g_y g_z of mixed signs some field direction closes the
     # splitting; kappa = 0 kills it everywhere
-    ms = mixed_subbands(subband_params(SI, BOX, D110))
-    qc = qubit_coefficients(ms, 0.3, 0.1, 1.0, replace(SI, kappa=0.0))
+    m1, _ = mixed_subbands(subband_params(SI, BOX, D110))
+    qc = qubit_coefficients(m1, 0.3, 0.1, 1.0, replace(SI, kappa=0.0))
     assert qc.degenerate
     assert qc.f_L == 0.0
 
@@ -288,6 +302,27 @@ def test_excited_doublet_at_the_ground_energy_raises():
     with pytest.raises(DegenerateQubitError, match="degenerate"):
         rabi_linearized(SI, cube, D110, REF_FIELDS)
     assert minimal_exact_qubit(SI, cube, D110, REF_FIELDS)[1] > 0
+
+
+def test_closed_forms_and_exact_route_load_no_numpy():
+    code = ("import sys\n"
+            "from holebox import (BoxGeometry, FieldConfig, Orientation,\n"
+            "                     get_material)\n"
+            "from holebox.minimal import (e0_max, minimal_exact_model,\n"
+            "    mixed_subbands, qubit_coefficients, rabi_linearized,\n"
+            "    subband_params)\n"
+            "si, box = get_material('Si'), BoxGeometry(40.0, 30.0, 10.0)\n"
+            "o = Orientation.DOT_110\n"
+            "minimal_exact_model(si, box, o, 0.1).qubit(1.0, 0.7, 1.5, 0.03)\n"
+            "m1, _ = mixed_subbands(subband_params(si, box, o))\n"
+            "qubit_coefficients(m1, 0.7, 1.5, 1.0, si)\n"
+            "rabi_linearized(si, box, o, FieldConfig(1.0, 0.7, 1.5, 0.1, 0.03))\n"
+            "e0_max(si, box, o)\n"
+            "print('numpy' in sys.modules)")
+    src = str(Path(holebox.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_minimal_exact_handles_zero_drive():
@@ -374,8 +409,8 @@ def test_batched_exact_route_matches_8x8_reference():
     cases += [(m, o, 3 * e0_max(m, BOX, o), None) for m in (SI, GE)
               for o in Orientation]
     for m, o, E0, strain in cases:
-        f_R, f_L = minimal_exact_model(m, BOX, o, E0, strain=strain
-                                       ).qubit_grid(1.0, THETAS, PHIS, 0.03)
+        model = minimal_exact_model(m, BOX, o, E0, strain=strain)
+        f_R, f_L = np.vectorize(model.qubit)(1.0, THETAS, PHIS, 0.03)
         want = np.array([[exact_qubit8(m, BOX, o, FieldConfig(
             B=1.0, theta=t, phi=p, E0=E0, E_ac=0.03), strain)
             for p in PHIS.ravel()] for t in THETAS.ravel()])
@@ -385,15 +420,15 @@ def test_batched_exact_route_matches_8x8_reference():
 
 
 def test_batched_exact_route_vanishes_at_zero_field():
-    f_R, f_L = minimal_exact_model(SI, BOX, D110, 0.1).qubit_grid(
-        0.0, THETAS, PHIS, 0.03)
+    model = minimal_exact_model(SI, BOX, D110, 0.1)
+    f_R, f_L = np.vectorize(model.qubit)(0.0, THETAS, PHIS, 0.03)
     assert f_R.shape == (7, 9)
     assert not f_R.any() and not f_L.any()
     # kappa = 0: the doublet does not split at any field, and f_R is 0
     # rather than 0/0
     model = minimal_exact_model(replace(SI, kappa=0.0), BOX, D110, 0.1)
     with np.errstate(all="raise"):
-        f_R, f_L = model.qubit_grid(1.0, THETAS, PHIS, 0.03)
+        f_R, f_L = np.vectorize(model.qubit)(1.0, THETAS, PHIS, 0.03)
     assert f_R.shape == f_L.shape == (7, 9)
     assert not f_R.any() and not f_L.any()
 
@@ -401,7 +436,7 @@ def test_batched_exact_route_vanishes_at_zero_field():
 def test_batched_exact_route_rejects_negative_drive():
     model = minimal_exact_model(SI, BOX, D110, 0.1)
     with pytest.raises(ValueError, match="E_ac must be >= 0"):
-        model.qubit_grid(1.0, 0.7, 1.5, -0.03)
+        model.qubit(1.0, 0.7, 1.5, -0.03)
 
 
 @pytest.mark.parametrize("name, orientation, eps", [
@@ -419,18 +454,21 @@ def test_exact_g_matrices_are_diagonal_in_the_box_axes(name, orientation,
         assert np.all(np.abs(g - np.diag(np.diag(g))) <= 1e-12 * diag.min())
 
 
-def test_scalar_exact_route_is_one_batched_element():
-    n = 65
-    th = np.radians(np.linspace(0, 90, n))[:, None]
-    ph = np.radians(np.linspace(0, 180, n))[None, :]
-    strain = StrainConfig(5e-4)
-    f_R, f_L = minimal_exact_model(SI, BOX, D110, 0.1, strain=strain
-                                   ).qubit_grid(1.0, th, ph, 0.03)
-    for i, j in ((0, 0), (3, 17), (40, 64), (63, 2), (64, 64)):
-        fields = replace(REF_FIELDS, theta=float(th[i, 0]),
-                         phi=float(ph[0, j]))
-        assert minimal_exact_qubit(SI, BOX, D110, fields, strain=strain) \
-            == (f_R[i, j], f_L[i, j])
+def test_scalar_exact_route_is_one_batched_element(tmp_path):
+    # an angle-map builds one model for all its directions; every cell must
+    # carry the bits of a fresh single-direction call
+    spec = resolve_spec("angle-map", overrides=["sweep.theta_count=5",
+                                                "sweep.phi_count=7"])
+    rows = run_angle_map(spec, tmp_path / "map.csv").read_text(
+        encoding="utf-8").splitlines()
+    rows = [r.split(",") for r in rows if not r.startswith("#")]
+    column = rows[0].index("f_R_minimal_exact")
+    assert len(rows) == 1 + 5 * 7
+    for row in rows[1:]:
+        fields = replace(spec.fields, theta=radians(float(row[0])),
+                         phi=radians(float(row[1])))
+        assert float(row[column]) == minimal_exact_qubit(
+            spec.material, spec.geometry, spec.orientation, fields)[0]
 
 
 @pytest.mark.parametrize("orientation", list(Orientation))
@@ -440,9 +478,9 @@ def test_exact_route_mirror_symmetry(orientation, eps):
     # f_R(theta, phi) = f_R(theta, 180 - phi)
     th = np.radians(np.linspace(0, 90, 46))[:, None]
     ph = np.radians(np.linspace(0, 180, 91))[None, :]
-    f_R, _ = minimal_exact_model(SI, BOX, orientation, 0.1,
-                                 strain=StrainConfig(eps)
-                                 ).qubit_grid(1.0, th, ph, 0.03)
+    model = minimal_exact_model(SI, BOX, orientation, 0.1,
+                                strain=StrainConfig(eps))
+    f_R, _ = np.vectorize(model.qubit)(1.0, th, ph, 0.03)
     _assert_close(f_R[:, ::-1], f_R)
 
 
@@ -455,13 +493,16 @@ def test_strain_sweep_optimum(orientation, eps):
 
     spec = replace(resolve_spec("strain-sweep"), orientation=orientation)
     strain = StrainConfig(eps)
-    t_opt, p_opt = _optimal_direction(spec, strain)
+    t_opt, p_opt, fr_opt, fl_opt = _optimal_direction(spec, strain)
     model = minimal_exact_model(SI, BOX, orientation, spec.fields.E0,
                                 strain=strain)
+    fields = replace(spec.fields, theta=radians(t_opt), phi=radians(p_opt))
+    assert (fr_opt, fl_opt) == minimal_exact_qubit(SI, BOX, orientation,
+                                                   fields, strain=strain)
 
     def f_R(t_deg, p_deg):
-        return model.qubit_grid(1.0, np.radians(t_deg), np.radians(p_deg),
-                                0.03)[0]
+        return np.vectorize(model.qubit)(1.0, np.radians(t_deg),
+                                         np.radians(p_deg), 0.03)[0]
 
     assert 0.0 <= t_opt <= 90.0 and 0.0 <= p_opt <= 90.0
     assert round(t_opt, 3) == t_opt and round(p_opt, 3) == p_opt

@@ -85,7 +85,8 @@ def test_degenerate_qubit_raises_in_sum():
     HZ = assemble_zeeman(SI, 0.0, 0.0, 0.0, cut)
     Y = dipole_y(BOX, cut)
     with pytest.raises(DegenerateQubitError):
-        rabi_sum_over_states(doublets, HZ, Y, 0.03, n_excited=3)
+        rabi_sum_over_states(doublets, HZ, Y, 0.03, n_excited=3,
+                             tier="converged_zeeman")
 
 
 def test_minimal_cutoff_reproduces_exact_minimal_route():
@@ -114,7 +115,8 @@ def test_gauge_invariance_under_doublet_rotations():
     HZ = assemble_zeeman(SI, REF_FIELDS.B, REF_FIELDS.theta, REF_FIELDS.phi,
                          cut)
     Y = dipole_y(BOX, cut)
-    ref = rabi_sum_over_states(doublets, HZ, Y, 0.03, n_excited=7)
+    ref = rabi_sum_over_states(doublets, HZ, Y, 0.03, n_excited=7,
+                               tier="converged_zeeman")
     rng = np.random.default_rng(5)
     for _ in range(10):
         rotated = []
@@ -126,7 +128,8 @@ def test_gauge_invariance_under_doublet_rotations():
             vu = U[0, 0] * d.v_up + U[1, 0] * d.v_down
             vd = U[0, 1] * d.v_up + U[1, 1] * d.v_down
             rotated.append(type(d)(E=d.E, v_up=vu, v_down=vd, index=d.index))
-        got = rabi_sum_over_states(rotated, HZ, Y, 0.03, n_excited=7)
+        got = rabi_sum_over_states(rotated, HZ, Y, 0.03, n_excited=7,
+                                   tier="converged_zeeman")
         assert got.f_R == approx(ref.f_R, rel=1e-10)
         assert got.f_L == approx(ref.f_L, rel=1e-10)
 

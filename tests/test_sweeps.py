@@ -205,6 +205,34 @@ def test_strain_sweep_marks_reference_and_absent_heights(tmp_path):
     assert lz_col[eps_col.index(0.0)] != ""
 
 
+@pytest.mark.parametrize("eps_min, eps_max, count", [
+    ("-0.0007", "0.0007", 11), ("-0.0007", "0.0021", 21),
+    ("-1e-16", "1e-16", 3)])
+def test_strain_sweep_reference_row_survives_rounding(tmp_path, eps_min,
+                                                      eps_max, count):
+    # on the first two grids the middle point rounds to -1.08e-19, not to
+    # zero; on the third every point lies within 1e-15 of zero
+    spec = resolve_spec("strain-sweep", overrides=[
+        f"sweep.eps_min={eps_min}", f"sweep.eps_max={eps_max}",
+        f"sweep.eps_count={count}"])
+    _, header, rows = _read_csv(run_strain_sweep(spec, tmp_path / "st.csv"))
+    assert len({r[0] for r in rows}) == len(rows) == count
+    ref = [r for r in rows if r[header.index("is_reference")] == "1"]
+    assert len(ref) == 1 and ref[0][header.index("eps_parallel")] == "0.0"
+
+
+def test_strain_sweep_builds_one_model_per_point(tmp_path, monkeypatch):
+    # the optimum's f_R and f_L come from the model its search scanned
+    import holebox.minimal
+    calls = []
+    eigh = holebox.minimal._jacobi_eigh
+    monkeypatch.setattr(holebox.minimal, "_jacobi_eigh",
+                        lambda a: calls.append(a) or eigh(a))
+    spec = resolve_spec("strain-sweep", overrides=["sweep.eps_count=2"])
+    run_strain_sweep(spec, tmp_path / "st.csv")
+    assert len(calls) == 2
+
+
 def test_local_maxima_highest_first_then_in_index_order():
     # the strain-sweep optimum refines only the first _MAX_STARTS of these
     f = [1.0, 0.0, 2.0,
