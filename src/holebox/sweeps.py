@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import groupby, product
-from math import inf, isfinite, isnan, nan, radians, sqrt
+from math import atan2, degrees, inf, isfinite, isnan, nan, radians, sqrt
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -502,66 +502,57 @@ def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
     return sweep.write(out, {"theta_deg": thetas, "phi_deg": phis})
 
 
-# The strain-sweep optimum is searched on grids of whole millidegrees, so
-# every reported angle is an exact decimal with at most three places.
-_MDEG = 1000
-_STEPS = (5000, 1000, 100, 10, 1)  # the global grid, then each refinement
-_MAX_STARTS = 4  # a flat map (B, E0 or E_ac zero) is all local maxima
+def _best_direction(gm, gp) -> tuple[float, float]:
+    """(theta_deg, phi_deg) maximizing f_R for a (gm, gp) pair diagonal in
+    the box axes, in [0, 90] degrees: f_R then depends on b only through
+    b_i^2, which also makes f_R(theta, phi) = f_R(theta, 180 - phi).
 
-
-def _local_maxima(f: list[float], n: int) -> list[int]:
-    """Indices of the points of an n x n grid, flattened row by row, that
-    no neighbour (the diagonals included) exceeds, highest first and in
-    index order among equals."""
-    near = [range(max(i - 1, 0), min(i + 2, n)) for i in range(n)]
-    keep = [k for k in range(n * n)
-            if all(f[k] >= f[i * n + j] for i in near[k // n]
-                   for j in near[k % n])]
-    return sorted(keep, key=f.__getitem__, reverse=True)
+    With g = diag(gm), p = diag(gp), x_i = b_i^2 and
+    d_ij = g_i p_j - g_j p_i, f_R^2 is proportional to
+    sum_{i<j} d_ij^2 x_i x_j / sum_i g_i^2 x_i, whose maximum over the
+    simplex sum x_i = 1 lies on an edge (i, j): |d_ij| / (|g_i| + |g_j|), at
+    b_i^2 = |g_j| / (|g_i| + |g_j|). The edges xz (phi = 0), yz (phi = 90)
+    and xy (theta = 90) are tried in that order from (0, 0) at score 0, and
+    only a strictly higher score replaces the best: ties go to the first
+    edge, and a map flat at zero reports (0, 0). Raises
+    DegenerateQubitError when the winning edge has a zero g, whose supremum
+    lies at a direction with no splitting, and ValueError when an
+    off-diagonal entry exceeds 1e-12 of its matrix's largest diagonal one.
+    """
+    for m in (gm, gp):
+        scale = max(abs(m[i][i]) for i in range(3))
+        if any(abs(m[i][j]) > 1e-12 * scale
+               for i in range(3) for j in range(3) if i != j):
+            raise ValueError("(gm, gp) is not diagonal in the box axes")
+    g, p = [gm[i][i] for i in range(3)], [gp[i][i] for i in range(3)]
+    best, angles, zero_g = 0.0, (0.0, 0.0), False
+    # edge (i, j): b_i = sin(a) and b_j = cos(a), with tan(a)^2 = |g_j / g_i|
+    for i, j, edge in ((0, 2, lambda a: (a, 0.0)), (1, 2, lambda a: (a, 90.0)),
+                       (1, 0, lambda a: (90.0, a))):
+        den = abs(g[i]) + abs(g[j])
+        score = abs(g[i] * p[j] - g[j] * p[i]) / den if den else 0.0
+        if score > best:
+            best, zero_g = score, 0.0 in (g[i], g[j])
+            angles = edge(degrees(atan2(sqrt(abs(g[j])), sqrt(abs(g[i])))))
+    if zero_g:
+        raise DegenerateQubitError("the best direction has no qubit splitting")
+    return angles
 
 
 def _optimal_direction(spec: SweepSpec, strain: StrainConfig
                        ) -> tuple[float, float, float, float]:
     """(theta_deg, phi_deg, f_R, f_L) at the direction maximizing the exact
-    minimal-basis Rabi frequency over theta and phi in [0, 90] degrees.
-
-    f_R(theta, phi) = f_R(theta, 180 - phi) (the mirror x -> -x combined
-    with time reversal), so phi in [0, 90] covers every direction and the
-    two mirror optima, which tie at theta = 90, resolve to one. A 5-degree
-    grid finds the local maxima; each is refined by nested grids, each
-    ten times finer than the last and spanning one step of it, down to
-    0.001 degrees, keeping the first of equal maxima. Near the heavy/light
-    crossing two maxima lie within 1e-4 of each other and tens of degrees
-    apart, hence every start.
-    """
+    minimal-basis Rabi frequency: _best_direction of the model's (gm, gp),
+    or (0, 0) where B E_ac = 0 makes f_R vanish in every direction. f_R and
+    f_L are the model's qubit at the reported angles, so they equal
+    minimal_exact_qubit there bit for bit."""
     f = spec.fields
-    B, E_ac = f.B, f.E_ac
-    qubit = minimal_exact_model(spec.material, spec.geometry,
-                                spec.orientation, f.E0, strain=strain).qubit
-
-    def scan(ts: range, ps: range) -> tuple[list[tuple[int, int]],
-                                            list[float]]:
-        phis = [radians(p / _MDEG) for p in ps]
-        return [(t, p) for t in ts for p in ps], [
-            qubit(B, theta, phi, E_ac)[0]
-            for theta in [radians(t / _MDEG) for t in ts] for phi in phis]
-
-    def window(x: int, span: int, step: int) -> range:
-        return range(max(x - span, 0), min(x + span, 90 * _MDEG) + 1, step)
-
-    axis = range(0, 90 * _MDEG + 1, _STEPS[0])
-    starts, grid_f = scan(axis, axis)
-    best = (-1.0, 0, 0)
-    for k in _local_maxima(grid_f, len(axis))[:_MAX_STARTS]:
-        t0, p0 = starts[k]
-        for span, step in zip(_STEPS, _STEPS[1:]):
-            points, f_R = scan(window(t0, span, step), window(p0, span, step))
-            k = max(range(len(f_R)), key=f_R.__getitem__)
-            t0, p0 = points[k]
-        if f_R[k] > best[0]:
-            best = (f_R[k], t0, p0)
-    t_opt, p_opt = best[1] / _MDEG, best[2] / _MDEG
-    return (t_opt, p_opt, *qubit(B, radians(t_opt), radians(p_opt), E_ac))
+    model = minimal_exact_model(spec.material, spec.geometry,
+                                spec.orientation, f.E0, strain=strain)
+    t_opt, p_opt = ((0.0, 0.0) if f.B * f.E_ac == 0
+                    else _best_direction(model.gm, model.gp))
+    return (t_opt, p_opt,
+            *model.qubit(f.B, radians(t_opt), radians(p_opt), f.E_ac))
 
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:

@@ -16,9 +16,10 @@ from pytest import approx
 
 from holebox import (BasisCutoff, BoxGeometry, FieldConfig, Orientation,
                      assemble_static, converged_rabi, e0_max, figures_of_merit,
-                     get_material, light_hole_rabi, minimal_exact_qubit,
-                     minimal_exact_rabi, mixed_subbands, rabi_linearized,
-                     rabi_thin_dot, reduce_model, renormalized_rabi,
+                     get_material, light_hole_rabi, minimal_exact_model,
+                     minimal_exact_qubit, minimal_exact_rabi, mixed_subbands,
+                     rabi_linearized, rabi_thin_dot, reduce_model,
+                     renormalized_rabi,
                      strain_divergence_eps, strain_equivalent_height,
                      strain_transition_eps, subband_params, StrainConfig,
                      assemble_zeeman, dipole_y, pair_doublets,
@@ -293,3 +294,53 @@ def test_11_pseudospin_gauge_invariance():
         assert got.f_R == approx(ref.f_R, rel=1e-10)
         assert got.f_L == approx(ref.f_L, rel=1e-10)
     _finish("11 pseudospin-gauge", 60.0, t0)
+
+
+# Prototype ratios at the best direction of each dot, in the order Si
+# 110/100, Ge 110/100, Si/Ge [110], Si/Ge [100]:
+#   minimal      6.11  1.53   5.56  1.39
+#   Zeeman-only  7.26  1.81   4.88  1.22
+#   full         3.98  1.45  14.8   5.41
+# The bounds below sit under the lowest entry of each kind in this table.
+_MIN_ORIENTATION_GAIN = 1.3   # [110] over [100], same material
+_MIN_SI_OVER_GE = 1.1         # Si over Ge, same orientation
+
+
+def test_12_best_direction_headline_claims():
+    """At each dot's best field direction, on the minimal route and both
+    converged tiers at cutoff (8,8,5): [110] beats [100] for Si and for Ge,
+    and Si beats Ge in each orientation. On the converged tiers the best
+    direction also tops a 2-degree (theta, phi) grid."""
+    from holebox.sweeps import _best_direction
+
+    t0 = time.perf_counter()
+    B, E_ac, n_excited = REF.B, REF.E_ac, 40
+    thetas = np.radians(np.arange(0.0, 91.0, 2.0))[:, None]
+    phis = np.radians(np.arange(0.0, 181.0, 2.0))[None, :]
+    routes = {"minimal": {}, "converged_zeeman": {}, "converged_full": {}}
+    for name in ("Si", "Ge"):
+        m = get_material(name)
+        for o in Orientation:
+            model = minimal_exact_model(m, BOX, o, REF.E0)
+            t, p = _best_direction(model.gm, model.gp)
+            routes["minimal"][name, o] = model.qubit(B, radians(t), radians(p),
+                                                     E_ac)[0]
+            red = reduce_model(m, BOX, o, BasisCutoff(8, 8, 5), E0=REF.E0,
+                               n_excited=n_excited)
+            for tier, flag in (("converged_zeeman", False),
+                               ("converged_full", True)):
+                t, p = _best_direction(*red.g_matrices(flag, n_excited))
+                kwargs = dict(include_paramagnetic=flag, n_excited=n_excited)
+                best = float(red.rabi_grid(B, radians(t), radians(p), E_ac,
+                                           **kwargs)[1])
+                grid = red.rabi_grid(B, thetas, phis, E_ac, **kwargs)[1]
+                assert best >= np.nanmax(grid), (tier, name, o)
+                routes[tier][name, o] = best
+    D100 = Orientation.DOT_100
+    for route, f in routes.items():
+        for name in ("Si", "Ge"):
+            assert f[name, D110] >= _MIN_ORIENTATION_GAIN * f[name, D100], \
+                (route, name)
+        for o in Orientation:
+            assert f["Si", o] >= _MIN_SI_OVER_GE * f["Ge", o], (route, o)
+    _finish("12 best-direction-claims", 60.0, t0)

@@ -288,8 +288,8 @@ def test_cube_dot_exits_zero_with_empty_cells_not_nan(tmp_path):
 
 @pytest.mark.parametrize("setting", ["fields.E_ac=0", "fields.B=0"])
 def test_strain_sweep_on_a_flat_map_reports_the_origin(tmp_path, setting):
-    # without drive or field f_R is 0 in every direction, so every grid
-    # point is a local maximum; the first start, (0, 0), wins every row
+    # without drive or field f_R is 0 in every direction, so no direction
+    # beats another and every row reports the origin, (0, 0)
     out = tmp_path / "flat.csv"
     assert cli.main(["strain-sweep", "--out", str(out), "--set", setting,
                      "--set", "sweep.eps_count=2"]) == 0
@@ -394,6 +394,27 @@ def test_bench_ladder_and_checks_find_their_names(tmp_path, monkeypatch):
             for layer, quantity in design.LADDER_LAYERS}
     assert set(metrics) == want | {"minimal.minimal_exact_qubit.per_call_s"}
     assert all(value > 0 for value in metrics.values())
+
+
+@pytest.mark.parametrize("overrides", [
+    [], ["geometry.orientation=100"], ["fields.E0=0.8"],
+    ["geometry.L_x=25", "geometry.L_y=22"]])
+def test_bench_check_accepts_every_strain_sweep_row(tmp_path, monkeypatch,
+                                                    overrides):
+    # the benchmark recomputes a sample of 8 rows; every row must pass
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    checks = _load_bench_module(monkeypatch, "checks")
+    spec = sweeps.resolve_spec("strain-sweep", overrides=overrides)
+    lines = sweeps.run_strain_sweep(spec, tmp_path / "st.csv").read_text(
+        "utf-8").splitlines()
+    columns = lines[4].split(",")
+    problems = []
+    for line in lines[5:]:
+        cells = dict(zip(columns, line.split(",")))
+        problems += [(line, column, want) for column, want in
+                     checks.RECOMPUTE["strain-sweep"](spec, cells).items()
+                     if checks._mismatch(cells[column], want)]
+    assert len(lines) == 5 + 41 and problems == []
 
 
 # every command on a tiny grid; the converged angle-map at a small cutoff

@@ -9,8 +9,10 @@ import pytest
 from pytest import approx
 
 import holebox.sweeps as sweeps
-from holebox import (BasisCutoff, NearDegeneracyError, Orientation,
-                     PairingError)
+from holebox import (BasisCutoff, DegenerateQubitError, MinimalExactModel,
+                     NearDegeneracyError, Orientation, PairingError,
+                     StrainConfig, minimal_exact_model)
+from holebox.constants import CONST
 from holebox.sweeps import (TIERS, ConfigError, resolve_spec, run_angle_map,
                             run_e0_sweep, run_lz_sweep, run_materials_table,
                             run_strain_sweep)
@@ -222,7 +224,7 @@ def test_strain_sweep_reference_row_survives_rounding(tmp_path, eps_min,
 
 
 def test_strain_sweep_builds_one_model_per_point(tmp_path, monkeypatch):
-    # the optimum's f_R and f_L come from the model its search scanned
+    # the optimum's f_R and f_L come from the model its angles came from
     import holebox.minimal
     calls = []
     eigh = holebox.minimal._jacobi_eigh
@@ -233,13 +235,74 @@ def test_strain_sweep_builds_one_model_per_point(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def test_local_maxima_highest_first_then_in_index_order():
-    # the strain-sweep optimum refines only the first _MAX_STARTS of these
-    f = [1.0, 0.0, 2.0,
-         0.0, 0.0, 0.0,
-         2.0, 0.0, 3.0]
-    assert sweeps._local_maxima(f, 3) == [8, 2, 6, 0]
-    assert sweeps._local_maxima([0.0] * 9, 3) == list(range(9))
+@pytest.mark.parametrize("overrides, eps", [
+    (["fields.E0=0.8"], 7.25e-4),
+    (["geometry.L_x=25", "geometry.L_y=22"], 6.25e-4)])
+def test_strain_sweep_reports_the_optimum_on_an_edge(tmp_path, overrides,
+                                                     eps):
+    # the optimum of these rows lies on the phi = 90 edge; a coarse-to-fine
+    # grid search stalled 3.4e-4 below it, at 18.045/81.11 and 8.952/61.11
+    spec = resolve_spec("strain-sweep", overrides=overrides)
+    _, header, rows = _read_csv(run_strain_sweep(spec, tmp_path / "st.csv"))
+    cells = dict(zip(header, min(rows, key=lambda r: abs(float(r[0]) - eps))))
+    model = minimal_exact_model(
+        spec.material, spec.geometry, spec.orientation, spec.fields.E0,
+        strain=StrainConfig(float(cells["eps_parallel"])))
+    a = np.radians(np.linspace(0.0, 90.0, 9001))
+    edges = ((a, 0.0), (a, np.pi / 2), (np.pi / 2, a))
+    scan = max(np.vectorize(model.qubit)(spec.fields.B, t, p,
+                                         spec.fields.E_ac)[0].max()
+               for t, p in edges)
+    assert float(cells["phi_opt_deg"]) == 90.0
+    assert float(cells["f_R"]) >= scan
+
+
+def _diagonal_model(g, p):
+    return MinimalExactModel(
+        gm=tuple(tuple(g[i] if i == j else 0.0 for j in range(3))
+                 for i in range(3)),
+        gp=tuple(tuple(p[i] if i == j else 0.0 for j in range(3))
+                 for i in range(3)))
+
+
+def test_best_direction_ties_go_to_the_first_edge():
+    # the xz and yz edges both score 1/2; xz comes first
+    model = _diagonal_model((1.0, 1.0, 1.0), (0.0, 0.0, 1.0))
+    assert sweeps._best_direction(model.gm, model.gp) == (45.0, 0.0)
+
+
+def test_best_direction_with_no_splitting_raises():
+    # the xz edge wins, and its supremum lies along x, where gm b = 0
+    model = _diagonal_model((0.0, 1.0, 2.0), (1.0, 0.0, 0.0))
+    with pytest.raises(DegenerateQubitError):
+        sweeps._best_direction(model.gm, model.gp)
+
+
+def test_best_direction_needs_diagonal_matrices():
+    # an off-diagonal entry of 3.3e-10 relative, above the 1e-12 bound
+    diagonal = _diagonal_model((1.0, 2.0, 3.0), (0.5, 0.0, -1.0)).gm
+    tilted = ((1.0, 1e-9, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+    for gm, gp in ((diagonal, tilted), (tilted, diagonal)):
+        with pytest.raises(ValueError, match="not diagonal"):
+            sweeps._best_direction(gm, gp)
+
+
+def test_best_direction_beats_the_sampled_simplex():
+    # f_R depends on the direction through x_i = b_i^2 on the simplex
+    # sum x_i = 1; the closed form must reach every sample of it at step 1/60
+    rng = np.random.default_rng(21)
+    k = np.array([(i, j, 60 - i - j) for i in range(61)
+                  for j in range(61 - i)], dtype=float)
+    b = np.sqrt(k / 60)
+    for _ in range(500):
+        g, p = rng.standard_normal(3), rng.standard_normal(3)
+        model = _diagonal_model(tuple(g), tuple(p))
+        t, ph = sweeps._best_direction(model.gm, model.gp)
+        got = model.qubit(1.0, radians(t), radians(ph), 0.03)[0]
+        v, w = g * b, p * b
+        sampled = (CONST.e_scale * 0.03 * np.linalg.norm(np.cross(v, w), axis=1)
+                   / (2 * CONST.h_planck * np.linalg.norm(v, axis=1)))
+        assert got >= sampled.max(), (g, p)
 
 
 def test_strain_sweep_needs_strain_parameters():
