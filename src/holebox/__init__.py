@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "constants": ("CONST", "PhysicalConstants"),
-    "inputs": ("AssemblyError", "BasisCutoff", "BoxGeometry", "FieldConfig",
+    "inputs": ("AssemblyError", "BasisCutoff", "BoxGeometry",
+               "DegenerateQubitError", "FieldConfig", "NearDegeneracyError",
                "Orientation", "PairingError", "SolverError", "StrainConfig",
                "bhat_from_angles"),
     "hamiltonian": ("HamiltonianMatrix", "assemble_paramagnetic",
@@ -23,10 +24,9 @@ _EXPORTS = {
     "materials": ("FigureOfMerit", "MaterialError", "MaterialParams",
                   "builtin_materials", "figures_of_merit", "get_material",
                   "load_materials"),
-    "minimal": ("DegenerateQubitError", "ElectricMixing", "MinimalExactModel",
-                "MixedSubband", "NearDegeneracyError", "QubitCoefficients",
-                "SubbandParams", "e0_max", "e0_max_thin", "electric_mixing",
-                "light_hole_rabi", "minimal_exact_model",
+    "minimal": ("ElectricMixing", "MinimalExactModel", "MixedSubband",
+                "QubitCoefficients", "SubbandParams", "e0_max", "e0_max_thin",
+                "electric_mixing", "light_hole_rabi", "minimal_exact_model",
                 "minimal_exact_qubit", "minimal_exact_rabi", "mixed_subbands",
                 "qubit_coefficients", "rabi_linearized", "rabi_thin_dot",
                 "renormalized_rabi", "strain_divergence_eps",

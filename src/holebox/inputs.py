@@ -3,7 +3,7 @@
 The closed-form theory, the sweep specification and the CLI need only
 these, so importing them loads no numpy; the converged numerics import
 numpy themselves. Each name is re-exported from the module that used to
-define it (basis, hamiltonian, numeric) as the same object.
+define it (basis, hamiltonian, minimal, numeric) as the same object.
 """
 from __future__ import annotations
 
@@ -23,6 +23,16 @@ class SolverError(RuntimeError):
 
 class PairingError(ValueError):
     """The spectrum is not a sequence of exactly degenerate pairs."""
+
+
+class NearDegeneracyError(ValueError):
+    """A perturbative closed form used outside its range: mixing too close
+    to a subband crossing, or a flat-dot expansion whose correction outweighs
+    its leading term."""
+
+
+class DegenerateQubitError(ValueError):
+    """The ground doublet does not split; qubit axes are undefined."""
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from math import cos, hypot, inf, pi, sin, sqrt
 
 from .basis import position_element
 from .constants import CONST
-from .inputs import (BoxGeometry, FieldConfig, Orientation, StrainConfig,
+from .inputs import (BoxGeometry, DegenerateQubitError, FieldConfig,
+                     NearDegeneracyError, Orientation, StrainConfig,
                      bhat_from_angles)
 from .materials import MaterialParams
 
@@ -44,16 +45,6 @@ _J32, _J12, _JM12, _JM32 = 0, 1, 2, 3
 # time-reversed copy. Entries are (n_y, spin slot).
 _BASIS8 = ((1, _J32), (1, _JM12), (2, _J32), (2, _JM12),
            (1, _JM32), (1, _J12), (2, _JM32), (2, _J12))
-
-
-class NearDegeneracyError(ValueError):
-    """A perturbative closed form used outside its range: mixing too close
-    to a subband crossing, or a flat-dot expansion whose correction outweighs
-    its leading term."""
-
-
-class DegenerateQubitError(ValueError):
-    """The ground doublet does not split; qubit axes are undefined."""
 
 
 # ---------------------------------------------------------------------------

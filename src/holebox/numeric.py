@@ -23,6 +23,15 @@ Its lowest states come from LAPACK's subset eigensolver dsyevr (MRRR), in
 place in the block. dsyevr is taken from scipy's compiled LAPACK module,
 loaded on the first solve without importing the scipy package itself.
 
+What each step allocates: the solve holds the real n x n block (n = N/2)
+and then its n x k eigenvectors w, k = ceil(n_states / 2); the residual is
+checked a few (v, T v) pairs at a time. A SpinorSpectrum keeps w and builds
+the N x n_states complex eigenvectors only when they are first read.
+reduce_model never reads them: it builds the phase-fixed ground doublet
+(N x 2), applies the seven generators to it (N x 14) and projects onto every
+kept state through w, using <D w_j|y> = w_j^T (D^* y)_+ and
+<T D w_j|y> = -conj(w_j^T (D^* T y)_+), which gives 2k x 14 numbers.
+
 All physical outputs are invariant under the pseudo-spin gauge (unitary
 rotations within each doublet); eigenvector phases are nevertheless fixed
 deterministically so that intermediate dumps are reproducible.
@@ -35,6 +44,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +52,10 @@ from .constants import CONST
 from .hamiltonian import (APPLY_COLUMNS, HamiltonianMatrix,
                           assemble_paramagnetic, assemble_static,
                           assemble_zeeman, dipole_y)
-from .inputs import (BasisCutoff, BoxGeometry, FieldConfig, Orientation,
-                     PairingError, SolverError, StrainConfig)
+from .inputs import (BasisCutoff, BoxGeometry, DegenerateQubitError,
+                     FieldConfig, Orientation, PairingError, SolverError,
+                     StrainConfig)
 from .materials import MaterialParams
-from .minimal import DegenerateQubitError
 
 DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
@@ -56,10 +66,25 @@ MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
 CONVERGED_TIERS = ("converged_zeeman", "converged_full")
 
 
-@dataclass(frozen=True)
 class SpinorSpectrum:
-    energies: np.ndarray           # ascending, meV
-    vectors: np.ndarray            # orthonormal columns, matching order
+    """The lowest eigenpairs, ascending: energies (meV) and orthonormal
+    vectors in matching order. A spectrum from solve_spectrum holds the
+    solved mirror sector and forms its N x n_states complex vectors only
+    when they are first read; reduce_model reads the sector instead."""
+
+    def __init__(self, energies: np.ndarray, vectors: np.ndarray | None = None,
+                 *, sector: _Sector | None = None):
+        if (vectors is None) == (sector is None):
+            raise ValueError("give exactly one of vectors and sector")
+        self.energies, self.sector = energies, sector
+        if vectors is not None:
+            self.vectors = vectors      # the cached_property is then unused
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The phase-fixed (v, T v) columns, N x n_states."""
+        k = self.sector.w.shape[1]
+        return _fix_phases(self.sector.pairs(0, k)[:, :self.n_states])
 
     @property
     def n_states(self) -> int:
@@ -162,6 +187,57 @@ def _time_reversed(vectors: np.ndarray) -> np.ndarray:
     return (spin * _T_SIGNS[:, None]).reshape(dim, k)
 
 
+@dataclass(frozen=True)
+class _Sector:
+    """The solved M_z = +i sector: the lowest k eigenpairs (e, w) of the
+    real block, the sector's flat indices and the phase D on them. State j
+    is v_j = D w_j on those rows, and its Kramers partner is T v_j."""
+    e: np.ndarray           # (k,) ascending, meV
+    w: np.ndarray           # (n, k) real orthonormal columns
+    indices: np.ndarray     # (n,) ascending
+    phase: np.ndarray       # (n,) powers of i
+    dimension: int          # N
+
+    def pairs(self, start: int, stop: int) -> np.ndarray:
+        """The (v, T v) columns of states start..stop - 1, interleaved and
+        not yet phase fixed: an N x 2 (stop - start) complex array."""
+        w = self.w[:, start:stop]
+        pairs = np.zeros((self.dimension, 2 * w.shape[1]), dtype=complex)
+        pairs[self.indices, 0::2] = self.phase[:, None] * w
+        pairs[:, 1::2] = _time_reversed(pairs[:, 0::2])
+        return pairs
+
+    def overlaps(self, Y: np.ndarray) -> np.ndarray:
+        """<u|Y> for every phase-fixed (v, T v) column u, as
+        SpinorSpectrum.vectors holds them (2k x m for an N x m complex Y),
+        without forming the columns.
+
+        <v_j|y> = w_j^T (D^* y)_+, where _+ takes the sector's rows. T is
+        antiunitary with T^2 = -1, so <T v_j|y> = -conj(<v_j|T y>), and
+        (T y)_+ reads y on the rows indices ^ 3, the same orbital's opposite
+        spin slots. _fix_phases multiplies a column by conj(l) / |l| for its
+        first largest entry l, which turns <u|y> into l <u|y> / |l|."""
+        w, idx, D = self.w, self.indices, self.phase
+        # the T sign at each sector row; T v_j holds -tau conj(D w_j) on the
+        # rows idx ^ 3, which swap each orbital's two sector rows in order
+        tau = _T_SIGNS[idx % 4]
+        swap = np.arange(w.shape[0]) ^ 1
+        size = np.abs(w)
+        lead = np.argmax(size, axis=0)
+        lead_t = swap[np.argmax(size[swap], axis=0)]
+        states = np.arange(w.shape[1])
+        unit = D[lead] * np.sign(w[lead, states])
+        unit_t = -tau[lead_t] * D[lead_t].conj() * np.sign(w[lead_t, states])
+
+        def project(Z):     # w^T Z for a complex Z, with no complex copy of w
+            return (w.T @ Z.view(float)).view(complex)
+
+        out = np.empty((2 * w.shape[1], Y.shape[1]), dtype=complex)
+        out[0::2] = unit[:, None] * project(D.conj()[:, None] * Y[idx])
+        out[1::2] = -unit_t[:, None] * project((D * tau)[:, None] * Y[idx ^ 3])
+        return out
+
+
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -200,16 +276,19 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     sector block is diagonalized, densely (the dimension guard of
     HamiltonianMatrix bounds it by MAX_DIMENSION / 2 rows), and the states
     come out as exactly degenerate (v, T v) pairs. LAPACK's dsyevr computes
-    only the lowest (n_states + 1) // 2 states of the block, overwriting the
-    block in place, with the arguments scipy.linalg.eigh passes for
+    only the lowest k = (n_states + 1) // 2 states of the block, overwriting
+    the block in place, with the arguments scipy.linalg.eigh passes for
     subset_by_index: about 1 n^2 doubles plus the n x k eigenvectors live.
-    The block is freed before the vectors are built, and the residual is
-    checked a few columns at a time, so no n x n array outlives the solve.
-    Raises SolverError if dsyevr reports a failure or misses states, or if
-    the residual check fails or is NaN.
+    The block is freed right after the solve, and the residual of H is then
+    checked over each v and its partner T v, a few pairs at a time, so no
+    n x n array outlives the solve and H V is never formed whole; checking
+    T v too catches an H that keeps the mirror but is not time-reversal
+    even. The returned spectrum keeps the n x k real vectors; its
+    N x n_states complex vectors, phase fixed by _fix_phases, are formed
+    when first read. Raises SolverError if dsyevr reports a failure or
+    misses states, or if the residual check fails or is NaN.
     """
-    dim = H.dimension
-    n = min(n_states, dim)
+    n = min(n_states, H.dimension)
     if n < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     indices, phase, block, scale = _plus_sector(H)
@@ -226,22 +305,18 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     if info != 0 or found < k:
         raise SolverError(f"LAPACK dsyevr failed (info = {info}) or found "
                           f"fewer than the {k} requested eigenpairs")
-    e = e[:k]
-    vectors = np.zeros((dim, 2 * k), dtype=complex)
-    vectors[indices, 0::2] = phase[:, None] * w
-    vectors[:, 1::2] = _time_reversed(vectors[:, 0::2])
-    energies, vectors = np.repeat(e, 2)[:n], vectors[:, :n]
-    # in passes of a few columns, so that H V is never formed whole
+    sector = _Sector(e=e[:k], w=w, indices=indices, phase=phase,
+                     dimension=H.dimension)
+    step = APPLY_COLUMNS // 2
     residual = np.max([np.linalg.norm(
-        H @ vectors[:, j:j + APPLY_COLUMNS]
-        - vectors[:, j:j + APPLY_COLUMNS] * energies[j:j + APPLY_COLUMNS],
-        axis=0).max() for j in range(0, n, APPLY_COLUMNS)])
+        H @ pairs - pairs * np.repeat(sector.e[j:j + step], 2), axis=0).max()
+        for j in range(0, k, step) for pairs in [sector.pairs(j, j + step)]])
     # written so that a NaN residual (or norm) fails it
     if not residual <= RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.0e} * |H| = {RESIDUAL_TOL * scale:.3e}")
-    return SpinorSpectrum(energies=energies, vectors=_fix_phases(vectors))
+    return SpinorSpectrum(np.repeat(sector.e, 2)[:n], sector=sector)
 
 
 def _paired_energies(e: np.ndarray) -> np.ndarray:
@@ -449,9 +524,15 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
                  orientation: Orientation, cutoff: BasisCutoff, E0: float, *,
                  strain: StrainConfig | None = None,
                  n_excited: int = DEFAULT_N_EXCITED) -> ReducedModel:
+    """The static problem's ReducedModel: the ground doublet and n_excited
+    excited doublets. After the solve it allocates the phase-fixed ground
+    doublet (N x 2), the seven generators applied to it (N x 14) and their
+    projections on the kept states (n x 14), taken through the sector's real
+    vectors: no N x n_states eigenvector array is formed."""
     spectrum = _static_spectrum(material, geometry, orientation, cutoff, E0,
                                 strain, n_excited)
-    V = spectrum.vectors
+    sector, n = spectrum.sector, spectrum.n_states
+    ground = _fix_phases(sector.pairs(0, 1))
 
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))
     operators = ([assemble_zeeman(material, 1.0, th, ph, cutoff)
@@ -462,6 +543,8 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
                  + [dipole_y(geometry, cutoff)])
     # the ground-doublet columns V^H (G V[:, :2]), each G applied to the two
     # columns factor by factor and never summed into an N x N operator
-    columns = V.conj().T @ np.stack([G @ V[:, :2] for G in operators])
+    columns = sector.overlaps(np.concatenate(
+        [G @ ground for G in operators], axis=1))[:n]
+    columns = columns.reshape(n, len(operators), 2).transpose(1, 0, 2)
     return ReducedModel(energies=spectrum.energies, zeeman=columns[0:3],
                         paramagnetic=columns[3:6], dipole=columns[6])

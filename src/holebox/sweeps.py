@@ -17,7 +17,10 @@ Importing this module loads no numpy: the spec, the grids, the CSV code,
 the closed forms, the exact minimal route and the strain-sweep optimum run
 on Python floats, so no command loads it at its default tiers. Only an
 angle-map that requests a converged tier imports numpy and the converged
-route, first thing, before it builds its grid.
+route, first thing, before it builds its grid. The closed forms
+(holebox.minimal) are imported by the commands that use them, so an
+angle-map with converged tiers only, --help, a configuration error and the
+materials table never load them.
 """
 from __future__ import annotations
 
@@ -26,21 +29,16 @@ import io
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import groupby, product
+from itertools import product
 from math import atan2, degrees, inf, isfinite, isnan, nan, radians, sqrt
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .inputs import (BasisCutoff, BoxGeometry, FieldConfig, Orientation,
+from .inputs import (BasisCutoff, BoxGeometry, DegenerateQubitError,
+                     FieldConfig, NearDegeneracyError, Orientation,
                      PairingError, SolverError, StrainConfig)
 from .materials import (MaterialParams, builtin_materials, figures_of_merit,
                         load_materials)
-# minimal_exact_rabi is not called here; bench/tracer.py wraps it by this name
-from .minimal import (DegenerateQubitError, NearDegeneracyError,  # noqa: F401
-                      e0_max, minimal_exact_model, minimal_exact_qubit,
-                      minimal_exact_rabi, mixed_subbands, rabi_linearized,
-                      rabi_thin_dot, renormalized_rabi,
-                      strain_equivalent_height, subband_params)
 
 if TYPE_CHECKING:
     from .numeric import ReducedModel
@@ -104,13 +102,34 @@ def _import_numerics() -> None:
     globals().setdefault("reduce_model", numeric.reduce_model)
 
 
+# the closed forms the commands call, bound here by _import_closed_forms;
+# minimal_exact_rabi is not called here, but bench/tracer.py wraps it by
+# this name
+_CLOSED_FORMS = ("e0_max", "minimal_exact_model", "minimal_exact_qubit",
+                 "minimal_exact_rabi", "mixed_subbands", "rabi_linearized",
+                 "rabi_thin_dot", "renormalized_rabi",
+                 "strain_equivalent_height", "subband_params")
+
+
+def _import_closed_forms() -> None:
+    """Import holebox.minimal and bind each of _CLOSED_FORMS here unless it
+    was rebound first, as _import_numerics binds reduce_model. Each command
+    that evaluates a closed-form tier calls this before its first point."""
+    from . import minimal
+    for name in _CLOSED_FORMS:
+        globals().setdefault(name, getattr(minimal, name))
+
+
 def __getattr__(name: str):
-    # PEP 562: reduce_model is bound on first access, so that importing this
-    # module loads no numpy
+    # PEP 562: the models are bound on first access, so that importing this
+    # module loads neither numpy nor the closed forms
     if name == "reduce_model":
         _import_numerics()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    elif name in _CLOSED_FORMS:
+        _import_closed_forms()
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
 
 
 # The input domain: every geometry length and dot height (nm), and every
@@ -398,20 +417,33 @@ def run_materials_table(spec: SweepSpec, out: str | Path) -> Path:
     return _write_csv(out, spec, columns, rows)
 
 
-class _Sweep:
-    """The (geometry, fields) points of one sweep and the results that
-    several tier columns share. A run of points that differ only in field
-    direction shares one static problem: its exact minimal and converged
-    models are built once, and evaluate the run direction by direction
-    (exact) or in one batched call (converged)."""
+_Run = tuple[BoxGeometry, FieldConfig, list[float], list[float]]
 
-    def __init__(self, spec: SweepSpec,
-                 points: list[tuple[BoxGeometry, FieldConfig]]):
-        self.spec, self.points = spec, points
-        runs = [list(run) for _, run in groupby(
-            points, lambda p: (p[0], p[1].B, p[1].E0, p[1].E_ac))]
-        self.static = [(*run[0], [f.theta for _, f in run],
-                        [f.phi for _, f in run]) for run in runs]
+
+def _one_point(geometry: BoxGeometry, fields: FieldConfig) -> _Run:
+    """The run of a single point, in its own field direction."""
+    return geometry, fields, [fields.theta], [fields.phi]
+
+
+class _Sweep:
+    """The points of one sweep and the results that several tier columns
+    share. The points come as runs (geometry, fields, thetas, phis) that
+    share one static problem and differ only in field direction, given as
+    two lists of radians (fields' own direction is not used). A run's exact
+    minimal and converged models are built once, and evaluate the run
+    direction by direction (exact) or in one batched call (converged).
+    The per-point FieldConfig objects are built only if a closed-form tier
+    asks for them."""
+
+    def __init__(self, spec: SweepSpec, static: list[_Run]):
+        self.spec, self.static = spec, static
+
+    @cached_property
+    def points(self) -> list[tuple[BoxGeometry, FieldConfig]]:
+        """(geometry, fields) at every point, in row order."""
+        return [(g, replace(f, theta=t, phi=p))
+                for g, f, thetas, phis in self.static
+                for t, p in zip(thetas, phis)]
 
     def closed_form(self, fn) -> list[float | None]:
         """fn(material, geometry, orientation, fields) at each point, or None."""
@@ -479,26 +511,33 @@ class _Sweep:
 
 
 def run_e0_sweep(spec: SweepSpec, out: str | Path) -> Path:
+    _import_closed_forms()
     grid = _axis(spec, "e0")
-    sweep = _Sweep(spec, [(spec.geometry, replace(spec.fields, E0=e0))
+    sweep = _Sweep(spec, [_one_point(spec.geometry,
+                                     replace(spec.fields, E0=e0))
                           for e0 in grid])
     return sweep.write(out, {"E0": grid, "f_L": [f_L for _, f_L in sweep.exact]})
 
 
 def run_lz_sweep(spec: SweepSpec, out: str | Path) -> Path:
+    _import_closed_forms()
     grid = _axis(spec, "lz")
-    return _Sweep(spec, [(replace(spec.geometry, L_z=lz), spec.fields)
+    return _Sweep(spec, [_one_point(replace(spec.geometry, L_z=lz), spec.fields)
                          for lz in grid]).write(out, {"L_z": grid})
 
 
 def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
-    if any(t.startswith("converged_") for t in spec.tiers):
+    converged = [t.startswith("converged_") for t in spec.tiers]
+    if any(converged):
         _import_numerics()
+    if not all(converged):
+        _import_closed_forms()
     thetas, phis = zip(*product(_axis(spec, "theta", "_deg"),
                                 _axis(spec, "phi", "_deg")))
-    sweep = _Sweep(spec, [(spec.geometry, replace(
-        spec.fields, theta=radians(t), phi=radians(p)))
-        for t, p in zip(thetas, phis)])
+    # one run: every direction shares the static problem of spec.fields
+    sweep = _Sweep(spec, [(spec.geometry, spec.fields,
+                           [radians(t) for t in thetas],
+                           [radians(p) for p in phis])])
     return sweep.write(out, {"theta_deg": thetas, "phi_deg": phis})
 
 
@@ -557,6 +596,7 @@ def _optimal_direction(spec: SweepSpec, strain: StrainConfig
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
     spec.material.require_strain()
+    _import_closed_forms()
     grid = _axis(spec, "eps")
     # the point nearest zero is the unstrained reference when it misses zero
     # only by rounding (-1.08e-19 on some grids); snapping one point keeps

@@ -197,6 +197,44 @@ def test_closed_form_commands_and_cli_exits_never_load_numpy(tmp_path):
                           "scipy.linalg._flapack"]]]
 
 
+def test_only_the_closed_form_commands_load_the_closed_forms(tmp_path):
+    # --help, a config error, the materials table and an angle-map with
+    # converged tiers only never import holebox.minimal, in one process;
+    # each closed-form command, in a fresh process, does
+    quiet = ["--set", "solver.cutoff=2,2,2", "--set", "sweep.theta_count=2",
+             "--set", "sweep.phi_count=2"]
+    src = str(Path(holebox.__file__).resolve().parents[1])
+    code = ("import contextlib, io, json, sys\n"
+            "import holebox.cli\n"
+            "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    if argv[0] != '--help':\n"
+            "        argv = argv + ['--out', f'{sys.argv[2]}/{k}.csv']\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            rc = holebox.cli.main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            rc = exc.code\n"
+            "    print(json.dumps([rc, 'holebox.minimal' in sys.modules]))")
+
+    def run(*steps):
+        res = subprocess.run([sys.executable, "-c", code, json.dumps(steps),
+                              str(tmp_path)], cwd=src, capture_output=True,
+                             text=True, check=True)
+        return [json.loads(line) for line in res.stdout.splitlines()]
+
+    assert run(["--help"], ["e0-sweep", "--set", "geometry.L_x=0"],
+               ["materials-table"],
+               ["angle-map", "--tier", "converged_zeeman,converged_full",
+                *quiet]) == [[0, False], [1, False], [0, False], [0, False]]
+    for argv in (["e0-sweep", "--set", "sweep.e0_count=2"],
+                 ["lz-sweep", "--set", "sweep.lz_count=2"],
+                 ["angle-map", *quiet],
+                 ["angle-map", "--tier", "analytic2,converged_full", *quiet],
+                 ["strain-sweep", "--set", "sweep.eps_count=2"]):
+        assert run(argv) == [[0, True]], argv
+
+
 def test_closed_form_and_default_converged_commands_never_load_scipy(
         tmp_path):
     # the closed-form commands load nothing of scipy; the default converged

@@ -167,6 +167,78 @@ def test_reduced_model_keeps_ground_doublet_columns():
                                    atol=1e-12 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("material, orientation, cut, n_excited", [
+    (SI, D110, BasisCutoff(6, 6, 4), 40),
+    (get_material("Ge"), Orientation.DOT_100, BasisCutoff(6, 6, 4), 40),
+    # 16 states: k = 8 solved states are the whole + block
+    (SI, D110, BasisCutoff(2, 2, 1), 7)],
+    ids=["Si-110", "Ge-100", "Si-110-whole-block"])
+def test_sector_projection_matches_the_full_eigenbasis(material, orientation,
+                                                       cut, n_excited):
+    """reduce_model projects through the sector's real vectors; its
+    (gm, gp) equal those of the explicit projection V^H G V[:, :2] on
+    solve_spectrum's vectors, and the sector overlaps equal V^H Y row by
+    row: the (v, T v) rows separately, as a sign error in <T v|y> would
+    cancel in f_L and f_R."""
+    H0 = assemble_static(material, BOX, orientation, cut, E0=0.1)
+    spectrum = solve_spectrum(H0, min(2 * (n_excited + 1), cut.dimension))
+    V = spectrum.vectors
+    rng = np.random.default_rng(3)
+    Y = rng.standard_normal((cut.dimension, 3)) \
+        + 1j * rng.standard_normal((cut.dimension, 3))
+    got = spectrum.sector.overlaps(Y)[:spectrum.n_states]
+    want = V.conj().T @ Y
+    for rows in (slice(0, None, 2), slice(1, None, 2)):
+        np.testing.assert_allclose(got[rows], want[rows], rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    axes = ((pi / 2, 0.0), (pi / 2, pi / 2), (0.0, 0.0))
+
+    def columns(G):
+        return V.conj().T @ (G.matrix @ V[:, :2])
+
+    explicit = numeric.ReducedModel(
+        energies=spectrum.energies,
+        zeeman=np.array([columns(assemble_zeeman(material, 1.0, th, ph, cut))
+                         for th, ph in axes]),
+        paramagnetic=np.array([columns(assemble_paramagnetic(
+            material, BOX, 1.0, th, ph, cut, orientation=orientation))
+            for th, ph in axes]),
+        dipole=columns(dipole_y(BOX, cut)))
+    red = reduce_model(material, BOX, orientation, cut, 0.1,
+                       n_excited=n_excited)
+    assert np.array_equal(red.energies, spectrum.energies)
+    for flag in (False, True):
+        for g, g_want in zip(red.g_matrices(flag, n_excited),
+                             explicit.g_matrices(flag, n_excited)):
+            np.testing.assert_allclose(g, g_want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(g_want)))
+
+
+def test_reduce_model_forms_no_full_eigenbasis(monkeypatch):
+    """reduce_model never forms the N x n_states eigenvectors: it phase
+    fixes the ground doublet alone, and the residual check builds at most
+    APPLY_COLUMNS columns at a time, against 82 kept states here."""
+    widths, fixed = [], []
+    pairs, fix = numeric._Sector.pairs, numeric._fix_phases
+
+    def counted_pairs(self, start, stop):
+        built = pairs(self, start, stop)
+        widths.append(built.shape[1])
+        return built
+
+    def counted_fix(vectors):
+        fixed.append(vectors.shape[1])
+        return fix(vectors)
+
+    monkeypatch.setattr(numeric._Sector, "pairs", counted_pairs)
+    monkeypatch.setattr(numeric, "_fix_phases", counted_fix)
+    red = reduce_model(SI, BOX, D110, BasisCutoff(6, 6, 4), E0=0.1)
+    assert red.energies.shape == (82,)
+    assert fixed == [2]
+    assert max(widths) <= numeric.APPLY_COLUMNS
+
+
 def test_pipelines_sum_only_the_static_operator(monkeypatch):
     """reduce_model and converged_rabi assemble H0 once and sum only its
     terms, once, into the mirror block: they never read the dense .matrix,
@@ -385,26 +457,35 @@ def _patch_dsyevr(monkeypatch, change):
         dsyevr=dsyevr, dsyevr_lwork=lapack.dsyevr_lwork))
 
 
+# the two entries to the sector solve, at cutoff (2,2,2) with 8 states
+_SOLVES = {
+    "solve_spectrum": lambda: solve_spectrum(
+        assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1), 8),
+    "reduce_model": lambda: reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2),
+                                         E0=0.1, n_excited=3),
+}
+
+
+@pytest.mark.parametrize("pipeline", _SOLVES)
 @pytest.mark.parametrize("change", [
     lambda e, w, m, isuppz, info: (e, w, m, isuppz, 1),
     lambda e, w, m, isuppz, info: (e, w, m - 1, isuppz, info)],
     ids=["info", "missing_states"])
-def test_lapack_failure_raises_solver_error(change, monkeypatch):
+def test_lapack_failure_raises_solver_error(change, pipeline, monkeypatch):
     """A dsyevr failure (info != 0) or a short subset is a typed error."""
-    H0 = assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1)
     _patch_dsyevr(monkeypatch, change)
     with pytest.raises(numeric.SolverError, match="dsyevr"):
-        solve_spectrum(H0, 8)
+        _SOLVES[pipeline]()
 
 
-def test_nan_eigenvectors_fail_the_residual_check(monkeypatch):
+@pytest.mark.parametrize("pipeline", _SOLVES)
+def test_nan_eigenvectors_fail_the_residual_check(pipeline, monkeypatch):
     """NaN vectors give a NaN residual, which must fail the check rather
     than return NaN energies and vectors."""
-    H0 = assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1)
     _patch_dsyevr(monkeypatch, lambda e, w, m, isuppz, info:
                   (e, np.full_like(w, np.nan), m, isuppz, info))
     with pytest.raises(numeric.SolverError, match="residual"):
-        solve_spectrum(H0, 8)
+        _SOLVES[pipeline]()
 
 
 def test_lapack_loads_without_the_scipy_package_and_falls_back(tmp_path):

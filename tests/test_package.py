@@ -4,6 +4,7 @@ import holebox
 import holebox.basis as basis
 import holebox.hamiltonian as hamiltonian
 import holebox.inputs as inputs
+import holebox.minimal as minimal
 import holebox.numeric as numeric
 import holebox.sweeps as sweeps
 
@@ -32,13 +33,18 @@ def test_unknown_names_raise_attribute_error():
     (hamiltonian, ["AssemblyError", "BasisCutoff", "BoxGeometry",
                    "FieldConfig", "Orientation", "StrainConfig",
                    "bhat_from_angles"]),
-    (numeric, ["BasisCutoff", "BoxGeometry", "FieldConfig", "Orientation",
-               "PairingError", "SolverError", "StrainConfig"]),
-    (sweeps, ["BasisCutoff", "BoxGeometry", "FieldConfig", "Orientation",
+    (numeric, ["BasisCutoff", "BoxGeometry", "DegenerateQubitError",
+               "FieldConfig", "Orientation", "PairingError", "SolverError",
+               "StrainConfig"]),
+    (sweeps, ["BasisCutoff", "BoxGeometry", "DegenerateQubitError",
+              "FieldConfig", "NearDegeneracyError", "Orientation",
               "PairingError", "SolverError", "StrainConfig"]),
-    (holebox, ["AssemblyError", "BasisCutoff", "BoxGeometry", "FieldConfig",
+    (holebox, ["AssemblyError", "BasisCutoff", "BoxGeometry",
+               "DegenerateQubitError", "FieldConfig", "NearDegeneracyError",
                "Orientation", "PairingError", "SolverError", "StrainConfig",
                "bhat_from_angles"]),
+    (minimal, ["BoxGeometry", "DegenerateQubitError", "FieldConfig",
+               "NearDegeneracyError", "Orientation", "StrainConfig"]),
 ])
 def test_old_import_paths_name_the_same_objects(module, names):
     for name in names:
@@ -48,3 +54,9 @@ def test_old_import_paths_name_the_same_objects(module, names):
 def test_sweeps_binds_the_converged_route_on_first_access():
     assert sweeps.reduce_model is numeric.reduce_model
     assert holebox.reduce_model is numeric.reduce_model
+
+
+def test_sweeps_binds_the_closed_forms_on_first_access():
+    # each name bench/tracer.py wraps in holebox.sweeps resolves there
+    for name in sweeps._CLOSED_FORMS:
+        assert getattr(sweeps, name) is getattr(minimal, name)

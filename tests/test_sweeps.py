@@ -9,9 +9,9 @@ import pytest
 from pytest import approx
 
 import holebox.sweeps as sweeps
-from holebox import (BasisCutoff, DegenerateQubitError, MinimalExactModel,
-                     NearDegeneracyError, Orientation, PairingError,
-                     StrainConfig, minimal_exact_model)
+from holebox import (BasisCutoff, DegenerateQubitError, FieldConfig,
+                     MinimalExactModel, NearDegeneracyError, Orientation,
+                     PairingError, StrainConfig, minimal_exact_model)
 from holebox.constants import CONST
 from holebox.sweeps import (TIERS, ConfigError, resolve_spec, run_angle_map,
                             run_e0_sweep, run_lz_sweep, run_materials_table,
@@ -170,6 +170,30 @@ def test_csv_rows_are_streamed(tmp_path):
     size = out.stat().st_size
     assert len(out.read_text("utf-8").splitlines()) == 5 + 4186
     assert peak < size / 4, (peak, size)
+
+
+@pytest.mark.parametrize("tiers, grid, built", [
+    ("converged_zeeman,converged_full", (46, 91), 0),
+    ("analytic2", (3, 4), 12)], ids=["converged", "analytic2"])
+def test_angle_map_builds_field_configs_only_for_closed_forms(
+        tmp_path, monkeypatch, tiers, grid, built):
+    # the direction run goes to the models as two lists of radians, so a
+    # converged-only map builds no per-direction FieldConfig; a closed form
+    # evaluated point by point builds one per direction
+    spec = resolve_spec("angle-map", tiers=tiers, overrides=[
+        "solver.cutoff=3,3,2", f"sweep.theta_count={grid[0]}",
+        f"sweep.phi_count={grid[1]}"])
+    made = []
+    check = FieldConfig.__post_init__
+
+    def counted(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(FieldConfig, "__post_init__", counted)
+    _, _, rows = _read_csv(run_angle_map(spec, tmp_path / "map.csv"))
+    assert len(rows) == grid[0] * grid[1]
+    assert len(made) == built
 
 
 def test_e0_sweep_respects_tier_selection(tmp_path):
