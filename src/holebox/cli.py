@@ -67,9 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma separated result tiers to compute")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="accepted for compatibility (N >= 1); has no "
-                            "effect: the closed forms run in one Python "
-                            "thread, a converged grid as batched numpy "
-                            "passes")
+                            "effect: every field direction is evaluated in "
+                            "one Python thread")
         p.add_argument("--set", metavar="SECTION.KEY=VALUE", action="append",
                        default=[], dest="overrides",
                        help="override one config value; repeatable")

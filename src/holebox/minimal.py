@@ -14,9 +14,9 @@ Two independent evaluation routes coexist on purpose:
   three excited doublets into two real 3x3 g-matrices (MinimalExactModel).
 They must agree in slope as E0 -> 0; tests enforce it.
 
-Both routes run on Python floats, the exact one with its own 4x4 Jacobi
-eigensolver and its own Zeeman and dipole templates, so this module imports
-no numpy and shares no code with the converged numerics.
+Both routes run on Python floats. The exact one builds its (gm, gp) with
+its own 4x4 Jacobi eigensolver and Zeeman and dipole templates, and shares
+only holebox.gmatrix, which evaluates the pair, with the converged numerics.
 
 Sign conventions: Lambda = -e E0 <1|y|2> > 0 for E0 > 0; h = -R/W carries
 the sign of -R; beta is real non-negative and alpha carries all the phase
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import cos, hypot, inf, pi, sin, sqrt
 
+from . import gmatrix
 from .basis import position_element
 from .constants import CONST
 from .inputs import (BoxGeometry, DegenerateQubitError, FieldConfig,
@@ -415,31 +416,10 @@ class MinimalExactModel:
 
     def qubit(self, B: float, theta: float, phi: float,
               E_ac: float) -> tuple[float, float]:
-        """(f_R, f_L) in GHz for the field direction b at (theta, phi). With
-        v = gm b and w = gp b, the ground doublet splits by |B| |v|, so
-        f_L = |B| |v| / h, and the drive matrix element at first order in B
-        gives f_R = e E_ac |B| |v x w| / (2 h |v|), 0 where v vanishes.
-        Raises ValueError for E_ac < 0."""
-        if E_ac < 0:
-            raise ValueError(f"E_ac must be >= 0, got {E_ac}")
-        # bhat_from_angles, written out: this runs once per direction
-        st = sin(theta)
-        b0, b1, b2 = st * cos(phi), st * sin(phi), cos(theta)
-        (m0, m1, m2), (m3, m4, m5), (m6, m7, m8) = self.gm
-        (p0, p1, p2), (p3, p4, p5), (p6, p7, p8) = self.gp
-        v0, v1, v2 = (m0 * b0 + m1 * b1 + m2 * b2, m3 * b0 + m4 * b1 + m5 * b2,
-                      m6 * b0 + m7 * b1 + m8 * b2)
-        w0, w1, w2 = (p0 * b0 + p1 * b1 + p2 * b2, p3 * b0 + p4 * b1 + p5 * b2,
-                      p6 * b0 + p7 * b1 + p8 * b2)
-        # products, not powers: a float power raises OverflowError
-        v_norm = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-        c0, c1, c2 = v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
-        cross = sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-        B = abs(B)
-        # v = 0 makes v x w = 0 too, so dividing by 1 there gives f_R = 0
-        f_R = (CONST.e_scale * E_ac * B * cross
-               / (2 * CONST.h_planck * (v_norm if v_norm > 0 else 1.0)))
-        return f_R, B * v_norm / CONST.h_planck
+        """(f_R, f_L) in GHz for the field direction b at (theta, phi), by
+        holebox.gmatrix.qubit: DegenerateQubitError where the doublet does
+        not split, ValueError for E_ac < 0."""
+        return gmatrix.qubit(self.gm, self.gp, B, theta, phi, E_ac)
 
 
 def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,

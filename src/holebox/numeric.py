@@ -6,7 +6,8 @@ in B, is then treated at first order: its 2x2 projection on the ground
 doublet gives the Larmor frequency, and the drive matrix element between
 the split qubit states comes from a sum over excited doublets. For angle
 grids, ReducedModel contracts both once into two real 3x3 matrices (gm,
-gp), so that a field direction costs a few 3-vectors.
+gp), which holebox.gmatrix evaluates, as it does the pair of the exact
+minimal route; rabi_sum_over_states, with no (gm, gp), checks it.
 
 The static problem is solved in one mirror sector. H0 commutes with
 M_z = P_z exp(-i pi J_z) (P_z: z parity, which is (-1)^(n_z + 1) on the
@@ -48,7 +49,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import gmatrix
 from .constants import CONST
+from .gmatrix import MIN_SPLIT
 from .hamiltonian import (APPLY_COLUMNS, HamiltonianMatrix,
                           assemble_paramagnetic, assemble_static,
                           assemble_zeeman, dipole_y)
@@ -60,7 +63,6 @@ from .materials import MaterialParams
 DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
 DEFAULT_N_EXCITED = 40
-MIN_SPLIT = 1e-12       # meV; below it the qubit states are ill-defined
 
 # the tiers a RabiResult can carry, indexed by include_paramagnetic
 CONVERGED_TIERS = ("converged_zeeman", "converged_full")
@@ -477,46 +479,26 @@ class ReducedModel:
                   n_excited: int = DEFAULT_N_EXCITED,
                   ) -> tuple[np.ndarray, np.ndarray]:
         """f_L and f_R (GHz) for every direction of the broadcast
-        (thetas, phis), NaN where the qubit splitting is below MIN_SPLIT.
-
-        With v = gm b and w = gp b (g_matrices), the splitting is B |v|,
-        f_L = B |v| / h and f_R = e E_ac B |v x w| / (2 h |v|); memory is a
-        few 3-vectors per direction. Raises ValueError for E_ac < 0, and
-        DegenerateQubitError for an excited doublet degenerate with the
+        (thetas, phis): gmatrix.frequencies on g_matrices, NaN where the
+        qubit splitting is below MIN_SPLIT. Raises ValueError for E_ac < 0,
+        and DegenerateQubitError for an excited doublet degenerate with the
         ground one (not for excited doublets degenerate with each other).
         """
-        if E_ac < 0:
-            raise ValueError(f"E_ac must be >= 0, got {E_ac}")
-        t, p = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
-        b = np.stack(np.broadcast_arrays(
-            np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)), axis=-1)
-        gm, gp = self.g_matrices(include_paramagnetic, n_excited)
-        # elementwise over the three axes, not a matmul over directions, so
-        # that a lone direction rounds like a batched one
-        v, w = (sum(g[:, i] * b[..., i, None] for i in range(3))
-                for g in (gm, gp))
-        # NaN where the splitting |B| |v| is below MIN_SPLIT, which then
-        # makes f_R NaN with no floating-point warning
-        v_norm = np.linalg.norm(v, axis=-1)
-        B = abs(B)      # a field -B along b is B along -b: same frequencies
-        v_norm = np.where(B * v_norm >= MIN_SPLIT, v_norm, np.nan)
-        cross = np.linalg.norm(np.cross(v, w), axis=-1)
-        f_R = CONST.e_scale * E_ac * B * cross / (2 * CONST.h_planck * v_norm)
-        return B * v_norm / CONST.h_planck, f_R
+        t, p = np.broadcast_arrays(thetas, phis)
+        f_R, f_L = gmatrix.frequencies(
+            *self.g_matrices(include_paramagnetic, n_excited), B,
+            t.ravel().tolist(), p.ravel().tolist(), E_ac)
+        return np.reshape(f_L, t.shape), np.reshape(f_R, t.shape)
 
     def rabi(self, B: float, theta: float, phi: float, E_ac: float, *,
              include_paramagnetic: bool = True,
              n_excited: int = DEFAULT_N_EXCITED) -> RabiResult:
-        """One direction of rabi_grid; raises DegenerateQubitError where the
-        grid gives NaN."""
-        f_L, f_R = self.rabi_grid(B, theta, phi, E_ac,
-                                  include_paramagnetic=include_paramagnetic,
-                                  n_excited=n_excited)
-        if np.isnan(f_L):
-            raise DegenerateQubitError(
-                f"qubit splitting below {MIN_SPLIT:.0e} meV; Rabi frequency "
-                "ill-defined for this field direction")
-        return RabiResult(f_L=float(f_L), f_R=float(f_R),
+        """One direction, by holebox.gmatrix.qubit: raises
+        DegenerateQubitError where rabi_grid gives NaN."""
+        f_R, f_L = gmatrix.qubit(
+            *self.g_matrices(include_paramagnetic, n_excited), B, theta, phi,
+            E_ac)
+        return RabiResult(f_L=f_L, f_R=f_R,
                           tier=CONVERGED_TIERS[include_paramagnetic])
 
 

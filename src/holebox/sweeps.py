@@ -13,6 +13,10 @@ sidecar's SHA-256, computed with the interpreter's built-in SHA-256
 module rather than hashlib, which would load OpenSSL into every run.
 Rows are streamed into the file, so a table is never held whole as text.
 
+Both qubit routes give each run of directions one (gm, gp) pair and one
+holebox.gmatrix.frequencies call, so where the splitting vanishes both
+leave the cell empty.
+
 Importing this module loads no numpy: the spec, the grids, the CSV code,
 the closed forms, the exact minimal route and the strain-sweep optimum run
 on Python floats, so no command loads it at its default tiers. Only an
@@ -20,7 +24,7 @@ angle-map that requests a converged tier imports numpy and the converged
 route, first thing, before it builds its grid. The closed forms
 (holebox.minimal) are imported by the commands that use them, so an
 angle-map with converged tiers only, --help, a configuration error and the
-materials table never load them.
+materials table never load them; holebox.gmatrix comes with either route.
 """
 from __future__ import annotations
 
@@ -30,7 +34,8 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
-from math import atan2, degrees, inf, isfinite, isnan, nan, radians, sqrt
+from operator import attrgetter
+from math import inf, isfinite, isnan, nan, radians, sqrt
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,7 +76,7 @@ TIERS = {
     "analytic4": Tier(("lz-sweep", "angle-map"), lambda s: s.closed_form(
         lambda *point: rabi_thin_dot(*point, 4))),
     "minimal_exact": Tier(("e0-sweep", "angle-map", "strain-sweep"),
-                          lambda s: [f_R for f_R, _ in s.exact]),
+                          lambda s: s.exact[0]),
     "linearized": Tier(("e0-sweep", "lz-sweep"), lambda s: s.linearized),
     "renormalized": Tier(("e0-sweep",), lambda s: s.renormalized()),
     "converged_zeeman": Tier(("angle-map",), lambda s: s.converged(False),
@@ -127,6 +132,9 @@ def __getattr__(name: str):
         _import_numerics()
     elif name in _CLOSED_FORMS:
         _import_closed_forms()
+    elif name == "_best_direction":     # gmatrix.best_direction's old name
+        from .gmatrix import best_direction
+        return best_direction
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals()[name]
@@ -429,11 +437,10 @@ class _Sweep:
     """The points of one sweep and the results that several tier columns
     share. The points come as runs (geometry, fields, thetas, phis) that
     share one static problem and differ only in field direction, given as
-    two lists of radians (fields' own direction is not used). A run's exact
-    minimal and converged models are built once, and evaluate the run
-    direction by direction (exact) or in one batched call (converged).
-    The per-point FieldConfig objects are built only if a closed-form tier
-    asks for them."""
+    two lists of radians (fields' own direction is not used). Each route
+    builds a run's (gm, gp) once and evaluates all its directions in one
+    gmatrix.frequencies call. The per-point FieldConfig objects are built
+    only if a closed-form tier asks for them."""
 
     def __init__(self, spec: SweepSpec, static: list[_Run]):
         self.spec, self.static = spec, static
@@ -455,23 +462,38 @@ class _Sweep:
                 cells.append(None)
         return cells
 
-    @cached_property
-    def exact(self) -> list[tuple[float | None, float | None]]:
-        """(f_R, f_L) of the exact minimal route; a point error of a static
-        problem empties both cells of all its directions."""
-        s, cells = self.spec, []
+    def _frequencies(self, pair: Callable, point: Callable | None = None,
+                     ) -> tuple[list[float | None], list[float | None]]:
+        """The f_R and f_L columns: pair(geometry, fields) is a run's
+        (gm, gp), and one gmatrix.frequencies call evaluates all its
+        directions; point(geometry, fields), if given, evaluates a run of one
+        direction instead. A cell is empty where the qubit splitting
+        vanishes, and a point error of a run empties both cells of all its
+        directions."""
+        from . import gmatrix
+        f_R, f_L = [], []
         for g, f, thetas, phis in self.static:
-            dot = (s.material, g, s.orientation)
             try:
-                if len(thetas) == 1:    # one direction of the same kernel
-                    cells.append(minimal_exact_qubit(*dot, f))
+                if point is not None and len(thetas) == 1:
+                    run_R, run_L = ([x] for x in point(g, f))   # lists of one
                 else:
-                    qubit = minimal_exact_model(*dot, f.E0).qubit
-                    cells += [qubit(f.B, t, p, f.E_ac)
-                              for t, p in zip(thetas, phis)]
+                    run_R, run_L = gmatrix.frequencies(
+                        *pair(g, f), f.B, thetas, phis, f.E_ac)
             except SOLVER_ERRORS:
-                cells += [(None, None)] * len(thetas)
-        return cells
+                run_R = run_L = [nan] * len(thetas)
+            f_R.extend(None if isnan(x) else x for x in run_R)
+            f_L.extend(None if isnan(x) else x for x in run_L)
+        return f_R, f_L
+
+    @cached_property
+    def exact(self) -> tuple[list[float | None], list[float | None]]:
+        """The f_R and f_L columns of the exact minimal route; a run of one
+        direction calls minimal_exact_qubit, which builds the same model."""
+        s, gm_gp = self.spec, attrgetter("gm", "gp")
+        return self._frequencies(
+            lambda g, f: gm_gp(minimal_exact_model(s.material, g,
+                                                   s.orientation, f.E0)),
+            lambda g, f: minimal_exact_qubit(s.material, g, s.orientation, f))
 
     @cached_property
     def linearized(self) -> list[float | None]:
@@ -485,23 +507,19 @@ class _Sweep:
             e_max=e_max(g)) for (g, f), lin in zip(self.points, self.linearized)]
 
     @cached_property
-    def _reduced(self) -> list[ReducedModel]:
+    def _reduced(self) -> dict[tuple[BoxGeometry, float], ReducedModel]:
         s = self.spec
-        return [reduce_model(s.material, g, s.orientation, s.cutoff, f.E0,
-                             n_excited=s.n_excited) for g, f, *_ in self.static]
+        return {(g, f.E0): reduce_model(s.material, g, s.orientation, s.cutoff,
+                                        f.E0, n_excited=s.n_excited)
+                for g, f, *_ in self.static}
 
     def converged(self, include_paramagnetic: bool) -> list[float | None]:
-        """A point error of a model empties the cells of all its directions."""
-        cells = []
-        for model, (_, f, thetas, phis) in zip(self._reduced, self.static):
-            try:
-                f_R = model.rabi_grid(
-                    f.B, thetas, phis, f.E_ac, n_excited=self.spec.n_excited,
-                    include_paramagnetic=include_paramagnetic)[1].tolist()
-            except SOLVER_ERRORS:
-                f_R = [nan] * len(thetas)
-            cells += [None if isnan(v) else v for v in f_R]
-        return cells
+        # the models are built outside _frequencies, so that a failed solve
+        # stops the command rather than emptying the column
+        models, n_excited = self._reduced, self.spec.n_excited
+        return self._frequencies(
+            lambda g, f: models[g, f.E0].g_matrices(include_paramagnetic,
+                                                    n_excited))[0]
 
     def write(self, out: str | Path, leading: dict[str, list]) -> Path:
         """The CSV: the leading columns, then the f_R column of each tier."""
@@ -516,7 +534,7 @@ def run_e0_sweep(spec: SweepSpec, out: str | Path) -> Path:
     sweep = _Sweep(spec, [_one_point(spec.geometry,
                                      replace(spec.fields, E0=e0))
                           for e0 in grid])
-    return sweep.write(out, {"E0": grid, "f_L": [f_L for _, f_L in sweep.exact]})
+    return sweep.write(out, {"E0": grid, "f_L": sweep.exact[1]})
 
 
 def run_lz_sweep(spec: SweepSpec, out: str | Path) -> Path:
@@ -541,57 +559,23 @@ def run_angle_map(spec: SweepSpec, out: str | Path) -> Path:
     return sweep.write(out, {"theta_deg": thetas, "phi_deg": phis})
 
 
-def _best_direction(gm, gp) -> tuple[float, float]:
-    """(theta_deg, phi_deg) maximizing f_R for a (gm, gp) pair diagonal in
-    the box axes, in [0, 90] degrees: f_R then depends on b only through
-    b_i^2, which also makes f_R(theta, phi) = f_R(theta, 180 - phi).
-
-    With g = diag(gm), p = diag(gp), x_i = b_i^2 and
-    d_ij = g_i p_j - g_j p_i, f_R^2 is proportional to
-    sum_{i<j} d_ij^2 x_i x_j / sum_i g_i^2 x_i, whose maximum over the
-    simplex sum x_i = 1 lies on an edge (i, j): |d_ij| / (|g_i| + |g_j|), at
-    b_i^2 = |g_j| / (|g_i| + |g_j|). The edges xz (phi = 0), yz (phi = 90)
-    and xy (theta = 90) are tried in that order from (0, 0) at score 0, and
-    only a strictly higher score replaces the best: ties go to the first
-    edge, and a map flat at zero reports (0, 0). Raises
-    DegenerateQubitError when the winning edge has a zero g, whose supremum
-    lies at a direction with no splitting, and ValueError when an
-    off-diagonal entry exceeds 1e-12 of its matrix's largest diagonal one.
-    """
-    for m in (gm, gp):
-        scale = max(abs(m[i][i]) for i in range(3))
-        if any(abs(m[i][j]) > 1e-12 * scale
-               for i in range(3) for j in range(3) if i != j):
-            raise ValueError("(gm, gp) is not diagonal in the box axes")
-    g, p = [gm[i][i] for i in range(3)], [gp[i][i] for i in range(3)]
-    best, angles, zero_g = 0.0, (0.0, 0.0), False
-    # edge (i, j): b_i = sin(a) and b_j = cos(a), with tan(a)^2 = |g_j / g_i|
-    for i, j, edge in ((0, 2, lambda a: (a, 0.0)), (1, 2, lambda a: (a, 90.0)),
-                       (1, 0, lambda a: (90.0, a))):
-        den = abs(g[i]) + abs(g[j])
-        score = abs(g[i] * p[j] - g[j] * p[i]) / den if den else 0.0
-        if score > best:
-            best, zero_g = score, 0.0 in (g[i], g[j])
-            angles = edge(degrees(atan2(sqrt(abs(g[j])), sqrt(abs(g[i])))))
-    if zero_g:
-        raise DegenerateQubitError("the best direction has no qubit splitting")
-    return angles
-
-
 def _optimal_direction(spec: SweepSpec, strain: StrainConfig
                        ) -> tuple[float, float, float, float]:
     """(theta_deg, phi_deg, f_R, f_L) at the direction maximizing the exact
-    minimal-basis Rabi frequency: _best_direction of the model's (gm, gp),
-    or (0, 0) where B E_ac = 0 makes f_R vanish in every direction. f_R and
-    f_L are the model's qubit at the reported angles, so they equal
-    minimal_exact_qubit there bit for bit."""
+    minimal-basis Rabi frequency: gmatrix.best_direction of the model's
+    (gm, gp), or (0, 0) where E_ac = 0 makes f_R vanish in every direction.
+    f_R and f_L are gmatrix.qubit at the reported angles, so they equal
+    minimal_exact_qubit there bit for bit, and raise DegenerateQubitError
+    where the qubit does not split, as at B = 0."""
+    from . import gmatrix
     f = spec.fields
     model = minimal_exact_model(spec.material, spec.geometry,
                                 spec.orientation, f.E0, strain=strain)
-    t_opt, p_opt = ((0.0, 0.0) if f.B * f.E_ac == 0
-                    else _best_direction(model.gm, model.gp))
-    return (t_opt, p_opt,
-            *model.qubit(f.B, radians(t_opt), radians(p_opt), f.E_ac))
+    t_opt, p_opt = ((0.0, 0.0) if f.E_ac == 0
+                    else gmatrix.best_direction(model.gm, model.gp))
+    return (t_opt, p_opt, *gmatrix.qubit(model.gm, model.gp, f.B,
+                                         radians(t_opt), radians(p_opt),
+                                         f.E_ac))
 
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:

@@ -326,8 +326,9 @@ def test_cube_dot_exits_zero_with_empty_cells_not_nan(tmp_path):
 
 @pytest.mark.parametrize("setting", ["fields.E_ac=0", "fields.B=0"])
 def test_strain_sweep_on_a_flat_map_reports_the_origin(tmp_path, setting):
-    # without drive or field f_R is 0 in every direction, so no direction
-    # beats another and every row reports the origin, (0, 0)
+    # without drive f_R is 0 in every direction, so no direction beats
+    # another and every row reports the origin, (0, 0); without field the
+    # qubit does not split, so f_R, f_L and the angles are empty
     out = tmp_path / "flat.csv"
     assert cli.main(["strain-sweep", "--out", str(out), "--set", setting,
                      "--set", "sweep.eps_count=2"]) == 0
@@ -335,7 +336,11 @@ def test_strain_sweep_on_a_flat_map_reports_the_origin(tmp_path, setting):
             for line in out.read_text("utf-8").splitlines()[5:]]
     assert len(rows) == 2
     for row in rows:
-        assert row[2] == "0.0" and row[4:6] == ["0.0", "0.0"]
+        if setting == "fields.E_ac=0":
+            assert row[2] == "0.0" and float(row[3]) > 0
+            assert row[4:6] == ["0.0", "0.0"]
+        else:
+            assert row[2:6] == ["", "", "", ""]
 
 
 _SMALL_CONVERGED_MAP = ["angle-map", "--set", "solver.cutoff=3,3,2",
@@ -353,8 +358,10 @@ def test_converged_angle_map_empty_at_zero_field(tmp_path):
     header = lines[4].split(",")
     rows = [line.split(",") for line in lines[5:]]
     assert len(rows) == 12
-    col = header.index("f_R_converged_full")
-    assert all(row[col] == "" for row in rows)
+    # one rule on both routes: no splitting, no frequency
+    for column in ("f_R_minimal_exact", "f_R_converged_full"):
+        col = header.index(column)
+        assert all(row[col] == "" for row in rows)
 
 
 def test_threads_flag_gives_identical_converged_angle_map(tmp_path):

@@ -1,0 +1,123 @@
+"""The one (gm, gp) kernel that both qubit routes evaluate their pair with."""
+import subprocess
+import sys
+from dataclasses import replace
+from math import isfinite, isnan, radians
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import holebox
+import holebox.cli as cli
+from holebox import (BasisCutoff, BoxGeometry, DegenerateQubitError,
+                     FieldConfig, Orientation, get_material, gmatrix,
+                     minimal_exact_model, minimal_exact_qubit, reduce_model)
+
+SI = get_material("Si")
+BOX = BoxGeometry(40.0, 30.0, 10.0)
+D110 = Orientation.DOT_110
+REF = FieldConfig(B=1.0, theta=radians(45), phi=radians(90), E0=0.1,
+                  E_ac=0.03)
+THETAS = np.radians(np.linspace(0, 90, 7))[:, None]
+PHIS = np.radians(np.linspace(0, 180, 9))[None, :]
+GRID = [a.ravel().tolist() for a in np.broadcast_arrays(THETAS, PHIS)]
+
+
+def _minimal(material):
+    """The exact minimal route's pair, and its one-direction calls."""
+    model = minimal_exact_model(material, BOX, D110, REF.E0)
+    return (model.gm, model.gp), [
+        lambda f: model.qubit(f.B, f.theta, f.phi, f.E_ac),
+        lambda f: minimal_exact_qubit(material, BOX, D110, f)]
+
+
+def _converged(material):
+    """The converged Zeeman-only pair, and its one-direction call: with
+    kappa = 0 it has no field coupling at all, while the orbital term of the
+    full tier would still split the doublet."""
+    model = reduce_model(material, BOX, D110, BasisCutoff(3, 3, 2), REF.E0)
+
+    def rabi(f):
+        r = model.rabi(f.B, f.theta, f.phi, f.E_ac,
+                       include_paramagnetic=False)
+        return r.f_R, r.f_L
+    return model.g_matrices(False), [rabi]
+
+
+@pytest.mark.parametrize("route", [_minimal, _converged])
+@pytest.mark.parametrize("material, fields", [
+    (SI, replace(REF, B=0.0)), (replace(SI, kappa=0.0), REF)],
+    ids=["B=0", "kappa=0"])
+def test_no_splitting_leaves_both_frequencies_undefined(route, material,
+                                                        fields):
+    pair, calls = route(material)
+    f_R, f_L = gmatrix.frequencies(*pair, fields.B, *GRID, fields.E_ac)
+    assert len(f_R) == len(f_L) == 7 * 9
+    assert all(isnan(f) for f in f_R + f_L)
+    for call in calls:
+        with pytest.raises(DegenerateQubitError, match="splitting below"):
+            call(fields)
+
+
+@pytest.mark.parametrize("route", [_minimal, _converged])
+def test_zero_drive_gives_zero_rabi_on_a_split_qubit(route):
+    pair, calls = route(SI)
+    fields = replace(REF, E_ac=0.0)
+    f_R, f_L = gmatrix.frequencies(*pair, fields.B, *GRID, fields.E_ac)
+    assert f_R == [0.0] * (7 * 9)
+    assert all(isfinite(f) and f > 0 for f in f_L)
+    for call in calls:
+        f_R, f_L = call(fields)
+        assert f_R == 0.0 and isfinite(f_L) and f_L > 0
+
+
+def test_rabi_grid_broadcasts_the_kernel():
+    red = reduce_model(SI, BOX, D110, BasisCutoff(3, 3, 2), REF.E0)
+    thetas = np.radians(np.linspace(0, 90, 46))[:, None]
+    phis = np.radians(np.linspace(0, 180, 91))[None, :]
+    t, p = (a.ravel().tolist() for a in np.broadcast_arrays(thetas, phis))
+    for flag in (False, True):
+        f_L, f_R = red.rabi_grid(REF.B, thetas, phis, REF.E_ac,
+                                 include_paramagnetic=flag)
+        want_R, want_L = gmatrix.frequencies(*red.g_matrices(flag), REF.B, t,
+                                             p, REF.E_ac)
+        assert f_L.shape == f_R.shape == (46, 91)
+        assert (f_L == np.reshape(want_L, (46, 91))).all()
+        assert (f_R == np.reshape(want_R, (46, 91))).all()
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("holebox.minimal", ["numpy", "holebox.hamiltonian", "holebox.numeric"]),
+    ("holebox.numeric", ["holebox.minimal"]),
+    ("holebox.cli", ["holebox.gmatrix"])], ids=["minimal", "numeric", "cli"])
+def test_routes_share_only_the_kernel(module, absent):
+    # each route builds its own pair and loads the kernel, not the other
+    # route; importing the CLI, which every command pays for, loads neither
+    # route nor the kernel
+    src = str(Path(holebox.__file__).resolve().parents[1])
+    code = (f"import sys, {module}\n"
+            f"print([m for m in {absent!r} if m in sys.modules],\n"
+            "      'holebox.gmatrix' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == f"[] {module != 'holebox.cli'}"
+
+
+def test_angle_map_calls_the_kernel_once_per_tier(tmp_path, monkeypatch):
+    # every tier, closed-form or converged, looks the kernel up by its
+    # module's name, so one rebinding sees both routes
+    calls = []
+    frequencies = gmatrix.frequencies
+
+    def counted(gm, gp, B, thetas, phis, E_ac):
+        calls.append(len(thetas))
+        return frequencies(gm, gp, B, thetas, phis, E_ac)
+
+    monkeypatch.setattr(gmatrix, "frequencies", counted)
+    assert cli.main([
+        "angle-map", "--out", str(tmp_path / "m.csv"),
+        "--tier", "minimal_exact,converged_zeeman,converged_full",
+        "--set", "solver.cutoff=3,3,2", "--set", "sweep.theta_count=3",
+        "--set", "sweep.phi_count=4"]) == 0
+    assert calls == [12, 12, 12]

@@ -1,7 +1,7 @@
 import subprocess
 import sys
 from dataclasses import replace
-from math import hypot, pi, radians, sqrt
+from math import hypot, isnan, pi, radians, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +12,9 @@ import holebox
 from holebox import (BoxGeometry, DegenerateQubitError, FieldConfig,
                      MaterialParams, NearDegeneracyError, Orientation,
                      StrainConfig, e0_max, e0_max_thin, electric_mixing,
-                     get_material, light_hole_rabi, minimal_exact_model,
-                     minimal_exact_qubit, minimal_exact_rabi, mixed_subbands,
-                     qubit_coefficients,
+                     get_material, gmatrix, light_hole_rabi,
+                     minimal_exact_model, minimal_exact_qubit,
+                     minimal_exact_rabi, mixed_subbands, qubit_coefficients,
                      rabi_linearized, rabi_thin_dot, renormalized_rabi,
                      strain_divergence_eps, strain_equal_mixing_eps,
                      strain_equivalent_height, strain_transition_eps,
@@ -377,13 +377,16 @@ def test_jacobi_eigh_matches_lapack(name):
 
 
 def test_exact_kernel_vanishes_without_splitting():
-    # B = 0 or kappa = 0 leaves v = 0: f_R is 0, not a division by zero
+    # B = 0 or kappa = 0 leaves v = 0, where the qubit states are not fixed
+    # and |v x w| / |v| has no limit: both frequencies are undefined
     model = minimal_exact_model(SI, BOX, D110, 0.1)
-    assert model.qubit(0.0, 0.7, 1.5, 0.03) == (0.0, 0.0)
     dead = minimal_exact_model(replace(SI, kappa=0.0), BOX, D110, 0.1)
-    assert dead.qubit(1.0, 0.7, 1.5, 0.03) == (0.0, 0.0)
-    assert minimal_exact_qubit(replace(SI, kappa=0.0), BOX, D110,
-                               replace(REF_FIELDS, B=0.0)) == (0.0, 0.0)
+    for call in (lambda: model.qubit(0.0, 0.7, 1.5, 0.03),
+                 lambda: dead.qubit(1.0, 0.7, 1.5, 0.03),
+                 lambda: minimal_exact_qubit(replace(SI, kappa=0.0), BOX,
+                                             D110, replace(REF_FIELDS, B=0.0))):
+        with pytest.raises(DegenerateQubitError, match="splitting below"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +423,15 @@ def test_batched_exact_route_matches_8x8_reference():
 
 
 def test_batched_exact_route_vanishes_at_zero_field():
-    model = minimal_exact_model(SI, BOX, D110, 0.1)
-    f_R, f_L = np.vectorize(model.qubit)(0.0, THETAS, PHIS, 0.03)
-    assert f_R.shape == (7, 9)
-    assert not f_R.any() and not f_L.any()
-    # kappa = 0: the doublet does not split at any field, and f_R is 0
-    # rather than 0/0
-    model = minimal_exact_model(replace(SI, kappa=0.0), BOX, D110, 0.1)
-    with np.errstate(all="raise"):
-        f_R, f_L = np.vectorize(model.qubit)(1.0, THETAS, PHIS, 0.03)
-    assert f_R.shape == f_L.shape == (7, 9)
-    assert not f_R.any() and not f_L.any()
+    # the splitting vanishes, so both frequencies are NaN in every
+    # direction; kappa = 0 leaves the doublet unsplit at any field, and the
+    # kernel divides by no zero
+    t, p = (a.ravel().tolist() for a in np.broadcast_arrays(THETAS, PHIS))
+    for material, B in ((SI, 0.0), (replace(SI, kappa=0.0), 1.0)):
+        model = minimal_exact_model(material, BOX, D110, 0.1)
+        f_R, f_L = gmatrix.frequencies(model.gm, model.gp, B, t, p, 0.03)
+        assert len(f_R) == len(f_L) == 7 * 9
+        assert all(isnan(f) for f in f_R + f_L)
 
 
 def test_batched_exact_route_rejects_negative_drive():

@@ -15,7 +15,7 @@ from holebox import (BasisCutoff, BoxGeometry, DegenerateQubitError,
                      FieldConfig, HamiltonianMatrix, Orientation, PairingError,
                      RabiResult, StrainConfig, assemble_paramagnetic,
                      assemble_static, assemble_zeeman, converged_rabi,
-                     dipole_y, get_material, minimal_exact_qubit,
+                     dipole_y, get_material, gmatrix, minimal_exact_qubit,
                      pair_doublets, rabi_sum_over_states, reduce_model,
                      solve_spectrum)
 from holebox.basis import derivative_matrix
@@ -336,10 +336,16 @@ def test_rabi_grid_gives_nan_where_the_splitting_vanishes():
 
 
 def test_rabi_grid_rejects_negative_drive():
+    # so do the one-direction call and the shared kernel under both
     red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
                        n_excited=10)
-    with pytest.raises(ValueError, match="E_ac must be >= 0"):
-        red.rabi_grid(1.0, 0.3, 0.2, -0.03)
+    gm, gp = red.g_matrices()
+    for call in (lambda: red.rabi_grid(1.0, 0.3, 0.2, -0.03),
+                 lambda: red.rabi(1.0, 0.3, 0.2, -0.03),
+                 lambda: gmatrix.frequencies(gm, gp, 1.0, [0.3], [0.2], -0.03),
+                 lambda: gmatrix.qubit(gm, gp, 1.0, 0.3, 0.2, -0.03)):
+        with pytest.raises(ValueError, match="E_ac must be >= 0"):
+            call()
     assert red.rabi_grid(1.0, 0.3, 0.2, 0.0)[1] == 0.0
 
 

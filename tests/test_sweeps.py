@@ -11,7 +11,7 @@ from pytest import approx
 import holebox.sweeps as sweeps
 from holebox import (BasisCutoff, DegenerateQubitError, FieldConfig,
                      MinimalExactModel, NearDegeneracyError, Orientation,
-                     PairingError, StrainConfig, minimal_exact_model)
+                     PairingError, StrainConfig, gmatrix, minimal_exact_model)
 from holebox.constants import CONST
 from holebox.sweeps import (TIERS, ConfigError, resolve_spec, run_angle_map,
                             run_e0_sweep, run_lz_sweep, run_materials_table,
@@ -292,14 +292,14 @@ def _diagonal_model(g, p):
 def test_best_direction_ties_go_to_the_first_edge():
     # the xz and yz edges both score 1/2; xz comes first
     model = _diagonal_model((1.0, 1.0, 1.0), (0.0, 0.0, 1.0))
-    assert sweeps._best_direction(model.gm, model.gp) == (45.0, 0.0)
+    assert gmatrix.best_direction(model.gm, model.gp) == (45.0, 0.0)
 
 
 def test_best_direction_with_no_splitting_raises():
     # the xz edge wins, and its supremum lies along x, where gm b = 0
     model = _diagonal_model((0.0, 1.0, 2.0), (1.0, 0.0, 0.0))
     with pytest.raises(DegenerateQubitError):
-        sweeps._best_direction(model.gm, model.gp)
+        gmatrix.best_direction(model.gm, model.gp)
 
 
 def test_best_direction_needs_diagonal_matrices():
@@ -308,7 +308,7 @@ def test_best_direction_needs_diagonal_matrices():
     tilted = ((1.0, 1e-9, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
     for gm, gp in ((diagonal, tilted), (tilted, diagonal)):
         with pytest.raises(ValueError, match="not diagonal"):
-            sweeps._best_direction(gm, gp)
+            gmatrix.best_direction(gm, gp)
 
 
 def test_best_direction_beats_the_sampled_simplex():
@@ -321,7 +321,7 @@ def test_best_direction_beats_the_sampled_simplex():
     for _ in range(500):
         g, p = rng.standard_normal(3), rng.standard_normal(3)
         model = _diagonal_model(tuple(g), tuple(p))
-        t, ph = sweeps._best_direction(model.gm, model.gp)
+        t, ph = gmatrix.best_direction(model.gm, model.gp)
         got = model.qubit(1.0, radians(t), radians(ph), 0.03)[0]
         v, w = g * b, p * b
         sampled = (CONST.e_scale * 0.03 * np.linalg.norm(np.cross(v, w), axis=1)
@@ -372,7 +372,7 @@ def test_point_errors_empty_a_cell_or_a_converged_column(tmp_path,
         return thin_dot(material, geometry, orientation, fields, order)
 
     class Unpairable:
-        def rabi_grid(self, *args, **kwargs):
+        def g_matrices(self, *args, **kwargs):
             raise PairingError("synthetic")
 
     monkeypatch.setattr(sweeps, "rabi_thin_dot", flaky_thin_dot)
