@@ -26,16 +26,20 @@ loaded on the first solve without importing the scipy package itself.
 
 What each step allocates: the solve holds the real n x n block (n = N/2)
 and then its n x k eigenvectors w, k = ceil(n_states / 2); the residual is
-checked a few (v, T v) pairs at a time. A SpinorSpectrum keeps w and builds
-the N x n_states complex eigenvectors only when they are first read.
-reduce_model never reads them: it builds the phase-fixed ground doublet
-(N x 2), applies the seven generators to it (N x 14) and projects onto every
-kept state through w, using <D w_j|y> = w_j^T (D^* y)_+ and
-<T D w_j|y> = -conj(w_j^T (D^* T y)_+), which gives 2k x 14 numbers.
+checked a few (v, T v) pairs at a time. The SpinorSpectrum it returns is
+the solved sector: it keeps w and builds the N x n_states complex
+eigenvectors only when they are first read. reduce_model never reads them:
+it builds the ground doublet (N x 2), applies the seven generators to it
+(N x 14) and projects onto every kept state through w, using
+<D w_j|y> = w_j^T (D^* y)_+ and <T D w_j|y> = -conj(w_j^T (D^* T y)_+),
+which gives 2k x 14 numbers.
 
 All physical outputs are invariant under the pseudo-spin gauge (unitary
 rotations within each doublet); eigenvector phases are nevertheless fixed
-deterministically so that intermediate dumps are reproducible.
+by one rule, so that intermediate dumps are reproducible: each (v, T v)
+column's first largest entry is real positive. SpinorSpectrum takes the
+factor of each column once, an exact power of i, and the columns it builds
+and the overlaps it projects both carry it.
 """
 from __future__ import annotations
 
@@ -68,31 +72,6 @@ DEFAULT_N_EXCITED = 40
 CONVERGED_TIERS = ("converged_zeeman", "converged_full")
 
 
-class SpinorSpectrum:
-    """The lowest eigenpairs, ascending: energies (meV) and orthonormal
-    vectors in matching order. A spectrum from solve_spectrum holds the
-    solved mirror sector and forms its N x n_states complex vectors only
-    when they are first read; reduce_model reads the sector instead."""
-
-    def __init__(self, energies: np.ndarray, vectors: np.ndarray | None = None,
-                 *, sector: _Sector | None = None):
-        if (vectors is None) == (sector is None):
-            raise ValueError("give exactly one of vectors and sector")
-        self.energies, self.sector = energies, sector
-        if vectors is not None:
-            self.vectors = vectors      # the cached_property is then unused
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """The phase-fixed (v, T v) columns, N x n_states."""
-        k = self.sector.w.shape[1]
-        return _fix_phases(self.sector.pairs(0, k)[:, :self.n_states])
-
-    @property
-    def n_states(self) -> int:
-        return self.energies.shape[0]
-
-
 @dataclass(frozen=True)
 class KramersDoublet:
     E: float
@@ -112,15 +91,6 @@ class RabiResult:
             raise ValueError(f"unknown tier {self.tier!r}")
         if self.f_L < 0 or self.f_R < 0:
             raise ValueError("frequencies must be non-negative")
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each (unit-norm) column so its largest-magnitude entry is
-    real positive."""
-    rows = np.argmax(np.abs(vectors), axis=0)
-    lead = vectors[rows, np.arange(vectors.shape[1])]
-    # hypot rounds like the scalar abs(); np.abs of a complex array may not
-    return vectors * (lead.conj() / np.hypot(lead.real, lead.imag))
 
 
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
@@ -182,61 +152,77 @@ def _plus_sector(H: HamiltonianMatrix,
 _T_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _time_reversed(vectors: np.ndarray) -> np.ndarray:
-    """T v = K antidiag(1, -1, 1, -1) v on every orbital, column by column."""
-    dim, k = vectors.shape
-    spin = vectors.reshape(dim // 4, 4, k)[:, ::-1, :].conj()
-    return (spin * _T_SIGNS[:, None]).reshape(dim, k)
+class SpinorSpectrum:
+    """The lowest n_states eigenpairs of a static H, ascending, as
+    solve_spectrum finds them in the M_z = +i sector: the lowest k
+    eigenpairs (e, w) of its real block (w: n x k, real orthonormal), the
+    sector's ascending flat indices and the phase D on them. State j is
+    v_j = D w_j on those rows, its Kramers partner is T v_j, and energies
+    repeats each e_j for the pair.
 
+    Each (v, T v) column is phase fixed by conj(l) / |l| for its first
+    largest entry l, which makes l real positive. |v_j| is |w_j| on the
+    sector rows, and T v_j holds -tau conj(D w_j) on the rows indices ^ 3
+    (tau: the T sign at each row), so l / |l| is an exact power of i, read
+    off w here once for both columns of each state."""
 
-@dataclass(frozen=True)
-class _Sector:
-    """The solved M_z = +i sector: the lowest k eigenpairs (e, w) of the
-    real block, the sector's flat indices and the phase D on them. State j
-    is v_j = D w_j on those rows, and its Kramers partner is T v_j."""
-    e: np.ndarray           # (k,) ascending, meV
-    w: np.ndarray           # (n, k) real orthonormal columns
-    indices: np.ndarray     # (n,) ascending
-    phase: np.ndarray       # (n,) powers of i
-    dimension: int          # N
+    def __init__(self, e: np.ndarray, w: np.ndarray, indices: np.ndarray,
+                 phase: np.ndarray, dimension: int, n_states: int):
+        self.energies = np.repeat(e, 2)[:n_states]
+        self.w, self.indices, self.phase, self.dimension = (w, indices, phase,
+                                                            dimension)
+        self._tau = _T_SIGNS[indices % 4]
+        # the rows indices ^ 3 swap each orbital's two sector rows, so
+        # T v_j's entries run over the sector rows in the order swap
+        size = np.abs(w)
+        swap = np.arange(w.shape[0]) ^ 1
+        lead = np.argmax(size, axis=0)
+        lead_t = swap[np.argmax(size[swap], axis=0)]
+        states = np.arange(w.shape[1])
+        self._units = np.empty(2 * w.shape[1], dtype=complex)    # l / |l|
+        self._units[0::2] = phase[lead] * np.sign(w[lead, states])
+        self._units[1::2] = (-self._tau[lead_t] * phase[lead_t].conj()
+                             * np.sign(w[lead_t, states]))
+
+    @property
+    def n_states(self) -> int:
+        return self.energies.shape[0]
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The phase-fixed (v, T v) columns, N x n_states."""
+        return self.pairs(0, self.w.shape[1])[:, :self.n_states]
 
     def pairs(self, start: int, stop: int) -> np.ndarray:
-        """The (v, T v) columns of states start..stop - 1, interleaved and
-        not yet phase fixed: an N x 2 (stop - start) complex array."""
-        w = self.w[:, start:stop]
-        pairs = np.zeros((self.dimension, 2 * w.shape[1]), dtype=complex)
+        """The phase-fixed (v, T v) columns of states start..stop - 1,
+        interleaved: an N x 2 (stop - start) complex array."""
+        w, dim = self.w[:, start:stop], self.dimension
+        m = w.shape[1]
+        pairs = np.zeros((dim, 2 * m), dtype=complex)
         pairs[self.indices, 0::2] = self.phase[:, None] * w
-        pairs[:, 1::2] = _time_reversed(pairs[:, 0::2])
+        # T v = K antidiag(1, -1, 1, -1) v on every orbital
+        spin = pairs[:, 0::2].reshape(dim // 4, 4, m)[:, ::-1, :].conj()
+        pairs[:, 1::2] = (spin * _T_SIGNS[:, None]).reshape(dim, m)
+        pairs *= self._units[2 * start:2 * stop].conj()
         return pairs
 
     def overlaps(self, Y: np.ndarray) -> np.ndarray:
-        """<u|Y> for every phase-fixed (v, T v) column u, as
-        SpinorSpectrum.vectors holds them (2k x m for an N x m complex Y),
-        without forming the columns.
+        """<u|Y> for every phase-fixed (v, T v) column u, as pairs builds
+        them (2k x m for an N x m complex Y), without forming the columns.
 
         <v_j|y> = w_j^T (D^* y)_+, where _+ takes the sector's rows. T is
         antiunitary with T^2 = -1, so <T v_j|y> = -conj(<v_j|T y>), and
         (T y)_+ reads y on the rows indices ^ 3, the same orbital's opposite
-        spin slots. _fix_phases multiplies a column by conj(l) / |l| for its
-        first largest entry l, which turns <u|y> into l <u|y> / |l|."""
+        spin slots. The phase fix turns <u|y> into l <u|y> / |l|."""
         w, idx, D = self.w, self.indices, self.phase
-        # the T sign at each sector row; T v_j holds -tau conj(D w_j) on the
-        # rows idx ^ 3, which swap each orbital's two sector rows in order
-        tau = _T_SIGNS[idx % 4]
-        swap = np.arange(w.shape[0]) ^ 1
-        size = np.abs(w)
-        lead = np.argmax(size, axis=0)
-        lead_t = swap[np.argmax(size[swap], axis=0)]
-        states = np.arange(w.shape[1])
-        unit = D[lead] * np.sign(w[lead, states])
-        unit_t = -tau[lead_t] * D[lead_t].conj() * np.sign(w[lead_t, states])
 
         def project(Z):     # w^T Z for a complex Z, with no complex copy of w
             return (w.T @ Z.view(float)).view(complex)
 
         out = np.empty((2 * w.shape[1], Y.shape[1]), dtype=complex)
-        out[0::2] = unit[:, None] * project(D.conj()[:, None] * Y[idx])
-        out[1::2] = -unit_t[:, None] * project((D * tau)[:, None] * Y[idx ^ 3])
+        out[0::2] = project(D.conj()[:, None] * Y[idx])
+        out[1::2] = -project((D * self._tau)[:, None] * Y[idx ^ 3])
+        out *= self._units[:, None]
         return out
 
 
@@ -286,9 +272,9 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     n x n array outlives the solve and H V is never formed whole; checking
     T v too catches an H that keeps the mirror but is not time-reversal
     even. The returned spectrum keeps the n x k real vectors; its
-    N x n_states complex vectors, phase fixed by _fix_phases, are formed
-    when first read. Raises SolverError if dsyevr reports a failure or
-    misses states, or if the residual check fails or is NaN.
+    N x n_states phase-fixed complex vectors are formed when first read.
+    Raises SolverError if dsyevr reports a failure or misses states, or if
+    the residual check fails or is NaN.
     """
     n = min(n_states, H.dimension)
     if n < 1:
@@ -307,18 +293,18 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     if info != 0 or found < k:
         raise SolverError(f"LAPACK dsyevr failed (info = {info}) or found "
                           f"fewer than the {k} requested eigenpairs")
-    sector = _Sector(e=e[:k], w=w, indices=indices, phase=phase,
-                     dimension=H.dimension)
+    e = e[:k]
+    spectrum = SpinorSpectrum(e, w, indices, phase, H.dimension, n)
     step = APPLY_COLUMNS // 2
     residual = np.max([np.linalg.norm(
-        H @ pairs - pairs * np.repeat(sector.e[j:j + step], 2), axis=0).max()
-        for j in range(0, k, step) for pairs in [sector.pairs(j, j + step)]])
+        H @ pairs - pairs * np.repeat(e[j:j + step], 2), axis=0).max()
+        for j in range(0, k, step) for pairs in [spectrum.pairs(j, j + step)]])
     # written so that a NaN residual (or norm) fails it
     if not residual <= RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.0e} * |H| = {RESIDUAL_TOL * scale:.3e}")
-    return SpinorSpectrum(np.repeat(sector.e, 2)[:n], sector=sector)
+    return spectrum
 
 
 def _paired_energies(e: np.ndarray) -> np.ndarray:
@@ -443,12 +429,13 @@ class ReducedModel:
     paramagnetic: np.ndarray   # (3, n, 2)
     dipole: np.ndarray         # (n, 2)
 
-    def _excited_gaps(self, n_excited: int) -> np.ndarray:
-        """E_ground - E_d for the excited doublets in the sum."""
+    def _excited_gaps(self, n_excited: int | None) -> np.ndarray:
+        """E_ground - E_d for the excited doublets in the sum: the first
+        n_excited, or every kept one for None."""
         E = _paired_energies(self.energies)
         if E.shape[0] < 2:
             raise ValueError("need the ground doublet plus at least one excited")
-        gaps = E[0] - E[1:1 + n_excited]
+        gaps = E[0] - (E[1:] if n_excited is None else E[1:1 + n_excited])
         degenerate = np.flatnonzero(np.abs(gaps) <= DEGENERACY_TOL)
         if degenerate.size:
             k = degenerate[0] + 1
@@ -458,13 +445,14 @@ class ReducedModel:
         return gaps
 
     def g_matrices(self, include_paramagnetic: bool = True,
-                   n_excited: int = DEFAULT_N_EXCITED,
+                   n_excited: int | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The tier's real 3x3 gm[j, i] = Re Tr(sigma_j A_i) (meV/T) and
         gp[j, i] = Re Tr(sigma_j (C_i + C_i^H)) (nm/T): A_i is the ground
         block of the unit-B generator G_i on axis i (Zeeman, plus paramagnetic
         for the full tier), C_i = G_i^H Y / (E_ground - E_e) over the first
-        n_excited excited doublets."""
+        n_excited excited doublets, or over every kept one when n_excited is
+        None."""
         gaps = np.repeat(self._excited_gaps(n_excited), 2)
         G = self.zeeman
         if include_paramagnetic:
@@ -476,7 +464,7 @@ class ReducedModel:
 
     def rabi_grid(self, B: float, thetas, phis, E_ac: float, *,
                   include_paramagnetic: bool = True,
-                  n_excited: int = DEFAULT_N_EXCITED,
+                  n_excited: int | None = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
         """f_L and f_R (GHz) for every direction of the broadcast
         (thetas, phis): gmatrix.frequencies on g_matrices, NaN where the
@@ -492,7 +480,7 @@ class ReducedModel:
 
     def rabi(self, B: float, theta: float, phi: float, E_ac: float, *,
              include_paramagnetic: bool = True,
-             n_excited: int = DEFAULT_N_EXCITED) -> RabiResult:
+             n_excited: int | None = None) -> RabiResult:
         """One direction, by holebox.gmatrix.qubit: raises
         DegenerateQubitError where rabi_grid gives NaN."""
         f_R, f_L = gmatrix.qubit(
@@ -513,8 +501,8 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
     vectors: no N x n_states eigenvector array is formed."""
     spectrum = _static_spectrum(material, geometry, orientation, cutoff, E0,
                                 strain, n_excited)
-    sector, n = spectrum.sector, spectrum.n_states
-    ground = _fix_phases(sector.pairs(0, 1))
+    n = spectrum.n_states
+    ground = spectrum.pairs(0, 1)
 
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))
     operators = ([assemble_zeeman(material, 1.0, th, ph, cutoff)
@@ -525,7 +513,7 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
                  + [dipole_y(geometry, cutoff)])
     # the ground-doublet columns V^H (G V[:, :2]), each G applied to the two
     # columns factor by factor and never summed into an N x N operator
-    columns = sector.overlaps(np.concatenate(
+    columns = spectrum.overlaps(np.concatenate(
         [G @ ground for G in operators], axis=1))[:n]
     columns = columns.reshape(n, len(operators), 2).transpose(1, 0, 2)
     return ReducedModel(energies=spectrum.energies, zeeman=columns[0:3],

@@ -132,9 +132,6 @@ def __getattr__(name: str):
         _import_numerics()
     elif name in _CLOSED_FORMS:
         _import_closed_forms()
-    elif name == "_best_direction":     # gmatrix.best_direction's old name
-        from .gmatrix import best_direction
-        return best_direction
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals()[name]

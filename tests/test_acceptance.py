@@ -311,7 +311,7 @@ def test_12_best_direction_headline_claims():
     converged tiers at cutoff (8,8,5): [110] beats [100] for Si and for Ge,
     and Si beats Ge in each orientation. On the converged tiers the best
     direction also tops a 2-degree (theta, phi) grid."""
-    from holebox.sweeps import _best_direction
+    from holebox.gmatrix import best_direction as _best_direction
 
     t0 = time.perf_counter()
     B, E_ac, n_excited = REF.B, REF.E_ac, 40

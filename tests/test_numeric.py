@@ -19,7 +19,6 @@ from holebox import (BasisCutoff, BoxGeometry, DegenerateQubitError,
                      pair_doublets, rabi_sum_over_states, reduce_model,
                      solve_spectrum)
 from holebox.basis import derivative_matrix
-from holebox.numeric import SpinorSpectrum
 from oracles import well_separated_sample
 
 SI = get_material("Si")
@@ -51,11 +50,32 @@ def test_solve_spectrum_phase_is_deterministic():
         assert a[i, j].real > 0
 
 
+@pytest.mark.parametrize("material, orientation, cut", [
+    (SI, D110, BasisCutoff(6, 6, 4)),
+    (get_material("Ge"), Orientation.DOT_100, BasisCutoff(4, 4, 3))],
+    ids=["Si-110", "Ge-100"])
+def test_one_gauge_for_every_column(material, orientation, cut):
+    """Each column's first largest entry is max|w_j| itself, with a zero
+    imaginary part: the phase factor is an exact power of i, not a rounded
+    division. pairs builds the same columns as .vectors, bit for bit."""
+    H0 = assemble_static(material, BOX, orientation, cut, E0=0.1)
+    spectrum = solve_spectrum(H0, 82)
+    V = spectrum.vectors
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    size = np.repeat(np.max(np.abs(spectrum.w), axis=0), 2)
+    assert np.array_equal(lead.real, size)
+    assert np.array_equal(lead.imag, np.zeros(82))
+    for j in range(41):
+        for m in (1, 2, 5):
+            assert np.array_equal(spectrum.pairs(j, j + m),
+                                  V[:, 2 * j:2 * (j + m)])
+
+
 def test_pair_doublets_detects_split_and_keeps_degenerate_pairs():
     def fake(energies):
         n = len(energies)
-        return SpinorSpectrum(energies=np.array(energies, dtype=float),
-                              vectors=np.eye(n, dtype=complex))
+        return SimpleNamespace(energies=np.array(energies, dtype=float),
+                               vectors=np.eye(n, dtype=complex))
 
     with pytest.raises(PairingError, match="differ by"):
         pair_doublets(fake([0.0, 1.0, 2.0, 2.0]))
@@ -186,7 +206,7 @@ def test_sector_projection_matches_the_full_eigenbasis(material, orientation,
     rng = np.random.default_rng(3)
     Y = rng.standard_normal((cut.dimension, 3)) \
         + 1j * rng.standard_normal((cut.dimension, 3))
-    got = spectrum.sector.overlaps(Y)[:spectrum.n_states]
+    got = spectrum.overlaps(Y)[:spectrum.n_states]
     want = V.conj().T @ Y
     for rows in (slice(0, None, 2), slice(1, None, 2)):
         np.testing.assert_allclose(got[rows], want[rows], rtol=0,
@@ -216,26 +236,26 @@ def test_sector_projection_matches_the_full_eigenbasis(material, orientation,
 
 
 def test_reduce_model_forms_no_full_eigenbasis(monkeypatch):
-    """reduce_model never forms the N x n_states eigenvectors: it phase
-    fixes the ground doublet alone, and the residual check builds at most
+    """reduce_model never forms the N x n_states eigenvectors: it builds
+    the ground doublet alone, and the residual check builds at most
     APPLY_COLUMNS columns at a time, against 82 kept states here."""
-    widths, fixed = [], []
-    pairs, fix = numeric._Sector.pairs, numeric._fix_phases
+    widths = []
+    pairs = numeric.SpinorSpectrum.pairs
 
     def counted_pairs(self, start, stop):
         built = pairs(self, start, stop)
         widths.append(built.shape[1])
         return built
 
-    def counted_fix(vectors):
-        fixed.append(vectors.shape[1])
-        return fix(vectors)
+    def no_vectors(self):
+        raise AssertionError("reduce_model read SpinorSpectrum.vectors")
 
-    monkeypatch.setattr(numeric._Sector, "pairs", counted_pairs)
-    monkeypatch.setattr(numeric, "_fix_phases", counted_fix)
+    monkeypatch.setattr(numeric.SpinorSpectrum, "pairs", counted_pairs)
+    monkeypatch.setattr(numeric.SpinorSpectrum, "vectors",
+                        property(no_vectors))
     red = reduce_model(SI, BOX, D110, BasisCutoff(6, 6, 4), E0=0.1)
     assert red.energies.shape == (82,)
-    assert fixed == [2]
+    assert widths[-1] == 2
     assert max(widths) <= numeric.APPLY_COLUMNS
 
 
@@ -271,6 +291,24 @@ def test_pipelines_sum_only_the_static_operator(monkeypatch):
     assert len(static) == 2
     assert len(summed) == 2 and summed[1] is static[1]
     assert dense == []
+
+
+def test_reduced_model_sums_every_kept_doublet_by_default():
+    """Without n_excited, g_matrices, rabi_grid and rabi sum over every
+    doublet that reduce_model kept, not over DEFAULT_N_EXCITED of them."""
+    red = reduce_model(get_material("Ge"), BOX, Orientation.DOT_100,
+                       BasisCutoff(6, 6, 4), E0=0.1, n_excited=80)
+    for flag in (False, True):
+        for g, g_all in zip(red.g_matrices(flag), red.g_matrices(flag, 80)):
+            assert np.array_equal(g, g_all)
+    point = (1.0, radians(45), radians(90), 0.03)
+    assert red.rabi(*point) == red.rabi(*point, n_excited=80)
+    assert red.rabi(*point) != red.rabi(
+        *point, n_excited=numeric.DEFAULT_N_EXCITED)
+    grid = (1.0, np.radians([[0.0], [45.0]]), np.radians([[0.0, 90.0]]), 0.03)
+    for got, want in zip(red.rabi_grid(*grid),
+                         red.rabi_grid(*grid, n_excited=80)):
+        assert np.array_equal(got, want)
 
 
 def test_reduced_model_matches_direct_pipeline():
@@ -447,7 +485,8 @@ def test_sector_solve_gives_exact_kramers_pairs(material, orientation, cut,
     for i in range(0, 20, 2):
         pair = V[:, i:i + 2]
         assert np.allclose(pair.conj().T @ pair, np.eye(2), atol=1e-12)
-        # the partner is T v up to the phase fixed by _fix_phases
+        # the partner is T v up to the phase that makes its first largest
+        # entry real positive
         assert abs(np.vdot(V[:, i + 1], T @ V[:, i].conj())) == approx(1.0)
     block = np.linalg.eigvalsh(_phased_plus_block(H0).real)[:10]
     assert e[0::2] == approx(block, rel=1e-12, abs=0)
