@@ -193,8 +193,7 @@ def test_closed_form_commands_and_cli_exits_never_load_numpy(tmp_path):
         ["import", 0, []], ["--help", 0, []], ["e0-sweep", 1, []],
         ["materials-table", 0, []], ["lz-sweep", 0, []],
         ["e0-sweep", 0, []], ["angle-map", 0, []], ["strain-sweep", 0, []],
-        ["angle-map", 0, ["holebox.hamiltonian", "holebox.numeric", "numpy",
-                          "scipy.linalg._flapack"]]]
+        ["angle-map", 0, ["holebox.hamiltonian", "holebox.numeric", "numpy"]]]
 
 
 def test_only_the_closed_form_commands_load_the_closed_forms(tmp_path):
@@ -237,41 +236,48 @@ def test_only_the_closed_form_commands_load_the_closed_forms(tmp_path):
 
 def test_closed_form_and_default_converged_commands_never_load_scipy(
         tmp_path):
-    # the closed-form commands load nothing of scipy; the default converged
-    # angle-map loads only scipy's LAPACK extension, for dsyevr, never the
-    # scipy package. No run needs numpy.ma either (np.unique imports it on
-    # first use), nor OpenSSL's _hashlib (hashlib imports it)
+    # no command loads anything of scipy: the converged angle-maps solve
+    # with dsyevr from numpy's own OpenBLAS, the default one, the large
+    # basis (10,10,6) one and a Zeeman-only one alike. No run needs
+    # numpy.ma either (np.unique imports it on first use), nor OpenSSL's
+    # _hashlib (hashlib imports it)
     runs = [["materials-table"],
             ["e0-sweep", "--set", "sweep.e0_count=3"],
             ["lz-sweep", "--set", "sweep.lz_count=2"],
             ["angle-map", "--set", "sweep.theta_count=3",
              "--set", "sweep.phi_count=4"],
             ["strain-sweep", "--set", "sweep.eps_count=2"],
-            ["angle-map", "--tier", "converged_zeeman,converged_full"]]
+            ["angle-map", "--tier", "converged_zeeman,converged_full"],
+            ["angle-map", "--tier", "converged_full",
+             "--set", "material.name=Ge", "--set", "geometry.orientation=100",
+             "--set", "solver.cutoff=10,10,6", "--set", "sweep.theta_count=3",
+             "--set", "sweep.phi_count=3"],
+            ["angle-map", "--tier", "converged_zeeman",
+             "--set", "sweep.theta_count=3", "--set", "sweep.phi_count=4"]]
     src = str(Path(holebox.__file__).resolve().parents[1])
     code = ("import json, sys, holebox.cli\n"
             "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
             "    out = f'{sys.argv[2]}/{k}.csv'\n"
             "    assert holebox.cli.main(argv + ['--out', out]) == 0\n"
-            "    if k in (4, 5):\n"
-            "        print(sorted(m for m in sys.modules\n"
-            "                     if m.startswith('scipy')))\n"
+            "    print(sorted(m for m in sys.modules\n"
+            "                 if m.split('.')[0] == 'scipy'))\n"
             "print('numpy.ma' in sys.modules)\n"
             "print('_hashlib' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code, json.dumps(runs),
                           str(tmp_path)], cwd=src, capture_output=True,
                          text=True, check=True)
-    # each run prints the path it wrote
-    assert res.stdout.splitlines()[-6:] == [
-        f"{tmp_path}/4.csv", "[]", f"{tmp_path}/5.csv",
-        "['scipy.linalg._flapack']", "False", "False"]
+    # each run prints the path it wrote, then the scipy modules loaded
+    assert res.stdout.splitlines() == [
+        line for k in range(len(runs)) for line in (f"{tmp_path}/{k}.csv",
+                                                     "[]")] + ["False",
+                                                               "False"]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
         f"{k}.csv" for k in range(len(runs))]
 
 
 def test_converged_run_above_1024_rows_loads_no_scipy_package(tmp_path):
-    # cutoff (10,10,6) has a 1200-row mirror block; solving it must not
-    # import the scipy package, which would load numpy.random and OpenSSL
+    # cutoff (10,10,6) has a 1200-row mirror block; solving it loads no
+    # scipy module, and so neither numpy.random nor OpenSSL
     argv = ["angle-map", "--tier", "converged_full",
             "--set", "material.name=Ge", "--set", "geometry.orientation=100",
             "--set", "solver.cutoff=10,10,6", "--set", "sweep.theta_count=2",
@@ -279,13 +285,36 @@ def test_converged_run_above_1024_rows_loads_no_scipy_package(tmp_path):
     src = str(Path(holebox.__file__).resolve().parents[1])
     code = ("import json, sys, holebox.cli\n"
             "assert holebox.cli.main(json.loads(sys.argv[1])) == 0\n"
-            "print([m for m in ('scipy', 'scipy.linalg', 'numpy.random',\n"
-            "                   '_hashlib', 'scipy.linalg._flapack')\n"
-            "       if m in sys.modules])")
+            "print([m for m in sys.modules\n"
+            "       if m.split('.')[0] == 'scipy'\n"
+            "       or m in ('numpy.random', '_hashlib')])")
     res = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                          cwd=src, capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"
+    assert res.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "ge.csv").is_file()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs Linux's /proc/self/maps")
+def test_converged_run_maps_one_openblas(tmp_path):
+    # the solve, the residual check and the projections share numpy's
+    # OpenBLAS: a converged run maps no second BLAS library (and thread
+    # pool) next to it
+    argv = ["angle-map", "--tier", "converged_full",
+            "--set", "solver.cutoff=4,4,3", "--set", "sweep.theta_count=2",
+            "--set", "sweep.phi_count=2", "--out", str(tmp_path / "c.csv")]
+    src = str(Path(holebox.__file__).resolve().parents[1])
+    code = ("import json, os, sys, holebox.cli\n"
+            "assert holebox.cli.main(json.loads(sys.argv[1])) == 0\n"
+            "with open('/proc/self/maps') as maps:\n"
+            "    paths = {line.split()[-1] for line in maps\n"
+            "             if len(line.split()) == 6}\n"
+            "print(json.dumps(sorted(p for p in paths\n"
+            "                        if 'openblas' in os.path.basename(p)\n"
+            "                        .lower())))")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                         cwd=src, capture_output=True, text=True, check=True)
+    assert len(json.loads(res.stdout.splitlines()[-1])) == 1
 
 
 _CUBE = ["--set", "geometry.L_x=20", "--set", "geometry.L_y=20",

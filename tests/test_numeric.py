@@ -154,6 +154,26 @@ def test_gauge_invariance_under_doublet_rotations():
         assert got.f_L == approx(ref.f_L, rel=1e-10)
 
 
+def test_sum_over_states_defaults_to_every_given_doublet():
+    """With no n_excited the sum runs over every excited doublet it is
+    given, as ReducedModel's does, not over the first DEFAULT_N_EXCITED."""
+    ge, cut = get_material("Ge"), BasisCutoff(6, 6, 4)
+    H0 = assemble_static(ge, BOX, Orientation.DOT_100, cut, E0=0.1)
+    doublets = pair_doublets(solve_spectrum(H0, 162))
+    assert len(doublets) == 81
+    HZ = assemble_zeeman(ge, REF_FIELDS.B, REF_FIELDS.theta, REF_FIELDS.phi,
+                         cut)
+    Y = dipole_y(BOX, cut)
+
+    def f_R(**kwargs):
+        return rabi_sum_over_states(doublets, HZ, Y, REF_FIELDS.E_ac,
+                                    tier="converged_zeeman", **kwargs).f_R
+    assert f_R() == f_R(n_excited=80)
+    assert f_R() == approx(0.014292, abs=5e-7)
+    assert f_R(n_excited=numeric.DEFAULT_N_EXCITED) == approx(0.014524,
+                                                              abs=5e-7)
+
+
 def test_converged_rabi_reports_tier():
     res = converged_rabi(SI, BOX, D110, REF_FIELDS, BasisCutoff(3, 3, 2),
                          include_paramagnetic=True, n_excited=15)
@@ -534,35 +554,29 @@ def test_nan_eigenvectors_fail_the_residual_check(pipeline, monkeypatch):
 
 
 def test_lapack_loads_without_the_scipy_package_and_falls_back(tmp_path):
-    """In a fresh process the first solve loads scipy's LAPACK extension
-    alone, and a later import of scipy.linalg reuses it; when the extension
-    file cannot be found, the solve goes through scipy.linalg.lapack
-    instead and gives the same bits."""
+    """In a fresh process the solve binds dsyevr from numpy's own OpenBLAS
+    and loads no scipy module; where numpy's library cannot be opened, it
+    falls back to scipy's LAPACK extension and gives the same bits."""
     src = str(Path(numeric.__file__).resolve().parents[1])
     code = """\
-import importlib.abc, importlib.machinery, sys
+import ctypes, sys
 import numpy as np
 from holebox import BasisCutoff, BoxGeometry, Orientation, get_material
 from holebox.hamiltonian import assemble_static
 from holebox.numeric import _lapack, solve_spectrum
 
-class Missing(importlib.machinery.FileFinder):
-    def find_spec(self, fullname, target=None):
-        return None
+class Unbindable(ctypes.CDLL):
+    def __init__(self, *args, **kwargs):
+        raise OSError("cannot open numpy's LAPACK")
 
 if sys.argv[1] == "fallback":
-    # the import system keeps its own reference to the class (importlib.abc,
-    # imported above, registers it by name), so only the solver's lookup
-    # of the extension file misses
-    importlib.machinery.FileFinder = Missing
+    ctypes.CDLL = Unbindable
 H0 = assemble_static(get_material("Ge"), BoxGeometry(40.0, 30.0, 10.0),
                      Orientation.DOT_100, BasisCutoff(3, 3, 3), E0=0.1)
 spec = solve_spectrum(H0, 12)
 np.save(sys.argv[2], np.column_stack([spec.energies, spec.vectors.T]))
-print("scipy.linalg.lapack" in sys.modules, "scipy" in sys.modules)
-dsyevr = _lapack().dsyevr
-import scipy.linalg
-print(scipy.linalg.lapack.dsyevr is dsyevr)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(_lapack() is sys.modules.get("scipy.linalg._flapack"))
 """
     results = {}
     for mode in ("direct", "fallback"):
@@ -570,9 +584,9 @@ print(scipy.linalg.lapack.dsyevr is dsyevr)
         res = subprocess.run([sys.executable, "-c", code, mode, str(out)],
                              cwd=src, capture_output=True, text=True,
                              check=True)
-        results[mode] = res.stdout.split(), np.load(out)
-    assert results["direct"][0] == ["False", "False", "True"]
-    assert results["fallback"][0] == ["True", "True", "True"]
+        results[mode] = res.stdout.splitlines(), np.load(out)
+    assert results["direct"][0] == ["[]", "False"]
+    assert results["fallback"][0] == ["['scipy.linalg._flapack']", "True"]
     assert np.array_equal(results["direct"][1], results["fallback"][1])
 
 
