@@ -11,7 +11,7 @@ Two independent evaluation routes coexist on purpose:
 - rabi_linearized: channel-resolved closed forms, first order in E0;
 - minimal_exact_rabi: exact static eigenstates of the 8x8 minimal
   Hamiltonian, nonperturbative in E0 and first order in B, summed over the
-  three excited doublets into two real 3x3 g-matrices (MinimalExactModel).
+  three excited doublets into two g-matrices (MinimalExactModel).
 They must agree in slope as E0 -> 0; tests enforce it.
 
 Both routes run on Python floats. The exact one builds its (gm, gp) with
@@ -405,21 +405,17 @@ def _pauli_parts(x00, x01, x10, x11) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class MinimalExactModel:
-    """The exact minimal-basis route for one dot, E0 and strain, as two real
-    3x3 matrices, each a tuple of three rows of three floats:
-    gm[j][i] = Tr(sigma_j A_i) (meV/T), with A_i the ground block of
-    kappa Z_i, and gp[j][i] = Tr(sigma_j (C_i + C_i^H)) (nm/T), with
-    C_i = sum_n <g|kappa Z_i|n><n|y|g> / (E_0 - E_n) over the six excited
-    states n."""
-    gm: tuple[tuple[float, float, float], ...]
-    gp: tuple[tuple[float, float, float], ...]
+    """The exact minimal-basis route for one dot, E0 and strain: the
+    diagonals g (meV/T) and p (nm/T) of its gm and gp, three floats each."""
+    g: tuple[float, float, float]
+    p: tuple[float, float, float]
 
     def qubit(self, B: float, theta: float, phi: float,
               E_ac: float) -> tuple[float, float]:
         """(f_R, f_L) in GHz for the field direction b at (theta, phi), by
         holebox.gmatrix.qubit: DegenerateQubitError where the doublet does
         not split, ValueError for E_ac < 0."""
-        return gmatrix.qubit(self.gm, self.gp, B, theta, phi, E_ac)
+        return gmatrix.qubit(self.g, self.p, B, theta, phi, E_ac)
 
 
 def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
@@ -433,9 +429,12 @@ def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
     doublets. Each eigenvector is placed in the first four slots (u_k) and
     in the time-reversed copy (d_k), ordered (u_0, d_0, u_1, d_1, ...); the
     unit-axis Zeeman templates and the dipole are contracted between these
-    states, entry by nonzero entry, into (gm, gp). Raises
-    DegenerateQubitError for an excited doublet degenerate with the ground
-    one, whose gap the sum divides by.
+    states, entry by nonzero entry, into gm[j][i] = Tr(sigma_j A_i), with
+    A_i the ground block of kappa Z_i, and gp[j][i] = Tr(sigma_j K_i), with
+    K_i = C_i + C_i^H and C_i = sum_n <g|kappa Z_i|n><n|y|g> / (E_0 - E_n)
+    over the six excited states n; gmatrix.diagonal keeps their diagonals.
+    Raises DegenerateQubitError for an excited doublet degenerate with the
+    ground one, whose gap the sum divides by.
     """
     zeeman, dipole = _templates()
     sp = subband_params(material, geometry, orientation, strain=strain)
@@ -468,7 +467,7 @@ def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
     C = [[sum(zg[k + 2] * Y[k][h] for k in range(6)) for zg in Zi
           for h in (0, 1)] for Zi in Z]
     gp = zip(*(_pauli_parts(*(2 * c for c in Ci)) for Ci in C))
-    return MinimalExactModel(gm=tuple(gm), gp=tuple(gp))
+    return MinimalExactModel(*gmatrix.diagonal(tuple(gm), tuple(gp)))
 
 
 def minimal_exact_qubit(material: MaterialParams, geometry: BoxGeometry,

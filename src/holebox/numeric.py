@@ -6,8 +6,8 @@ in B, is then treated at first order: its 2x2 projection on the ground
 doublet gives the Larmor frequency, and the drive matrix element between
 the split qubit states comes from a sum over excited doublets. For angle
 grids, ReducedModel contracts both once into two real 3x3 matrices (gm,
-gp), which holebox.gmatrix evaluates, as it does the pair of the exact
-minimal route; rabi_sum_over_states, with no (gm, gp), checks it.
+gp), whose diagonals holebox.gmatrix evaluates, as it does those of the
+exact minimal route; rabi_sum_over_states, with no (gm, gp), checks it.
 
 The static problem is solved in one mirror sector. H0 commutes with
 M_z = P_z exp(-i pi J_z) (P_z: z parity, which is (-1)^(n_z + 1) on the
@@ -523,7 +523,7 @@ class ReducedModel:
     only the generators' columns on it: their 2x2 ground block and their
     couplings to the excited states. Only those columns are kept. A grid
     contracts them once into two real 3x3 matrices (g_matrices) and then
-    costs a few 3-vectors per direction.
+    costs a few products of their diagonals per direction.
     """
     energies: np.ndarray       # (n,) kept eigenvalues, meV
     zeeman: np.ndarray         # (3, n, 2) unit-B generators, axes x, y, z
@@ -568,15 +568,17 @@ class ReducedModel:
                   n_excited: int | None = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
         """f_L and f_R (GHz) for every direction of the broadcast
-        (thetas, phis): gmatrix.frequencies on g_matrices, NaN where the
-        qubit splitting is below MIN_SPLIT. Raises ValueError for E_ac < 0,
-        and DegenerateQubitError for an excited doublet degenerate with the
-        ground one (not for excited doublets degenerate with each other).
+        (thetas, phis): gmatrix.frequencies on g_matrices' diagonals, NaN
+        where the qubit splitting is below MIN_SPLIT. Raises ValueError for
+        E_ac < 0 or a non-diagonal pair, and DegenerateQubitError for an
+        excited doublet degenerate with the ground one (not for excited
+        doublets degenerate with each other).
         """
         t, p = np.broadcast_arrays(thetas, phis)
-        f_R, f_L = gmatrix.frequencies(
-            *self.g_matrices(include_paramagnetic, n_excited), B,
-            t.ravel().tolist(), p.ravel().tolist(), E_ac)
+        pair = self.g_matrices(include_paramagnetic, n_excited)
+        f_R, f_L = gmatrix.frequencies(*gmatrix.diagonal(*pair), B,
+                                       t.ravel().tolist(), p.ravel().tolist(),
+                                       E_ac)
         return np.reshape(f_L, t.shape), np.reshape(f_R, t.shape)
 
     def rabi(self, B: float, theta: float, phi: float, E_ac: float, *,
@@ -584,9 +586,8 @@ class ReducedModel:
              n_excited: int | None = None) -> RabiResult:
         """One direction, by holebox.gmatrix.qubit: raises
         DegenerateQubitError where rabi_grid gives NaN."""
-        f_R, f_L = gmatrix.qubit(
-            *self.g_matrices(include_paramagnetic, n_excited), B, theta, phi,
-            E_ac)
+        pair = self.g_matrices(include_paramagnetic, n_excited)
+        f_R, f_L = gmatrix.qubit(*gmatrix.diagonal(*pair), B, theta, phi, E_ac)
         return RabiResult(f_L=f_L, f_R=f_R,
                           tier=CONVERGED_TIERS[include_paramagnetic])
 

@@ -13,9 +13,9 @@ sidecar's SHA-256, computed with the interpreter's built-in SHA-256
 module rather than hashlib, which would load OpenSSL into every run.
 Rows are streamed into the file, so a table is never held whole as text.
 
-Both qubit routes give each run of directions one (gm, gp) pair and one
-holebox.gmatrix.frequencies call, so where the splitting vanishes both
-leave the cell empty.
+Both qubit routes give each run of directions one (g, p) pair, the
+diagonals of its (gm, gp), and one holebox.gmatrix.frequencies call, so
+where the splitting vanishes both leave the cell empty.
 
 Importing this module loads no numpy: the spec, the grids, the CSV code,
 the closed forms, the exact minimal route and the strain-sweep optimum run
@@ -363,14 +363,12 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
 # CSV plumbing
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
+    if value.__class__ is float:    # nearly every cell: test it first
+        return repr(value)
+    if value is None or isinstance(value, str):
+        return value or ""
+    if isinstance(value, int):      # a bool as 1 or 0
+        return str(int(value))
     return repr(float(value))
 
 
@@ -435,8 +433,8 @@ class _Sweep:
     share. The points come as runs (geometry, fields, thetas, phis) that
     share one static problem and differ only in field direction, given as
     two lists of radians (fields' own direction is not used). Each route
-    builds a run's (gm, gp) once and evaluates all its directions in one
-    gmatrix.frequencies call. The per-point FieldConfig objects are built
+    builds a run's diagonal (g, p) once and evaluates all its directions in
+    one gmatrix.frequencies call. The per-point FieldConfig objects are built
     only if a closed-form tier asks for them."""
 
     def __init__(self, spec: SweepSpec, static: list[_Run]):
@@ -445,7 +443,7 @@ class _Sweep:
     @cached_property
     def points(self) -> list[tuple[BoxGeometry, FieldConfig]]:
         """(geometry, fields) at every point, in row order."""
-        return [(g, replace(f, theta=t, phi=p))
+        return [(g, FieldConfig(B=f.B, theta=t, phi=p, E0=f.E0, E_ac=f.E_ac))
                 for g, f, thetas, phis in self.static
                 for t, p in zip(thetas, phis)]
 
@@ -462,7 +460,7 @@ class _Sweep:
     def _frequencies(self, pair: Callable, point: Callable | None = None,
                      ) -> tuple[list[float | None], list[float | None]]:
         """The f_R and f_L columns: pair(geometry, fields) is a run's
-        (gm, gp), and one gmatrix.frequencies call evaluates all its
+        (g, p), and one gmatrix.frequencies call evaluates all its
         directions; point(geometry, fields), if given, evaluates a run of one
         direction instead. A cell is empty where the qubit splitting
         vanishes, and a point error of a run empties both cells of all its
@@ -486,10 +484,10 @@ class _Sweep:
     def exact(self) -> tuple[list[float | None], list[float | None]]:
         """The f_R and f_L columns of the exact minimal route; a run of one
         direction calls minimal_exact_qubit, which builds the same model."""
-        s, gm_gp = self.spec, attrgetter("gm", "gp")
+        s, pair = self.spec, attrgetter("g", "p")
         return self._frequencies(
-            lambda g, f: gm_gp(minimal_exact_model(s.material, g,
-                                                   s.orientation, f.E0)),
+            lambda g, f: pair(minimal_exact_model(s.material, g,
+                                                  s.orientation, f.E0)),
             lambda g, f: minimal_exact_qubit(s.material, g, s.orientation, f))
 
     @cached_property
@@ -511,12 +509,11 @@ class _Sweep:
                 for g, f, *_ in self.static}
 
     def converged(self, include_paramagnetic: bool) -> list[float | None]:
-        # the models are built outside _frequencies, so that a failed solve
-        # stops the command rather than emptying the column
+        # failed solves (outside _frequencies) and off-axis pairs stop the command
+        from . import gmatrix
         models, n_excited = self._reduced, self.spec.n_excited
-        return self._frequencies(
-            lambda g, f: models[g, f.E0].g_matrices(include_paramagnetic,
-                                                    n_excited))[0]
+        return self._frequencies(lambda g, f: gmatrix.diagonal(
+            *models[g, f.E0].g_matrices(include_paramagnetic, n_excited)))[0]
 
     def write(self, out: str | Path, leading: dict[str, list]) -> Path:
         """The CSV: the leading columns, then the f_R column of each tier."""
@@ -560,7 +557,7 @@ def _optimal_direction(spec: SweepSpec, strain: StrainConfig
                        ) -> tuple[float, float, float, float]:
     """(theta_deg, phi_deg, f_R, f_L) at the direction maximizing the exact
     minimal-basis Rabi frequency: gmatrix.best_direction of the model's
-    (gm, gp), or (0, 0) where E_ac = 0 makes f_R vanish in every direction.
+    (g, p), or (0, 0) where E_ac = 0 makes f_R vanish in every direction.
     f_R and f_L are gmatrix.qubit at the reported angles, so they equal
     minimal_exact_qubit there bit for bit, and raise DegenerateQubitError
     where the qubit does not split, as at B = 0."""
@@ -569,10 +566,9 @@ def _optimal_direction(spec: SweepSpec, strain: StrainConfig
     model = minimal_exact_model(spec.material, spec.geometry,
                                 spec.orientation, f.E0, strain=strain)
     t_opt, p_opt = ((0.0, 0.0) if f.E_ac == 0
-                    else gmatrix.best_direction(model.gm, model.gp))
-    return (t_opt, p_opt, *gmatrix.qubit(model.gm, model.gp, f.B,
-                                         radians(t_opt), radians(p_opt),
-                                         f.E_ac))
+                    else gmatrix.best_direction(model.g, model.p))
+    return (t_opt, p_opt, *model.qubit(f.B, radians(t_opt), radians(p_opt),
+                                       f.E_ac))
 
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:

@@ -311,7 +311,7 @@ def test_12_best_direction_headline_claims():
     converged tiers at cutoff (8,8,5): [110] beats [100] for Si and for Ge,
     and Si beats Ge in each orientation. On the converged tiers the best
     direction also tops a 2-degree (theta, phi) grid."""
-    from holebox.gmatrix import best_direction as _best_direction
+    from holebox.gmatrix import best_direction as _best_direction, diagonal
 
     t0 = time.perf_counter()
     B, E_ac, n_excited = REF.B, REF.E_ac, 40
@@ -322,14 +322,15 @@ def test_12_best_direction_headline_claims():
         m = get_material(name)
         for o in Orientation:
             model = minimal_exact_model(m, BOX, o, REF.E0)
-            t, p = _best_direction(model.gm, model.gp)
+            t, p = _best_direction(model.g, model.p)
             routes["minimal"][name, o] = model.qubit(B, radians(t), radians(p),
                                                      E_ac)[0]
             red = reduce_model(m, BOX, o, BasisCutoff(8, 8, 5), E0=REF.E0,
                                n_excited=n_excited)
             for tier, flag in (("converged_zeeman", False),
                                ("converged_full", True)):
-                t, p = _best_direction(*red.g_matrices(flag, n_excited))
+                t, p = _best_direction(
+                    *diagonal(*red.g_matrices(flag, n_excited)))
                 kwargs = dict(include_paramagnetic=flag, n_excited=n_excited)
                 best = float(red.rabi_grid(B, radians(t), radians(p), E_ac,
                                            **kwargs)[1])

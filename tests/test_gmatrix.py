@@ -1,4 +1,5 @@
-"""The one (gm, gp) kernel that both qubit routes evaluate their pair with."""
+"""The one kernel that both qubit routes evaluate their (gm, gp) pair with:
+its diagonals (g, p), by gmatrix.diagonal."""
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ import holebox.cli as cli
 from holebox import (BasisCutoff, BoxGeometry, DegenerateQubitError,
                      FieldConfig, Orientation, get_material, gmatrix,
                      minimal_exact_model, minimal_exact_qubit, reduce_model)
+from holebox.constants import CONST
 
 SI = get_material("Si")
 BOX = BoxGeometry(40.0, 30.0, 10.0)
@@ -27,7 +29,7 @@ GRID = [a.ravel().tolist() for a in np.broadcast_arrays(THETAS, PHIS)]
 def _minimal(material):
     """The exact minimal route's pair, and its one-direction calls."""
     model = minimal_exact_model(material, BOX, D110, REF.E0)
-    return (model.gm, model.gp), [
+    return (model.g, model.p), [
         lambda f: model.qubit(f.B, f.theta, f.phi, f.E_ac),
         lambda f: minimal_exact_qubit(material, BOX, D110, f)]
 
@@ -42,7 +44,7 @@ def _converged(material):
         r = model.rabi(f.B, f.theta, f.phi, f.E_ac,
                        include_paramagnetic=False)
         return r.f_R, r.f_L
-    return model.g_matrices(False), [rabi]
+    return gmatrix.diagonal(*model.g_matrices(False)), [rabi]
 
 
 @pytest.mark.parametrize("route", [_minimal, _converged])
@@ -80,11 +82,62 @@ def test_rabi_grid_broadcasts_the_kernel():
     for flag in (False, True):
         f_L, f_R = red.rabi_grid(REF.B, thetas, phis, REF.E_ac,
                                  include_paramagnetic=flag)
-        want_R, want_L = gmatrix.frequencies(*red.g_matrices(flag), REF.B, t,
-                                             p, REF.E_ac)
+        want_R, want_L = gmatrix.frequencies(
+            *gmatrix.diagonal(*red.g_matrices(flag)), REF.B, t, p, REF.E_ac)
         assert f_L.shape == f_R.shape == (46, 91)
         assert (f_L == np.reshape(want_L, (46, 91))).all()
         assert (f_R == np.reshape(want_R, (46, 91))).all()
+
+
+@pytest.mark.parametrize("material, orientation", [
+    ("Si", D110), ("Si", Orientation.DOT_100), ("Ge", Orientation.DOT_100),
+    ("Ge", D110)])
+def test_diagonal_kernel_matches_the_full_pair(material, orientation,
+                                               monkeypatch):
+    # the kernel on (g, p) against the 3x3 algebra on the full pair,
+    # v = gm b and w = gp b, for the minimal pair and both converged tiers.
+    # Worst over these dots on this grid, f_L agreed to 2.0e-15 relative and
+    # f_R to 7.8e-15 of the map's largest f_R (1.1e-14 at (8,8,5)); f_R is
+    # bounded on the map's scale because at its symmetry zeros both sides
+    # are rounding noise. The bounds, 1e-14 and 1e-13, leave a factor of 5+.
+    m, pairs = get_material(material), []
+    with monkeypatch.context() as patch:    # the minimal route's full pair
+        diagonal = gmatrix.diagonal
+        patch.setattr(gmatrix, "diagonal",
+                      lambda *pair: pairs.append(pair) or diagonal(*pair))
+        minimal_exact_model(m, BOX, orientation, REF.E0)
+    red = reduce_model(m, BOX, orientation, BasisCutoff(4, 4, 3), REF.E0)
+    pairs += [red.g_matrices(False), red.g_matrices(True)]
+    assert len(pairs) == 3
+    t, p = np.broadcast_arrays(np.radians(np.linspace(0, 90, 46))[:, None],
+                               np.radians(np.linspace(0, 180, 91))[None, :])
+    b = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)],
+                 axis=-1).reshape(-1, 3)
+    for gm, gp in pairs:
+        v, w = b @ np.array(gm).T, b @ np.array(gp).T
+        v_norm = np.linalg.norm(v, axis=1)
+        want_L = REF.B * v_norm / CONST.h_planck
+        want_R = (CONST.e_scale * REF.E_ac * REF.B
+                  * np.linalg.norm(np.cross(v, w), axis=1)
+                  / (2 * CONST.h_planck * v_norm))
+        f_R, f_L = gmatrix.frequencies(*gmatrix.diagonal(gm, gp), REF.B,
+                                       t.ravel().tolist(), p.ravel().tolist(),
+                                       REF.E_ac)
+        assert np.all(np.abs(np.array(f_L) - want_L) <= 1e-14 * want_L)
+        assert np.all(np.abs(np.array(f_R) - want_R) <= 1e-13 * want_R.max())
+
+
+def test_diagonal_rejects_a_tilted_pair():
+    # an off-diagonal entry of 3.3e-10 relative, above the 1e-12 bound, in
+    # either matrix; all-zero matrices (B = 0 or kappa = 0) pass
+    diag = ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+    tilted = ((1.0, 1e-9, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+    for gm, gp in ((diag, tilted), (tilted, diag)):
+        with pytest.raises(ValueError, match="not diagonal"):
+            gmatrix.diagonal(gm, gp)
+    zero = ((0.0,) * 3,) * 3
+    assert gmatrix.diagonal(zero, zero) == ((0.0, 0.0, 0.0),) * 2
+    assert gmatrix.diagonal(diag, zero) == ((1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("module, absent", [
@@ -110,9 +163,9 @@ def test_angle_map_calls_the_kernel_once_per_tier(tmp_path, monkeypatch):
     calls = []
     frequencies = gmatrix.frequencies
 
-    def counted(gm, gp, B, thetas, phis, E_ac):
+    def counted(g, p, B, thetas, phis, E_ac):
         calls.append(len(thetas))
-        return frequencies(gm, gp, B, thetas, phis, E_ac)
+        return frequencies(g, p, B, thetas, phis, E_ac)
 
     monkeypatch.setattr(gmatrix, "frequencies", counted)
     assert cli.main([

@@ -429,7 +429,7 @@ def test_batched_exact_route_vanishes_at_zero_field():
     t, p = (a.ravel().tolist() for a in np.broadcast_arrays(THETAS, PHIS))
     for material, B in ((SI, 0.0), (replace(SI, kappa=0.0), 1.0)):
         model = minimal_exact_model(material, BOX, D110, 0.1)
-        f_R, f_L = gmatrix.frequencies(model.gm, model.gp, B, t, p, 0.03)
+        f_R, f_L = gmatrix.frequencies(model.g, model.p, B, t, p, 0.03)
         assert len(f_R) == len(f_L) == 7 * 9
         assert all(isnan(f) for f in f_R + f_L)
 
@@ -444,10 +444,18 @@ def test_batched_exact_route_rejects_negative_drive():
     (m, o, 0.0) for m in ("Si", "Ge") for o in Orientation]
     + [("Si", o, eps) for o in Orientation for eps in (5e-4, 1e-3)])
 def test_exact_g_matrices_are_diagonal_in_the_box_axes(name, orientation,
-                                                       eps):
+                                                       eps, monkeypatch):
+    # the full contraction, which every build hands to gmatrix.diagonal;
+    # the model holds its diagonals, six floats
+    pairs, diagonal = [], gmatrix.diagonal
+    monkeypatch.setattr(gmatrix, "diagonal",
+                        lambda *pair: pairs.append(pair) or diagonal(*pair))
     model = minimal_exact_model(get_material(name), BOX, orientation, 0.1,
                                 strain=StrainConfig(eps))
-    for g in (model.gm, model.gp):
+    (pair,) = pairs
+    assert (model.g, model.p) == tuple(tuple(m[i][i] for i in range(3))
+                                       for m in pair)
+    for g in pair:
         assert len(g) == 3 and all(
             len(row) == 3 and all(type(x) is float for x in row) for row in g)
         g = np.array(g)

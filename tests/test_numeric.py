@@ -397,11 +397,11 @@ def test_rabi_grid_rejects_negative_drive():
     # so do the one-direction call and the shared kernel under both
     red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
                        n_excited=10)
-    gm, gp = red.g_matrices()
+    g, p = gmatrix.diagonal(*red.g_matrices())
     for call in (lambda: red.rabi_grid(1.0, 0.3, 0.2, -0.03),
                  lambda: red.rabi(1.0, 0.3, 0.2, -0.03),
-                 lambda: gmatrix.frequencies(gm, gp, 1.0, [0.3], [0.2], -0.03),
-                 lambda: gmatrix.qubit(gm, gp, 1.0, 0.3, 0.2, -0.03)):
+                 lambda: gmatrix.frequencies(g, p, 1.0, [0.3], [0.2], -0.03),
+                 lambda: gmatrix.qubit(g, p, 1.0, 0.3, 0.2, -0.03)):
         with pytest.raises(ValueError, match="E_ac must be >= 0"):
             call()
     assert red.rabi_grid(1.0, 0.3, 0.2, 0.0)[1] == 0.0

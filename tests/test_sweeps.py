@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from math import radians
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import holebox.cli as cli
 import holebox.sweeps as sweeps
 from holebox import (BasisCutoff, DegenerateQubitError, FieldConfig,
                      MinimalExactModel, NearDegeneracyError, Orientation,
-                     PairingError, StrainConfig, gmatrix, minimal_exact_model)
+                     PairingError, StrainConfig, gmatrix, minimal_exact_model,
+                     reduce_model)
 from holebox.constants import CONST
 from holebox.sweeps import (TIERS, ConfigError, resolve_spec, run_angle_map,
                             run_e0_sweep, run_lz_sweep, run_materials_table,
@@ -196,6 +199,19 @@ def test_angle_map_builds_field_configs_only_for_closed_forms(
     assert len(made) == built
 
 
+def test_sweep_points_copy_every_field_but_the_direction():
+    # each point's FieldConfig is built field by field, so a field added to
+    # FieldConfig must be copied here too; none is left at its default
+    names = [f.name for f in dataclasses.fields(FieldConfig)]
+    fields = FieldConfig(**{n: 0.5 + k for k, n in enumerate(names)})
+    spec = resolve_spec("angle-map", tiers="analytic2")
+    run = (spec.geometry, fields, [0.1, 0.2], [0.3, 0.4])
+    points = sweeps._Sweep(spec, [run]).points
+    assert points == [(spec.geometry, dataclasses.replace(fields, theta=t,
+                                                          phi=p))
+                      for t, p in ((0.1, 0.3), (0.2, 0.4))]
+
+
 def test_e0_sweep_respects_tier_selection(tmp_path):
     spec = resolve_spec("e0-sweep", overrides=["sweep.e0_count=3"],
                         tiers="linearized")
@@ -282,33 +298,20 @@ def test_strain_sweep_reports_the_optimum_on_an_edge(tmp_path, overrides,
 
 
 def _diagonal_model(g, p):
-    return MinimalExactModel(
-        gm=tuple(tuple(g[i] if i == j else 0.0 for j in range(3))
-                 for i in range(3)),
-        gp=tuple(tuple(p[i] if i == j else 0.0 for j in range(3))
-                 for i in range(3)))
+    return MinimalExactModel(g=tuple(g), p=tuple(p))
 
 
 def test_best_direction_ties_go_to_the_first_edge():
     # the xz and yz edges both score 1/2; xz comes first
     model = _diagonal_model((1.0, 1.0, 1.0), (0.0, 0.0, 1.0))
-    assert gmatrix.best_direction(model.gm, model.gp) == (45.0, 0.0)
+    assert gmatrix.best_direction(model.g, model.p) == (45.0, 0.0)
 
 
 def test_best_direction_with_no_splitting_raises():
     # the xz edge wins, and its supremum lies along x, where gm b = 0
     model = _diagonal_model((0.0, 1.0, 2.0), (1.0, 0.0, 0.0))
     with pytest.raises(DegenerateQubitError):
-        gmatrix.best_direction(model.gm, model.gp)
-
-
-def test_best_direction_needs_diagonal_matrices():
-    # an off-diagonal entry of 3.3e-10 relative, above the 1e-12 bound
-    diagonal = _diagonal_model((1.0, 2.0, 3.0), (0.5, 0.0, -1.0)).gm
-    tilted = ((1.0, 1e-9, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
-    for gm, gp in ((diagonal, tilted), (tilted, diagonal)):
-        with pytest.raises(ValueError, match="not diagonal"):
-            gmatrix.best_direction(gm, gp)
+        gmatrix.best_direction(model.g, model.p)
 
 
 def test_best_direction_beats_the_sampled_simplex():
@@ -321,7 +324,7 @@ def test_best_direction_beats_the_sampled_simplex():
     for _ in range(500):
         g, p = rng.standard_normal(3), rng.standard_normal(3)
         model = _diagonal_model(tuple(g), tuple(p))
-        t, ph = gmatrix.best_direction(model.gm, model.gp)
+        t, ph = gmatrix.best_direction(model.g, model.p)
         got = model.qubit(1.0, radians(t), radians(ph), 0.03)[0]
         v, w = g * b, p * b
         sampled = (CONST.e_scale * 0.03 * np.linalg.norm(np.cross(v, w), axis=1)
@@ -384,3 +387,46 @@ def test_point_errors_empty_a_cell_or_a_converged_column(tmp_path,
                       "f_R_converged_full"]
     assert [row[2] == "" for row in rows] == [row[0] == "90.0" for row in rows]
     assert all(row[3] == "" for row in rows)
+
+
+def test_a_pair_off_the_box_axes_stops_the_command(tmp_path, monkeypatch):
+    # gmatrix.diagonal's ValueError is an invariant violation, not a solver
+    # error: it must not be turned into empty cells
+    class Tilted:
+        def g_matrices(self, *args, **kwargs):
+            tilted = ((1.0, 1e-9, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+            return tilted, tilted
+
+    monkeypatch.setattr(sweeps, "reduce_model", lambda *a, **k: Tilted())
+    spec = resolve_spec("angle-map", tiers="converged_full",
+                        overrides=["sweep.theta_count=3", "sweep.phi_count=2"])
+    with pytest.raises(ValueError, match="not diagonal"):
+        run_angle_map(spec, tmp_path / "m.csv")
+
+
+@pytest.mark.parametrize("E0", [0.0, 1e-5])
+def test_converged_map_runs_where_gp_vanishes(tmp_path, E0):
+    # at E0 = 0 the y mirror makes gp vanish: the solved gp is rounding
+    # noise, but its off-diagonal entries, which also need the x mirror
+    # broken, are noise of that noise (at most 6e-17 of gp's diagonal over
+    # 40 random Si and Ge boxes at cutoff (4,4,3)), so gmatrix.diagonal
+    # accepts the pair and every cell holds an f_R of about zero
+    out = tmp_path / "m.csv"
+    assert cli.main([
+        "angle-map", "--out", str(out),
+        "--tier", "converged_zeeman,converged_full",
+        "--set", "solver.cutoff=4,4,3", "--set", f"fields.E0={E0}"]) == 0
+    _, _, rows = _read_csv(out)
+    assert len(rows) == 46 * 91
+    f_R = np.array([[float(x) for x in row[2:]] for row in rows])
+    assert np.isfinite(f_R).all()
+    if E0 == 0:
+        assert np.abs(f_R).max() <= 1e-14
+    spec = resolve_spec("angle-map", overrides=[f"fields.E0={E0}"])
+    red = reduce_model(spec.material, spec.geometry, spec.orientation,
+                       BasisCutoff(4, 4, 3), E0)
+    for flag in (False, True):
+        f_L, f_R = red.rabi_grid(1.0, np.linspace(0, 1.5, 7)[:, None],
+                                 np.linspace(0, 3, 9)[None, :], 0.03,
+                                 include_paramagnetic=flag)
+        assert np.isfinite(f_L).all() and np.isfinite(f_R).all()
