@@ -21,10 +21,10 @@ of its states v is T v, so Kramers doublets come out exactly degenerate,
 interleaved as (v, T v), by construction. The block is scattered term by
 term from the Kronecker terms of H0, so the other sector is never formed.
 Its lowest states come from LAPACK's subset eigensolver dsyevr (MRRR), in
-place in the block. dsyevr is bound on the first solve from the OpenBLAS
-that numpy itself loaded, so the solve and the numpy work around it share
-one BLAS library and thread pool; only where that library cannot be bound
-is it taken from scipy's compiled LAPACK module instead.
+place in the block, through one call, _lowest_pairs. It binds
+LAPACKE_dsyevr from the OpenBLAS that numpy itself loaded, so the solve and
+the numpy work around it share one BLAS library and thread pool; only where
+that symbol cannot be bound does it call the public scipy.linalg.eigh.
 
 What each step allocates: the solve holds the real n x n block (n = N/2)
 and then its n x k eigenvectors w, k = ceil(n_states / 2); the residual is
@@ -46,10 +46,6 @@ and the overlaps it projects both carry it.
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
-import os
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -232,62 +228,11 @@ class SpinorSpectrum:
 _LAPACK_COL_MAJOR = 102     # LAPACKE's matrix_layout for Fortran order
 
 
-class _OpenBLASLapack:
-    """dsyevr of the OpenBLAS that numpy loaded, through LAPACKE's _work
-    form in column-major layout, with the call forms and return values of
-    scipy's dsyevr_lwork and dsyevr (abstol 0.0), for the subset solve. A
-    Fortran-order float64 block is overwritten in place when overwrite_a
-    is set; every other array the solve passes to LAPACK is a numpy
-    array."""
-
-    def __init__(self, dsyevr_work, c_int):
-        self._int = np.dtype(c_int)     # the library's lapack_int
-        ptr, char, real = ctypes.c_void_p, ctypes.c_char, ctypes.c_double
-        dsyevr_work.restype = c_int
-        dsyevr_work.argtypes = [ctypes.c_int, char, char, char, c_int, ptr,
-                                c_int, real, real, c_int, c_int, real, ptr,
-                                ptr, ptr, c_int, ptr, ptr, c_int, ptr, c_int]
-        self._dsyevr_work = dsyevr_work
-
-    def dsyevr_lwork(self, n, lower=1):
-        """The optimal (lwork, liwork, info) for an n x n block, from a
-        workspace query (lwork = liwork = -1), which reads no matrix."""
-        work, iwork, m = (np.zeros(1), np.zeros(1, self._int),
-                          np.zeros(1, self._int))
-        info = self._dsyevr_work(
-            _LAPACK_COL_MAJOR, b"V", b"A", b"L" if lower else b"U", n, None,
-            max(1, n), 0.0, 0.0, 1, n, 0.0, m.ctypes.data, None, None,
-            max(1, n), None, work.ctypes.data, -1, iwork.ctypes.data, -1)
-        return work[0], int(iwork[0]), int(info)
-
-    def dsyevr(self, a, *, compute_v, range, lower, il, iu, lwork, liwork,
-               overwrite_a):
-        """(w, z, m, isuppz, info) for eigenpairs il..iu of the symmetric a:
-        the m eigenvalues found in w[:m], ascending, and their vectors in
-        the columns of the n x (iu - il + 1) z. Only the subset call
-        solve_spectrum makes is supported: compute_v = 1, range "I"."""
-        if not compute_v or range != "I":
-            raise ValueError("only compute_v = 1 with range 'I' is supported")
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not 1 <= il <= iu:
-            raise ValueError(f"need a square matrix and 1 <= il <= iu, got "
-                             f"shape {a.shape}, il = {il}, iu = {iu}")
-        a = np.asfortranarray(a if overwrite_a else a.copy(order="F"),
-                              dtype=np.float64)
-        n = a.shape[0]
-        w, m = np.zeros(n), np.zeros(1, self._int)
-        z = np.zeros((n, iu - il + 1), order="F")
-        isuppz = np.zeros(2 * z.shape[1], self._int)
-        work, iwork = np.zeros(lwork), np.zeros(liwork, self._int)
-        info = self._dsyevr_work(
-            _LAPACK_COL_MAJOR, b"V", b"I", b"L" if lower else b"U", n,
-            a.ctypes.data, max(1, n), 0.0, 0.0, il, iu, 0.0, m.ctypes.data,
-            w.ctypes.data, z.ctypes.data, max(1, n), isuppz.ctypes.data,
-            work.ctypes.data, lwork, iwork.ctypes.data, liwork)
-        return w, z, int(m[0]), isuppz, int(info)
-
-
-def _openblas_lapack() -> _OpenBLASLapack | None:
-    """dsyevr of numpy's own OpenBLAS, or None where it cannot be bound.
+@cache
+def _dsyevr():
+    """LAPACKE_dsyevr of the OpenBLAS that numpy loaded, bound once per
+    process, with the library's lapack_int as a numpy dtype; or None where
+    it cannot be bound.
 
     numpy's LAPACK extension is opened again by its path, which returns
     the library numpy already loaded, and the symbols are looked up
@@ -304,55 +249,60 @@ def _openblas_lapack() -> _OpenBLASLapack | None:
         for suffix in ("64_", ""):
             try:
                 config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
-                dsyevr_work = getattr(lib,
-                                      f"{prefix}LAPACKE_dsyevr_work{suffix}")
+                dsyevr = getattr(lib, f"{prefix}LAPACKE_dsyevr{suffix}")
             except AttributeError:
                 continue
             config.restype, config.argtypes = ctypes.c_char_p, []
             wide = b"USE64BITINT" in (config() or b"").split()
-            return _OpenBLASLapack(dsyevr_work,
-                                   ctypes.c_int64 if wide else ctypes.c_int32)
+            c_int = ctypes.c_int64 if wide else ctypes.c_int32
+            ptr, char, real = ctypes.c_void_p, ctypes.c_char, ctypes.c_double
+            dsyevr.restype = c_int
+            dsyevr.argtypes = [ctypes.c_int, char, char, char, c_int, ptr,
+                               c_int, real, real, c_int, c_int, real, ptr,
+                               ptr, ptr, c_int, ptr]
+            return dsyevr, np.dtype(c_int)
     return None
 
 
-_FLAPACK = "scipy.linalg._flapack"
+def _lowest_pairs(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs (e, w) of the real symmetric Fortran-order
+    block, ascending (w: n x k), by LAPACK's subset solver dsyevr, which
+    overwrites the block in place and runs its own workspace query.
 
-
-@cache
-def _lapack():
-    """The LAPACK that holds dsyevr, bound once per process: numpy's own
-    OpenBLAS (_openblas_lapack), so that the solve, the residual check and
-    reduce_model's projections share one BLAS library and one thread pool
-    and nothing of scipy is loaded. Where that cannot be bound, scipy's
-    LAPACK (_scipy_lapack), with the same call forms."""
-    return _openblas_lapack() or _scipy_lapack()
-
-
-def _scipy_lapack():
-    """scipy's compiled LAPACK module, loaded without running the scipy or
-    scipy.linalg package __init__: that import takes ~0.3 s and ~28 MB
-    (numpy.random, hashlib, OpenSSL) for this one routine. The module is
-    registered under its own name, so a later import of scipy.linalg reuses
-    it. If the extension file cannot be found or loaded directly, the
-    public scipy.linalg.lapack, which exposes the same functions, is
-    imported instead."""
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        scipy = importlib.util.find_spec("scipy")    # locates, does not import
-        spec = scipy and importlib.machinery.FileFinder(
-            os.path.join(scipy.submodule_search_locations[0], "linalg"),
-            (importlib.machinery.ExtensionFileLoader,
-             importlib.machinery.EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+    dsyevr comes from numpy's own OpenBLAS (_dsyevr), so that the solve,
+    the residual check and reduce_model's projections share one BLAS
+    library and one thread pool and nothing of scipy is loaded. Only where
+    that cannot be bound (numpy on MKL or Accelerate) does the public
+    scipy.linalg.eigh make the same dsyevr call, at the cost of importing
+    scipy.linalg (~0.3 s and ~28 MB). Raises SolverError on either path if
+    dsyevr fails or finds fewer than k pairs."""
+    n = block.shape[0]
+    bound = _dsyevr()
+    if bound is None:
+        from scipy.linalg import LinAlgError, eigh
         try:
-            if spec is None:
-                raise ImportError(f"no {_FLAPACK} extension file")
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except ImportError:
-            from scipy.linalg import lapack as module
-        else:
-            sys.modules[_FLAPACK] = module
-    return module
+            e, w = eigh(block, subset_by_index=(0, k - 1), driver="evr",
+                        overwrite_a=True, check_finite=False)
+        except LinAlgError as err:
+            raise SolverError(f"LAPACK dsyevr failed: {err}") from err
+        info, found = 0, e.shape[0]
+    else:
+        if (block.dtype != np.float64 or not block.flags.f_contiguous
+                or block.shape != (n, n) or not 1 <= k <= n):
+            raise ValueError("dsyevr needs a square Fortran-order float64 "
+                             "block and 1 <= k <= its order")
+        dsyevr, lapack_int = bound
+        e, w = np.zeros(n), np.zeros((n, k), order="F")
+        m, isuppz = np.zeros(1, lapack_int), np.zeros(2 * k, lapack_int)
+        info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n,
+                      block.ctypes.data, n, 0.0, 0.0, 1, k, 0.0,
+                      m.ctypes.data, e.ctypes.data, w.ctypes.data, n,
+                      isuppz.ctypes.data)
+        found = int(m[0])
+    if info != 0 or found < k:
+        raise SolverError(f"LAPACK dsyevr failed (info = {info}) or found "
+                          f"{found} of the {k} requested eigenpairs")
+    return e[:k], w
 
 
 def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
@@ -362,11 +312,10 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     component off z breaks it) and be time-reversal even; only the real +
     sector block is diagonalized, densely (the dimension guard of
     HamiltonianMatrix bounds it by MAX_DIMENSION / 2 rows), and the states
-    come out as exactly degenerate (v, T v) pairs. LAPACK's dsyevr (from
-    _lapack: numpy's OpenBLAS, else scipy's LAPACK) computes only the lowest
-    k = (n_states + 1) // 2 states of the block, overwriting the block in
-    place, with the arguments scipy.linalg.eigh passes for subset_by_index:
-    about 1 n^2 doubles plus the n x k eigenvectors live.
+    come out as exactly degenerate (v, T v) pairs. LAPACK's dsyevr
+    (_lowest_pairs) computes only the lowest k = (n_states + 1) // 2 states
+    of the block, overwriting the block in place: about 1 n^2 doubles plus
+    the n x k eigenvectors live.
     The block is freed right after the solve, and the residual of H is then
     checked over each v and its partner T v, a few pairs at a time, so no
     n x n array outlives the solve and H V is never formed whole; checking
@@ -381,19 +330,8 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     indices, phase, block, scale = _plus_sector(H)
     k = (n + 1) // 2
-    lapack = _lapack()
-    lwork, liwork, info = lapack.dsyevr_lwork(block.shape[0], lower=1)
-    if info != 0:
-        raise SolverError(f"LAPACK dsyevr_lwork failed (info = {info})")
-    # the Fortran-order block is overwritten in place, not copied
-    e, w, found, _, info = lapack.dsyevr(
-        block, compute_v=1, range="I", lower=1, il=1, iu=k,
-        lwork=int(lwork), liwork=liwork, overwrite_a=1)
+    e, w = _lowest_pairs(block, k)
     del block       # dsyevr has overwritten it; H checks the result
-    if info != 0 or found < k:
-        raise SolverError(f"LAPACK dsyevr failed (info = {info}) or found "
-                          f"fewer than the {k} requested eigenpairs")
-    e = e[:k]
     spectrum = SpinorSpectrum(e, w, indices, phase, H.dimension, n)
     step = APPLY_COLUMNS // 2
     residual = np.max([np.linalg.norm(

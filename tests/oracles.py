@@ -3,7 +3,9 @@
 The direct evaluators here rebuild the Zeeman block, the dipole operator,
 the static minimal Hamiltonian and the qubit amplitudes from first
 principles so that only the subband constants are shared with the library
-code under test.
+code under test. exact_finite_field shares only the converged-basis
+assemblers: it diagonalizes the dense Hamiltonian at finite field and
+imports nothing from holebox.numeric.
 """
 from __future__ import annotations
 
@@ -11,9 +13,12 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from holebox import (BoxGeometry, MaterialParams, Orientation, StrainConfig,
-                     electric_mixing, mixed_subbands, subband_params)
+from holebox import (BasisCutoff, BoxGeometry, MaterialParams, Orientation,
+                     StrainConfig, electric_mixing, mixed_subbands,
+                     subband_params)
 from holebox.constants import CONST
+from holebox.hamiltonian import (assemble_paramagnetic, assemble_static,
+                                 assemble_zeeman, dipole_y)
 
 SQ3 = sqrt(3.0)
 
@@ -171,6 +176,40 @@ def exact_qubit8(material: MaterialParams, geometry: BoxGeometry,
                   + (s1.conj() @ HZ @ v) * (v.conj() @ Y @ s0)) / (E[0] - E[n])
     return (CONST.e_scale * fields.E_ac * abs(total) / CONST.h_planck,
             (w[1] - w[0]) / CONST.h_planck)
+
+
+def exact_finite_field(material: MaterialParams, geometry: BoxGeometry,
+                       orientation: Orientation, cutoff: BasisCutoff, fields,
+                       *, include_paramagnetic: bool,
+                       B_values: tuple[float, float] = (1e-3, 5e-4),
+                       ) -> tuple[float, float]:
+    """(f_L, f_R) in GHz at fields.B by exact diagonalization at finite B,
+    with no perturbation theory, pairing, sector or gauge rule.
+
+    The dense H0 + B (Z [+ P]) along (theta, phi) is diagonalized by
+    np.linalg.eigh at each small field of B_values; its two lowest states
+    give f_L = (E1 - E0) / h and f_R = e E_ac |<1|Y|0>| / h. Both are
+    divided by B and extrapolated in B^2 to B = 0 (Richardson), then
+    scaled to fields.B, the first-order result. Only the assemblers and
+    HamiltonianMatrix.matrix are shared with the library."""
+    theta, phi = fields.theta, fields.phi
+    H0 = assemble_static(material, geometry, orientation, cutoff,
+                         E0=fields.E0).matrix
+    G = assemble_zeeman(material, 1.0, theta, phi, cutoff).matrix
+    if include_paramagnetic:
+        G = G + assemble_paramagnetic(material, geometry, 1.0, theta, phi,
+                                      cutoff, orientation=orientation).matrix
+    Y = dipole_y(geometry, cutoff).matrix
+    per_tesla = []
+    for B in B_values:
+        E, V = np.linalg.eigh(H0 + B * G)
+        y10 = abs(np.vdot(V[:, 1], Y @ V[:, 0]))
+        per_tesla.append(np.array([E[1] - E[0],
+                                   CONST.e_scale * fields.E_ac * y10])
+                         / (CONST.h_planck * B))
+    (B1, B2), (x1, x2) = B_values, per_tesla
+    f_L, f_R = fields.B * (B1 ** 2 * x2 - B2 ** 2 * x1) / (B1 ** 2 - B2 ** 2)
+    return float(f_L), float(f_R)
 
 
 # ---------------------------------------------------------------------------
