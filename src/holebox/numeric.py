@@ -27,21 +27,20 @@ the numpy work around it share one BLAS library and thread pool; only where
 that symbol cannot be bound does it call the public scipy.linalg.eigh.
 
 What each step allocates: the solve holds the real n x n block (n = N/2)
-and then its n x k eigenvectors w, k = ceil(n_states / 2); the residual is
-checked a few (v, T v) pairs at a time. The SpinorSpectrum it returns is
-the solved sector: it keeps w and builds the N x n_states complex
-eigenvectors only when they are first read. reduce_model never reads them:
-it builds the ground doublet (N x 2), applies the seven generators to it
-(N x 14) and projects onto every kept state through w, using
-<D w_j|y> = w_j^T (D^* y)_+ and <T D w_j|y> = -conj(w_j^T (D^* T y)_+),
-which gives 2k x 14 numbers.
+and then its n x k eigenvectors w, k = ceil(n_states / 2). The
+SpinorSpectrum it returns is the solved sector: it keeps w, and its pairs
+method is the only constructor of the complex (v, T v) columns and of
+their phase factor. The residual check and reduce_model both read the
+columns a few pairs at a time, so neither forms the N x n_states
+eigenvectors: reduce_model builds the ground doublet (N x 2), applies the
+seven generators to it (N x 14) and projects that onto each chunk of
+columns, which gives 2k x 14 numbers.
 
 All physical outputs are invariant under the pseudo-spin gauge (unitary
 rotations within each doublet); eigenvector phases are nevertheless fixed
 by one rule, so that intermediate dumps are reproducible: each (v, T v)
-column's first largest entry is real positive. SpinorSpectrum takes the
-factor of each column once, an exact power of i, and the columns it builds
-and the overlaps it projects both carry it.
+column's first largest entry is real positive. pairs applies it with an
+exact power of i, so every reader of the columns sees the same bits.
 """
 from __future__ import annotations
 
@@ -148,40 +147,20 @@ def _plus_sector(H: HamiltonianMatrix,
             scale)
 
 
-_T_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
-
-
 class SpinorSpectrum:
     """The lowest n_states eigenpairs of a static H, ascending, as
     solve_spectrum finds them in the M_z = +i sector: the lowest k
     eigenpairs (e, w) of its real block (w: n x k, real orthonormal), the
     sector's ascending flat indices and the phase D on them. State j is
     v_j = D w_j on those rows, its Kramers partner is T v_j, and energies
-    repeats each e_j for the pair.
-
-    Each (v, T v) column is phase fixed by conj(l) / |l| for its first
-    largest entry l, which makes l real positive. |v_j| is |w_j| on the
-    sector rows, and T v_j holds -tau conj(D w_j) on the rows indices ^ 3
-    (tau: the T sign at each row), so l / |l| is an exact power of i, read
-    off w here once for both columns of each state."""
+    repeats each e_j for the pair. pairs is the only constructor of the
+    (v, T v) columns and of their phase factor."""
 
     def __init__(self, e: np.ndarray, w: np.ndarray, indices: np.ndarray,
                  phase: np.ndarray, dimension: int, n_states: int):
         self.energies = np.repeat(e, 2)[:n_states]
         self.w, self.indices, self.phase, self.dimension = (w, indices, phase,
                                                             dimension)
-        self._tau = _T_SIGNS[indices % 4]
-        # the rows indices ^ 3 swap each orbital's two sector rows, so
-        # T v_j's entries run over the sector rows in the order swap
-        size = np.abs(w)
-        swap = np.arange(w.shape[0]) ^ 1
-        lead = np.argmax(size, axis=0)
-        lead_t = swap[np.argmax(size[swap], axis=0)]
-        states = np.arange(w.shape[1])
-        self._units = np.empty(2 * w.shape[1], dtype=complex)    # l / |l|
-        self._units[0::2] = phase[lead] * np.sign(w[lead, states])
-        self._units[1::2] = (-self._tau[lead_t] * phase[lead_t].conj()
-                             * np.sign(w[lead_t, states]))
 
     @property
     def n_states(self) -> int:
@@ -193,36 +172,21 @@ class SpinorSpectrum:
         return self.pairs(0, self.w.shape[1])[:, :self.n_states]
 
     def pairs(self, start: int, stop: int) -> np.ndarray:
-        """The phase-fixed (v, T v) columns of states start..stop - 1,
-        interleaved: an N x 2 (stop - start) complex array."""
+        """The (v, T v) columns of states start..stop - 1, interleaved: an
+        N x 2 (stop - start) complex array. Each column is phase fixed by
+        conj(l) / |l| for its first largest entry l, a power of i times a
+        real number, so the factor is sign(Re l) - i sign(Im l), exact where
+        a division l / |l| would round."""
         w, dim = self.w[:, start:stop], self.dimension
         m = w.shape[1]
         pairs = np.zeros((dim, 2 * m), dtype=complex)
         pairs[self.indices, 0::2] = self.phase[:, None] * w
         # T v = K antidiag(1, -1, 1, -1) v on every orbital
         spin = pairs[:, 0::2].reshape(dim // 4, 4, m)[:, ::-1, :].conj()
-        pairs[:, 1::2] = (spin * _T_SIGNS[:, None]).reshape(dim, m)
-        pairs *= self._units[2 * start:2 * stop].conj()
+        pairs[:, 1::2] = (spin * [[1], [-1], [1], [-1]]).reshape(dim, m)
+        lead = pairs[np.argmax(np.abs(pairs), axis=0), np.arange(2 * m)]
+        pairs *= np.sign(lead.real) - 1j * np.sign(lead.imag)
         return pairs
-
-    def overlaps(self, Y: np.ndarray) -> np.ndarray:
-        """<u|Y> for every phase-fixed (v, T v) column u, as pairs builds
-        them (2k x m for an N x m complex Y), without forming the columns.
-
-        <v_j|y> = w_j^T (D^* y)_+, where _+ takes the sector's rows. T is
-        antiunitary with T^2 = -1, so <T v_j|y> = -conj(<v_j|T y>), and
-        (T y)_+ reads y on the rows indices ^ 3, the same orbital's opposite
-        spin slots. The phase fix turns <u|y> into l <u|y> / |l|."""
-        w, idx, D = self.w, self.indices, self.phase
-
-        def project(Z):     # w^T Z for a complex Z, with no complex copy of w
-            return (w.T @ Z.view(float)).view(complex)
-
-        out = np.empty((2 * w.shape[1], Y.shape[1]), dtype=complex)
-        out[0::2] = project(D.conj()[:, None] * Y[idx])
-        out[1::2] = -project((D * self._tau)[:, None] * Y[idx ^ 3])
-        out *= self._units[:, None]
-        return out
 
 
 _LAPACK_COL_MAJOR = 102     # LAPACKE's matrix_layout for Fortran order
@@ -537,11 +501,12 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
     """The static problem's ReducedModel: the ground doublet and n_excited
     excited doublets. After the solve it allocates the phase-fixed ground
     doublet (N x 2), the seven generators applied to it (N x 14) and their
-    projections on the kept states (n x 14), taken through the sector's real
-    vectors: no N x n_states eigenvector array is formed."""
+    projections on the kept states (n x 14), taken against the (v, T v)
+    columns from SpinorSpectrum.pairs APPLY_COLUMNS at a time: no
+    N x n_states eigenvector array is formed."""
     spectrum = _static_spectrum(material, geometry, orientation, cutoff, E0,
                                 strain, n_excited)
-    n = spectrum.n_states
+    n, k = spectrum.n_states, spectrum.w.shape[1]
     ground = spectrum.pairs(0, 1)
 
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))
@@ -552,9 +517,11 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
                     for th, ph in axes]
                  + [dipole_y(geometry, cutoff)])
     # the ground-doublet columns V^H (G V[:, :2]), each G applied to the two
-    # columns factor by factor and never summed into an N x N operator
-    columns = spectrum.overlaps(np.concatenate(
-        [G @ ground for G in operators], axis=1))[:n]
+    # columns factor by factor, and V^H taken a few pairs at a time
+    Y = np.concatenate([G @ ground for G in operators], axis=1)
+    step = APPLY_COLUMNS // 2
+    columns = np.concatenate([spectrum.pairs(j, j + step).conj().T @ Y
+                              for j in range(0, k, step)])[:n]
     columns = columns.reshape(n, len(operators), 2).transpose(1, 0, 2)
     return ReducedModel(energies=spectrum.energies, zeeman=columns[0:3],
                         paramagnetic=columns[3:6], dipole=columns[6])

@@ -215,23 +215,14 @@ def test_reduced_model_keeps_ground_doublet_columns():
     ids=["Si-110", "Ge-100", "Si-110-whole-block"])
 def test_sector_projection_matches_the_full_eigenbasis(material, orientation,
                                                        cut, n_excited):
-    """reduce_model projects through the sector's real vectors; its
-    (gm, gp) equal those of the explicit projection V^H G V[:, :2] on
-    solve_spectrum's vectors, and the sector overlaps equal V^H Y row by
-    row: the (v, T v) rows separately, as a sign error in <T v|y> would
-    cancel in f_L and f_R."""
+    """reduce_model projects chunk by chunk on SpinorSpectrum.pairs; its
+    stored columns equal the explicit projection V^H G V[:, :2] on
+    solve_spectrum's vectors row by row, the v rows and the T v rows
+    separately, as a sign error in <T v|y> would cancel in f_L and f_R, and
+    so do its (gm, gp)."""
     H0 = assemble_static(material, BOX, orientation, cut, E0=0.1)
     spectrum = solve_spectrum(H0, min(2 * (n_excited + 1), cut.dimension))
     V = spectrum.vectors
-    rng = np.random.default_rng(3)
-    Y = rng.standard_normal((cut.dimension, 3)) \
-        + 1j * rng.standard_normal((cut.dimension, 3))
-    got = spectrum.overlaps(Y)[:spectrum.n_states]
-    want = V.conj().T @ Y
-    for rows in (slice(0, None, 2), slice(1, None, 2)):
-        np.testing.assert_allclose(got[rows], want[rows], rtol=0,
-                                   atol=1e-12 * np.max(np.abs(want)))
-
     axes = ((pi / 2, 0.0), (pi / 2, pi / 2), (0.0, 0.0))
 
     def columns(G):
@@ -248,6 +239,13 @@ def test_sector_projection_matches_the_full_eigenbasis(material, orientation,
     red = reduce_model(material, BOX, orientation, cut, 0.1,
                        n_excited=n_excited)
     assert np.array_equal(red.energies, spectrum.energies)
+    for name in ("zeeman", "paramagnetic", "dipole"):
+        got, want = getattr(red, name), getattr(explicit, name)
+        assert got.shape == want.shape
+        for rows in (slice(0, None, 2), slice(1, None, 2)):
+            np.testing.assert_allclose(got[..., rows, :], want[..., rows, :],
+                                       rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
     for flag in (False, True):
         for g, g_want in zip(red.g_matrices(flag, n_excited),
                              explicit.g_matrices(flag, n_excited)):
@@ -256,16 +254,16 @@ def test_sector_projection_matches_the_full_eigenbasis(material, orientation,
 
 
 def test_reduce_model_forms_no_full_eigenbasis(monkeypatch):
-    """reduce_model never forms the N x n_states eigenvectors: it builds
-    the ground doublet alone, and the residual check builds at most
-    APPLY_COLUMNS columns at a time, against 82 kept states here."""
-    widths = []
+    """reduce_model never forms the N x n_states eigenvectors: it asks
+    pairs for the ground doublet, and the residual check and the projection
+    ask for at most APPLY_COLUMNS columns at a time, against 82 kept states
+    here."""
+    requested = []
     pairs = numeric.SpinorSpectrum.pairs
 
     def counted_pairs(self, start, stop):
-        built = pairs(self, start, stop)
-        widths.append(built.shape[1])
-        return built
+        requested.append((start, stop))
+        return pairs(self, start, stop)
 
     def no_vectors(self):
         raise AssertionError("reduce_model read SpinorSpectrum.vectors")
@@ -275,8 +273,9 @@ def test_reduce_model_forms_no_full_eigenbasis(monkeypatch):
                         property(no_vectors))
     red = reduce_model(SI, BOX, D110, BasisCutoff(6, 6, 4), E0=0.1)
     assert red.energies.shape == (82,)
-    assert widths[-1] == 2
-    assert max(widths) <= numeric.APPLY_COLUMNS
+    assert (0, 1) in requested
+    assert all(2 * (stop - start) <= numeric.APPLY_COLUMNS
+               for start, stop in requested)
 
 
 def test_pipelines_sum_only_the_static_operator(monkeypatch):
