@@ -14,8 +14,8 @@ Conventions fixed here and inherited everywhere:
 - b_hat = (sin t cos p, sin t sin p, cos t) for polar angle t, azimuth p.
 
 Every operator is a sum of Kronecker terms, coef * O (x) spin, where O is
-a short weighted sum of products of the per-axis 1D tables of basis.py and
-spin is a 4x4 block. The assemblers only collect these terms.
+one weighted product w * z (x) y (x) x of the per-axis 1D tables of
+basis.py and spin is a 4x4 block. The assemblers only collect these terms.
 `HamiltonianMatrix @ V` applies them to a vector block factor by factor, one
 small matrix product per axis, without forming any N x N object; that is how
 the numerics apply the field generators and the dipole. Summed entries come
@@ -60,15 +60,14 @@ MAX_DIMENSION = 8192
 APPLY_COLUMNS = 16
 
 
-# One Kronecker term: coef * O (x) spin, where the orbital factor O is a
-# short weighted sum of per-axis products, each (weight, x, y, z) standing
-# for weight * z (x) y (x) x with n_x fastest; a None factor is the
-# identity on its axis. Keeping the weights inside O (rather than folding
-# them into coef) keeps the summed operator bit-identical to the direct
-# channel-by-channel construction.
+# One Kronecker term: coef * O (x) spin, where the orbital factor O is one
+# product (weight, x, y, z) standing for weight * z (x) y (x) x with n_x
+# fastest; a None factor is the identity on its axis. The weight stays in O,
+# not folded into coef: an entry coef * ((w * x) * spin) then rounds as the
+# dense channel-by-channel construction does, which (coef * w) * ... would not.
 Product = tuple[float, "np.ndarray | None", "np.ndarray | None",
                 "np.ndarray | None"]
-Term = tuple[complex, tuple[Product, ...], np.ndarray]
+Term = tuple[complex, Product, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -79,74 +78,50 @@ class HamiltonianMatrix:
     def __post_init__(self):
         _check_dimension(self.cutoff)
         sizes = (self.cutoff.N_x, self.cutoff.N_y, self.cutoff.N_z)
-        for _, orbital, spin in self.terms:
+        for _, product, spin in self.terms:
             if np.shape(spin) != (4, 4):
                 raise ValueError(f"spin block must be 4x4, got {np.shape(spin)}")
-            for _, *tables in orbital:
-                for axis, n, table in zip("xyz", sizes, tables):
-                    if table is not None and np.shape(table) != (n, n):
-                        raise ValueError(
-                            f"{axis} factor has shape {np.shape(table)}, "
-                            f"cutoff needs ({n}, {n})")
+            if len(product) != 4 or not np.isscalar(product[0]):
+                raise ValueError("a term's orbital factor must be one "
+                                 "product (weight, x, y, z)")
+            for axis, n, table in zip("xyz", sizes, product[1:]):
+                if table is not None and np.shape(table) != (n, n):
+                    raise ValueError(
+                        f"{axis} factor has shape {np.shape(table)}, "
+                        f"cutoff needs ({n}, {n})")
 
     def scatter_terms(self) -> Iterator[tuple[complex, np.ndarray, np.ndarray,
                                               np.ndarray, np.ndarray]]:
         """(coef, a, b, o, spin) for each term in order: (a, b) are the
         nonzero entries of the term's orbital factor O (orbitals flat with
-        n_x fastest), each once and in no set order, and o = O[a, b]. The
-        term's entry at orbitals (a, b) and spin slots (s, t) is
-        coef * (o * spin[s, t]); summing those in term order is the one way
-        the package sums an operator.
+        n_x fastest), each once, and o = O[a, b]. The term's entry at
+        orbitals (a, b) and spin slots (s, t) is coef * (o * spin[s, t]);
+        summing those in term order is the one way the package sums an
+        operator.
 
         O is never formed, so memory follows the term's nonzeros, not
-        n_orbital^2. Each product's nonzeros are the Kronecker product of
-        its tables' nonzeros, valued w * (z * (y * x)) as np.kron rounds
-        them; a term adds its products in order and drops the entries that
-        cancel to exactly zero, so (a, b, o) are the nonzeros of the dense
-        sum bit for bit."""
-        for coef, orbital, spin in self.terms:
-            yield (coef, *self._orbital_entries(orbital), spin)
-
-    def _orbital_entries(self, orbital: tuple[Product, ...],
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, o) of a term's orbital factor: its products' entries added
-        in order at the union of their keys, then the exact zeros dropped."""
-        products = [self._product_entries(product) for product in orbital]
-        keys, o = products[0]       # a lone product's keys are distinct
-        if len(products) > 1:
-            # the distinct keys, sorted; np.unique would import numpy.ma
-            keys = np.concatenate([k for k, _ in products])
-            keys.sort()
-            distinct = np.ones(keys.shape, dtype=bool)
-            distinct[1:] = keys[1:] != keys[:-1]
-            keys = keys[distinct]
-            o = np.zeros(keys.shape)
-            for k, v in products:
-                o[np.searchsorted(keys, k)] += v
-        del products    # freed before the outputs are built
-        kept = o != 0
-        return (*np.divmod(keys[kept], self.cutoff.n_orbital), o[kept])
-
-    def _product_entries(self, product: Product,
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat keys a * n_orbital + b and values of the nonzero entries of
-        w * z (x) y (x) x, built axis by axis from x (fastest) to z: an
-        entry (r, c) of an axis of stride s adds s * (r * n_orbital + c) to
-        the key of the faster axes. An identity axis multiplies by 1.0,
-        which is exact."""
+        n_orbital^2. They are the Kronecker product of the tables'
+        nonzeros, built axis by axis from x (fastest) to z: an entry (r, c)
+        of an axis of stride s adds s * (r * n_orbital + c) to the flat key
+        a * n_orbital + b of the faster axes, and the values are
+        w * (z * (y * x)) as np.kron rounds them. An identity axis
+        multiplies by 1.0, which is exact; a zero weight yields no
+        entries."""
         c = self.cutoff
-        w, *tables = product
-        key, value = np.zeros(1, dtype=np.intp), np.ones(1)
-        stride = 1
-        for size, table in zip((c.N_x, c.N_y, c.N_z), tables):
-            if table is None:
-                table = np.eye(size)
-            rows, cols = np.nonzero(table)
-            key = np.add.outer(stride * (rows * c.n_orbital + cols),
-                               key).ravel()
-            value = np.multiply.outer(table[rows, cols], value).ravel()
-            stride *= size
-        return key, w * value
+        for coef, (w, *tables), spin in self.terms:
+            key, value = np.zeros(1, dtype=np.intp), np.ones(1)
+            stride = 1
+            for size, table in zip((c.N_x, c.N_y, c.N_z), tables):
+                if table is None:
+                    table = np.eye(size)
+                rows, cols = np.nonzero(table)
+                key = np.add.outer(stride * (rows * c.n_orbital + cols),
+                                   key).ravel()
+                value = np.multiply.outer(table[rows, cols], value).ravel()
+                stride *= size
+            o = w * value
+            kept = o != 0
+            yield (coef, *np.divmod(key[kept], c.n_orbital), o[kept], spin)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -187,16 +162,13 @@ class HamiltonianMatrix:
             W = np.ascontiguousarray(part.transpose(1, 0, 2), dtype=complex)
             W = W.reshape(4, -1)
             acc = np.zeros(W.shape, dtype=complex)
-            for coef, orbital, spin in self.terms:
+            for coef, (w, *tables), spin in self.terms:
                 S = _product(coef * spin, W)
-                for w, *tables in orbital:
-                    acc += _along_axes(S, w, tables, c, k)
+                acc += _along_axes(S, w, tables, c, k)
             out[:, :, j:j + k] = acc.reshape(4, c.n_orbital, k).transpose(1, 0, 2)
         return out.reshape(V.shape)
 
     def __add__(self, other: "HamiltonianMatrix") -> "HamiltonianMatrix":
-        if self.dimension != other.dimension:
-            raise AssemblyError("cannot add Hamiltonians of different dimension")
         if self.cutoff != other.cutoff:
             raise AssemblyError("cannot add Hamiltonians over different cutoffs")
         return HamiltonianMatrix(terms=self.terms + other.terms,
@@ -298,7 +270,7 @@ def _lk(material: MaterialParams, geometry: BoxGeometry,
         "yz": (-1.0, None, Dy, Dz),
     }
     spin = _spin_weights(material, orientation)
-    return tuple((CONST.hbar2_over_2m0, (orb,), spin[ch])
+    return tuple((CONST.hbar2_over_2m0, orb, spin[ch])
                  for ch, orb in orbital.items())
 
 
@@ -319,12 +291,12 @@ def _strain(material: MaterialParams, strain: StrainConfig) -> np.ndarray:
     return np.diag([d_hh, d_lh, d_lh, d_hh])
 
 
-_ORBITAL_IDENTITY = ((1.0, None, None, None),)
+_ORBITAL_IDENTITY = (1.0, None, None, None)
 
 
 def dipole_y(geometry: BoxGeometry, cutoff: BasisCutoff) -> HamiltonianMatrix:
     """The y position operator (nm), spin-diagonal."""
-    return HamiltonianMatrix(terms=((1.0, (_dipole(geometry, cutoff),), _I4),),
+    return HamiltonianMatrix(terms=((1.0, _dipole(geometry, cutoff), _I4),),
                              cutoff=cutoff)
 
 
@@ -357,8 +329,10 @@ def assemble_paramagnetic(material: MaterialParams, geometry: BoxGeometry,
     Every channel factorizes into per-axis 1D operators drawn from
     {identity, position, derivative, position*derivative}; the composite
     same-axis element keeps the projection exact in the truncated basis.
-    Each orbital factor below is real antisymmetric, so -i times it is
-    Hermitian and the assembled matrix is Hermitian by construction.
+    Each channel's sum of products below is real antisymmetric (the
+    q_a - q_b pairs cancel on the diagonal), so -i times it is Hermitian
+    and the assembled matrix is Hermitian by construction. Each product is
+    its own term, in channel and product order.
     """
     Nx, Ny, Nz = cutoff.N_x, cutoff.N_y, cutoff.N_z
     Xx = position_matrix(Nx, geometry.L_x)
@@ -386,7 +360,8 @@ def assemble_paramagnetic(material: MaterialParams, geometry: BoxGeometry,
     spin = _spin_weights(material, orientation)
     return HamiltonianMatrix(terms=tuple(
         (CONST.mu_B * B * (-1j if ch in ("xx", "yy", "zz") else -0.5j),
-         orbital, spin[ch]) for ch, orbital in ops.items()), cutoff=cutoff)
+         product, spin[ch]) for ch, products in ops.items()
+        for product in products), cutoff=cutoff)
 
 
 def assemble_static(material: MaterialParams, geometry: BoxGeometry,
@@ -399,7 +374,7 @@ def assemble_static(material: MaterialParams, geometry: BoxGeometry,
     """
     terms = _lk(material, geometry, orientation, cutoff)
     if E0 != 0.0:
-        terms += ((-CONST.e_scale * E0, (_dipole(geometry, cutoff),), _I4),)
+        terms += ((-CONST.e_scale * E0, _dipole(geometry, cutoff), _I4),)
     if strain is not None and strain.eps_parallel != 0.0:
         terms += ((1.0, _ORBITAL_IDENTITY, _strain(material, strain)),)
     return HamiltonianMatrix(terms=terms, cutoff=cutoff)

@@ -222,7 +222,7 @@ def test_kronecker_apply_matches_summed_operator(case, monkeypatch):
 def test_add_requires_matching_cutoffs():
     a = assemble_static(SI, BOX, D110, BasisCutoff(1, 2, 1))
     b = assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 1))
-    with pytest.raises(AssemblyError, match="dimension"):
+    with pytest.raises(AssemblyError, match="cutoffs"):
         _ = a + b
     # same dimension, different cutoff
     c = assemble_static(SI, BOX, D110, BasisCutoff(2, 1, 1))
@@ -339,29 +339,26 @@ def _scatter_operators(cut):
             + [dipole_y(BOX, cut)])
 
 
-def _dense_orbital_factor(orbital, cut):
-    """A term's orbital factor summed densely, product by product, from
-    np.kron of the per-axis tables (identities for None)."""
+def _dense_orbital_factor(product, cut):
+    """A term's orbital factor w * z (x) y (x) x from np.kron of the
+    per-axis tables (identities for None)."""
+    w, *tables = product
     eyes = (np.eye(cut.N_x), np.eye(cut.N_y), np.eye(cut.N_z))
-    O = None
-    for w, *tables in orbital:
-        x, y, z = (eye if t is None else t for eye, t in zip(eyes, tables))
-        product = w * np.kron(z, np.kron(y, x))
-        O = product if O is None else O + product
-    return O
+    x, y, z = (eye if t is None else t for eye, t in zip(eyes, tables))
+    return w * np.kron(z, np.kron(y, x))
 
 
 @pytest.mark.parametrize("cut", [BasisCutoff(3, 4, 2), BasisCutoff(4, 3, 5)])
 def test_scatter_terms_yield_the_nonzeros_of_dense_kron(cut):
     """For every term, scatter_terms yields exactly the nonzero entries of
-    the dense np.kron sum, each once and bit for bit, with the term's own
-    coefficient and spin block."""
+    its dense np.kron product, each once and bit for bit, with the term's
+    own coefficient and spin block."""
     for H in _scatter_operators(cut):
         scattered = list(H.scatter_terms())
         assert len(scattered) == len(H.terms)
-        for (coef, orbital, spin), (c, a, b, o, s) in zip(H.terms, scattered):
+        for (coef, product, spin), (c, a, b, o, s) in zip(H.terms, scattered):
             assert c == coef and s is spin
-            O = _dense_orbital_factor(orbital, cut)
+            O = _dense_orbital_factor(product, cut)
             order = np.lexsort((b, a))
             rows, cols = np.nonzero(O)
             assert np.array_equal(a[order], rows)
@@ -369,20 +366,21 @@ def test_scatter_terms_yield_the_nonzeros_of_dense_kron(cut):
             assert np.array_equal(o[order], O[rows, cols])
 
 
-def test_scatter_terms_drop_products_that_cancel():
-    """In the paramagnetic xy, xz and yz channels the same-axis products
-    q_a - q_b cancel to exactly 0.0 on the diagonal, where every
-    posderiv_matrix element is -0.5; those entries are dropped."""
-    cut = BasisCutoff(3, 4, 2)
-    for n in (cut.N_x, cut.N_y, cut.N_z):
-        assert np.all(np.diag(posderiv_matrix(n)) == -0.5)
-    H = assemble_paramagnetic(SI, BOX, 1.3, 0.7, 0.4, cut, orientation=D110)
-    for (_, orbital, _), (_, a, b, _, _) in list(
-            zip(H.terms, H.scatter_terms()))[3:]:
-        assert any(np.all(np.diag(_dense_orbital_factor((p,), cut)) != 0.0)
-                   for p in orbital)
-        assert np.all(np.diag(_dense_orbital_factor(orbital, cut)) == 0.0)
-        assert a.size > 0 and not np.any(a == b)
+def test_terms_must_be_single_products_of_matching_tables():
+    """A term is (coef, (w, x, y, z), spin): a spin block that is not 4x4,
+    a table whose shape does not match the cutoff, and a term in a nested
+    form ((w, x, y, z),) are refused where the operator is built."""
+    cut = BasisCutoff(2, 3, 2)
+    D_y = derivative_matrix(cut.N_y, BOX.L_y)
+    with pytest.raises(ValueError, match="4x4"):
+        HamiltonianMatrix(terms=((1.0, (1.0, None, D_y, None), np.eye(2)),),
+                          cutoff=cut)
+    with pytest.raises(ValueError, match=r"x factor has shape \(3, 3\)"):
+        HamiltonianMatrix(terms=((1.0, (1.0, D_y, None, None), np.eye(4)),),
+                          cutoff=cut)
+    with pytest.raises(ValueError, match="one product"):
+        HamiltonianMatrix(terms=((1.0, ((1.0, None, D_y, None),), np.eye(4)),),
+                          cutoff=cut)
 
 
 def test_scatter_terms_form_no_orbital_square_array():

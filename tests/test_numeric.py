@@ -670,7 +670,7 @@ def test_sector_solve_rejects_complex_phased_block():
     phased block is imaginary: the solver must refuse it, not drop it."""
     cut = BasisCutoff(2, 2, 2)
     # one Kronecker term: -i (d/dy on the y axis) times the spin identity
-    k_y = (-1j, ((1.0, None, derivative_matrix(cut.N_y, BOX.L_y), None),),
+    k_y = (-1j, (1.0, None, derivative_matrix(cut.N_y, BOX.L_y), None),
            np.eye(4))
     H = (assemble_static(SI, BOX, D110, cut, E0=0.1)
          + HamiltonianMatrix(terms=(k_y,), cutoff=cut))
