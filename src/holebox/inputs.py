@@ -22,7 +22,10 @@ class SolverError(RuntimeError):
 
 
 class PairingError(ValueError):
-    """The spectrum is not a sequence of exactly degenerate pairs."""
+    """The spectrum is not a sequence of exactly degenerate pairs. Nothing
+    raises it: the solver builds every Kramers doublet as an exact (v, T v)
+    pair. It is kept only because the benchmark's checks (bench/checks.py)
+    import it, and goes with that import."""
 
 
 class NearDegeneracyError(ValueError):

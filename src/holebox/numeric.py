@@ -24,13 +24,14 @@ Its lowest states come from LAPACK's subset eigensolver dsyevr (MRRR), in
 place in the block, through one call, _lowest_pairs. It binds
 LAPACKE_dsyevr from the OpenBLAS that numpy itself loaded, so the solve and
 the numpy work around it share one BLAS library and thread pool; only where
-that symbol cannot be bound does it call the public scipy.linalg.eigh.
+that symbol cannot be bound does it call numpy's own np.linalg.eigh, which
+agrees to rounding. Neither path needs more than numpy.
 
 What each step allocates: the solve holds the real n x n block (n = N/2)
-and then its n x k eigenvectors w, k = ceil(n_states / 2). The
-SpinorSpectrum it returns is the solved sector: it keeps w, and its pairs
-method is the only constructor of the complex (v, T v) columns and of
-their phase factor. The residual check and reduce_model both read the
+and then its n x k eigenvectors w, k = n_states / 2. The SpinorSpectrum it
+returns is the solved sector: it keeps w and one energy per doublet, and
+its pairs method is the only constructor of the complex (v, T v) columns
+and of their phase factor. The residual check and reduce_model both read the
 columns a few pairs at a time, so neither forms the N x n_states
 eigenvectors: reduce_model builds the ground doublet (N x 2), applies the
 seven generators to it (N x 14) and projects that onto each chunk of
@@ -45,7 +46,6 @@ exact power of i, so every reader of the columns sees the same bits.
 from __future__ import annotations
 
 import ctypes
-import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -58,8 +58,7 @@ from .hamiltonian import (APPLY_COLUMNS, HamiltonianMatrix,
                           assemble_paramagnetic, assemble_static,
                           assemble_zeeman, dipole_y)
 from .inputs import (BasisCutoff, BoxGeometry, DegenerateQubitError,
-                     FieldConfig, Orientation, PairingError, SolverError,
-                     StrainConfig)
+                     FieldConfig, Orientation, SolverError, StrainConfig)
 from .materials import MaterialParams
 
 DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
@@ -148,28 +147,27 @@ def _plus_sector(H: HamiltonianMatrix,
 
 
 class SpinorSpectrum:
-    """The lowest n_states eigenpairs of a static H, ascending, as
+    """The lowest k Kramers doublets of a static H, ascending, as
     solve_spectrum finds them in the M_z = +i sector: the lowest k
     eigenpairs (e, w) of its real block (w: n x k, real orthonormal), the
-    sector's ascending flat indices and the phase D on them. State j is
-    v_j = D w_j on those rows, its Kramers partner is T v_j, and energies
-    repeats each e_j for the pair. pairs is the only constructor of the
-    (v, T v) columns and of their phase factor."""
+    sector's ascending flat indices and the phase D on them. Doublet j is
+    v_j = D w_j on those rows and its Kramers partner T v_j, both at energy
+    e_j. pairs is the only constructor of the (v, T v) columns and of their
+    phase factor."""
 
     def __init__(self, e: np.ndarray, w: np.ndarray, indices: np.ndarray,
-                 phase: np.ndarray, dimension: int, n_states: int):
-        self.energies = np.repeat(e, 2)[:n_states]
-        self.w, self.indices, self.phase, self.dimension = (w, indices, phase,
-                                                            dimension)
+                 phase: np.ndarray, dimension: int):
+        self.e, self.w, self.indices, self.phase, self.dimension = (
+            e, w, indices, phase, dimension)
 
     @property
     def n_states(self) -> int:
-        return self.energies.shape[0]
+        return 2 * self.e.shape[0]
 
     @cached_property
     def vectors(self) -> np.ndarray:
         """The phase-fixed (v, T v) columns, N x n_states."""
-        return self.pairs(0, self.w.shape[1])[:, :self.n_states]
+        return self.pairs(0, self.e.shape[0])
 
     def pairs(self, start: int, stop: int) -> np.ndarray:
         """The (v, T v) columns of states start..stop - 1, interleaved: an
@@ -230,39 +228,40 @@ def _dsyevr():
 
 def _lowest_pairs(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs (e, w) of the real symmetric Fortran-order
-    block, ascending (w: n x k), by LAPACK's subset solver dsyevr, which
-    overwrites the block in place and runs its own workspace query.
+    block, ascending (w: n x k); raises ValueError for any other block or a
+    k outside 1..n, which the bound dsyevr, reading raw pointers, cannot
+    take.
 
-    dsyevr comes from numpy's own OpenBLAS (_dsyevr), so that the solve,
-    the residual check and reduce_model's projections share one BLAS
-    library and one thread pool and nothing of scipy is loaded. Only where
-    that cannot be bound (numpy on MKL or Accelerate) does the public
-    scipy.linalg.eigh make the same dsyevr call, at the cost of importing
-    scipy.linalg (~0.3 s and ~28 MB). Raises SolverError on either path if
-    dsyevr fails or finds fewer than k pairs."""
+    dsyevr from numpy's own OpenBLAS (_dsyevr) computes only those k, in
+    place in the block, with its own workspace query, so the solve, the
+    residual check and reduce_model's projections share one BLAS library
+    and thread pool. Where it cannot be bound (numpy on MKL or Accelerate),
+    np.linalg.eigh (LAPACK's dsyevd) solves a copy of the block whole and
+    its first k pairs are kept: the same pairs to rounding, not to the bit,
+    with about 4 n^2 more doubles live during the call. Neither path needs
+    more than numpy. Raises SolverError if the solver fails or dsyevr finds
+    fewer than k pairs."""
     n = block.shape[0]
+    if (block.dtype != np.float64 or not block.flags.f_contiguous
+            or block.shape != (n, n) or not 1 <= k <= n):
+        raise ValueError("the sector solve needs a square Fortran-order "
+                         "float64 block and 1 <= k <= its order")
     bound = _dsyevr()
     if bound is None:
-        from scipy.linalg import LinAlgError, eigh
         try:
-            e, w = eigh(block, subset_by_index=(0, k - 1), driver="evr",
-                        overwrite_a=True, check_finite=False)
-        except LinAlgError as err:
-            raise SolverError(f"LAPACK dsyevr failed: {err}") from err
-        info, found = 0, e.shape[0]
-    else:
-        if (block.dtype != np.float64 or not block.flags.f_contiguous
-                or block.shape != (n, n) or not 1 <= k <= n):
-            raise ValueError("dsyevr needs a square Fortran-order float64 "
-                             "block and 1 <= k <= its order")
-        dsyevr, lapack_int = bound
-        e, w = np.zeros(n), np.zeros((n, k), order="F")
-        m, isuppz = np.zeros(1, lapack_int), np.zeros(2 * k, lapack_int)
-        info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n,
-                      block.ctypes.data, n, 0.0, 0.0, 1, k, 0.0,
-                      m.ctypes.data, e.ctypes.data, w.ctypes.data, n,
-                      isuppz.ctypes.data)
-        found = int(m[0])
+            e, w = np.linalg.eigh(block)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"numpy's eigh (LAPACK dsyevd) failed: {err}"
+                              ) from err
+        # a copy, so that the n x n eigenvectors are freed on return
+        return e[:k], w[:, :k].copy(order="F")
+    dsyevr, lapack_int = bound
+    e, w = np.zeros(n), np.zeros((n, k), order="F")
+    m, isuppz = np.zeros(1, lapack_int), np.zeros(2 * k, lapack_int)
+    info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, block.ctypes.data,
+                  n, 0.0, 0.0, 1, k, 0.0, m.ctypes.data, e.ctypes.data,
+                  w.ctypes.data, n, isuppz.ctypes.data)
+    found = int(m[0])
     if info != 0 or found < k:
         raise SolverError(f"LAPACK dsyevr failed (info = {info}) or found "
                           f"{found} of the {k} requested eigenpairs")
@@ -270,33 +269,36 @@ def _lowest_pairs(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
-    """Lowest n_states eigenpairs, ascending and deterministically phased.
+    """Lowest n_states eigenpairs (at most N), ascending and
+    deterministically phased.
 
     H must commute with the mirror M_z (a static Hamiltonian does; any B
     component off z breaks it) and be time-reversal even; only the real +
     sector block is diagonalized, densely (the dimension guard of
     HamiltonianMatrix bounds it by MAX_DIMENSION / 2 rows), and the states
     come out as exactly degenerate (v, T v) pairs. LAPACK's dsyevr
-    (_lowest_pairs) computes only the lowest k = (n_states + 1) // 2 states
-    of the block, overwriting the block in place: about 1 n^2 doubles plus
-    the n x k eigenvectors live.
+    (_lowest_pairs) computes only the lowest k = n_states / 2 states of the
+    block, overwriting the block in place: about 1 n^2 doubles plus the
+    n x k eigenvectors live (where it cannot be bound, numpy's eigh takes
+    about 4 n^2 more for the duration of the call).
     The block is freed right after the solve, and the residual of H is then
     checked over each v and its partner T v, a few pairs at a time, so no
     n x n array outlives the solve and H V is never formed whole; checking
     T v too catches an H that keeps the mirror but is not time-reversal
     even. The returned spectrum keeps the n x k real vectors; its
     N x n_states phase-fixed complex vectors are formed when first read.
-    Raises SolverError if dsyevr reports a failure or misses states, or if
-    the residual check fails or is NaN.
+    Raises ValueError for an n_states that is not a positive even number,
+    and SolverError if the eigensolver reports a failure or misses states,
+    or if the residual check fails or is NaN.
     """
-    n = min(n_states, H.dimension)
-    if n < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
+    if n_states < 1 or n_states % 2:
+        raise ValueError(f"n_states must be a positive even number (whole "
+                         f"Kramers doublets), got {n_states}")
     indices, phase, block, scale = _plus_sector(H)
-    k = (n + 1) // 2
+    k = min(n_states, H.dimension) // 2
     e, w = _lowest_pairs(block, k)
     del block       # dsyevr has overwritten it; H checks the result
-    spectrum = SpinorSpectrum(e, w, indices, phase, H.dimension, n)
+    spectrum = SpinorSpectrum(e, w, indices, phase, H.dimension)
     step = APPLY_COLUMNS // 2
     residual = np.max([np.linalg.norm(
         H @ pairs - pairs * np.repeat(e[j:j + step], 2), axis=0).max()
@@ -309,29 +311,12 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     return spectrum
 
 
-def _paired_energies(e: np.ndarray) -> np.ndarray:
-    """Doublet energies of a spectrum of adjacent (v, T v) pairs, which
-    solve_spectrum makes exactly equal; degenerate doublets need no
-    tie-break."""
-    n = e.shape[0]
-    if n % 2 == 1:
-        warnings.warn("odd number of states; dropping the unpaired top state",
-                      stacklevel=3)
-        n -= 1
-    unequal = np.flatnonzero(e[0:n:2] != e[1:n:2])
-    if unequal.size:
-        i = 2 * unequal[0]
-        raise PairingError(
-            f"states {i} and {i + 1} differ by {e[i + 1] - e[i]:.3e} meV "
-            f"(energies {e[i]:.9f}, {e[i + 1]:.9f}); not a (v, T v) pair")
-    return e[0:n:2]
-
-
 def pair_doublets(spectrum: SpinorSpectrum) -> list[KramersDoublet]:
-    """The adjacent (v, T v) pairs of a spectrum from solve_spectrum."""
+    """The (v, T v) doublets of a spectrum from solve_spectrum, one per
+    energy; degenerate doublets need no tie-break."""
     V = spectrum.vectors
     return [KramersDoublet(E=E, v_up=V[:, 2 * k], v_down=V[:, 2 * k + 1], index=k)
-            for k, E in enumerate(_paired_energies(spectrum.energies))]
+            for k, E in enumerate(spectrum.e)]
 
 
 def rabi_sum_over_states(doublets: list[KramersDoublet],
@@ -427,7 +412,7 @@ class ReducedModel:
     contracts them once into two real 3x3 matrices (g_matrices) and then
     costs a few products of their diagonals per direction.
     """
-    energies: np.ndarray       # (n,) kept eigenvalues, meV
+    e: np.ndarray              # (n/2,) kept doublet energies, meV
     zeeman: np.ndarray         # (3, n, 2) unit-B generators, axes x, y, z
     paramagnetic: np.ndarray   # (3, n, 2)
     dipole: np.ndarray         # (n, 2)
@@ -435,15 +420,15 @@ class ReducedModel:
     def _excited_gaps(self, n_excited: int | None) -> np.ndarray:
         """E_ground - E_d for the excited doublets in the sum: the first
         n_excited, or every kept one for None."""
-        E = _paired_energies(self.energies)
-        if E.shape[0] < 2:
+        e = self.e
+        if e.shape[0] < 2:
             raise ValueError("need the ground doublet plus at least one excited")
-        gaps = E[0] - (E[1:] if n_excited is None else E[1:1 + n_excited])
+        gaps = e[0] - (e[1:] if n_excited is None else e[1:1 + n_excited])
         degenerate = np.flatnonzero(np.abs(gaps) <= DEGENERACY_TOL)
         if degenerate.size:
             k = degenerate[0] + 1
             raise DegenerateQubitError(
-                f"excited doublet {k} at E = {E[k]:.9f} meV degenerate "
+                f"excited doublet {k} at E = {e[k]:.9f} meV degenerate "
                 "with the ground doublet; first-order sum invalid")
         return gaps
 
@@ -506,7 +491,7 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
     N x n_states eigenvector array is formed."""
     spectrum = _static_spectrum(material, geometry, orientation, cutoff, E0,
                                 strain, n_excited)
-    n, k = spectrum.n_states, spectrum.w.shape[1]
+    n, k = spectrum.n_states, spectrum.e.shape[0]
     ground = spectrum.pairs(0, 1)
 
     axes = ((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2), (0.0, 0.0))
@@ -521,7 +506,7 @@ def reduce_model(material: MaterialParams, geometry: BoxGeometry,
     Y = np.concatenate([G @ ground for G in operators], axis=1)
     step = APPLY_COLUMNS // 2
     columns = np.concatenate([spectrum.pairs(j, j + step).conj().T @ Y
-                              for j in range(0, k, step)])[:n]
+                              for j in range(0, k, step)])
     columns = columns.reshape(n, len(operators), 2).transpose(1, 0, 2)
-    return ReducedModel(energies=spectrum.energies, zeeman=columns[0:3],
+    return ReducedModel(e=spectrum.e, zeeman=columns[0:3],
                         paramagnetic=columns[3:6], dipole=columns[6])

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 from .inputs import (BasisCutoff, BoxGeometry, DegenerateQubitError,
                      FieldConfig, NearDegeneracyError, Orientation,
-                     PairingError, SolverError, StrainConfig)
+                     SolverError, StrainConfig)
 from .materials import (MaterialParams, builtin_materials, figures_of_merit,
                         load_materials)
 
@@ -89,8 +89,7 @@ _UNITS = ("L=nm, E0=mV/nm, E_ac=mV/nm, B=T, theta=deg, phi=deg, "
           "f_L=GHz, f_R=GHz, eps_parallel=dimensionless, lz_eff=nm")
 
 # raised by a model on inputs it cannot solve
-SOLVER_ERRORS = (DegenerateQubitError, NearDegeneracyError, PairingError,
-                 SolverError)
+SOLVER_ERRORS = (DegenerateQubitError, NearDegeneracyError, SolverError)
 
 
 class ConfigError(ValueError):

@@ -136,9 +136,9 @@ def test_threads_flag_gives_identical_angle_map(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy is imported only where the converged-basis numerics use it, so
-    # importing the CLI, which every command pays for, loads none of it;
-    # nor OpenSSL, as the config hash uses the built-in SHA-256
+    # the package imports nothing of scipy, so importing the CLI, which
+    # every command pays for, loads none of it; nor OpenSSL, as the config
+    # hash uses the built-in SHA-256
     src = str(Path(holebox.__file__).resolve().parents[1])
     code = ("import sys, holebox.cli; "
             "print('scipy.optimize' in sys.modules, "

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import holebox
@@ -34,11 +37,10 @@ def test_unknown_names_raise_attribute_error():
                    "FieldConfig", "Orientation", "StrainConfig",
                    "bhat_from_angles"]),
     (numeric, ["BasisCutoff", "BoxGeometry", "DegenerateQubitError",
-               "FieldConfig", "Orientation", "PairingError", "SolverError",
-               "StrainConfig"]),
+               "FieldConfig", "Orientation", "SolverError", "StrainConfig"]),
     (sweeps, ["BasisCutoff", "BoxGeometry", "DegenerateQubitError",
               "FieldConfig", "NearDegeneracyError", "Orientation",
-              "PairingError", "SolverError", "StrainConfig"]),
+              "SolverError", "StrainConfig"]),
     (holebox, ["AssemblyError", "BasisCutoff", "BoxGeometry",
                "DegenerateQubitError", "FieldConfig", "NearDegeneracyError",
                "Orientation", "PairingError", "SolverError", "StrainConfig",
@@ -60,3 +62,19 @@ def test_sweeps_binds_the_closed_forms_on_first_access():
     # each name bench/tracer.py wraps in holebox.sweeps resolves there
     for name in sweeps._CLOSED_FORMS:
         assert getattr(sweeps, name) is getattr(minimal, name)
+
+
+def test_package_source_imports_no_scipy():
+    # the package runs on numpy alone; scipy is a test dependency only
+    modules = sorted(Path(holebox.__file__).parent.glob("**/*.py"))
+    assert Path(numeric.__file__) in modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (
+                f"{path.name}:{node.lineno} imports scipy")

@@ -13,7 +13,7 @@ import holebox.cli as cli
 import holebox.sweeps as sweeps
 from holebox import (BasisCutoff, DegenerateQubitError, FieldConfig,
                      MinimalExactModel, NearDegeneracyError, Orientation,
-                     PairingError, StrainConfig, gmatrix, minimal_exact_model,
+                     SolverError, StrainConfig, gmatrix, minimal_exact_model,
                      reduce_model)
 from holebox.constants import CONST
 from holebox.sweeps import (TIERS, ConfigError, resolve_spec, run_angle_map,
@@ -374,12 +374,12 @@ def test_point_errors_empty_a_cell_or_a_converged_column(tmp_path,
             raise NearDegeneracyError("synthetic")
         return thin_dot(material, geometry, orientation, fields, order)
 
-    class Unpairable:
+    class Unsolvable:
         def g_matrices(self, *args, **kwargs):
-            raise PairingError("synthetic")
+            raise SolverError("synthetic")
 
     monkeypatch.setattr(sweeps, "rabi_thin_dot", flaky_thin_dot)
-    monkeypatch.setattr(sweeps, "reduce_model", lambda *a, **k: Unpairable())
+    monkeypatch.setattr(sweeps, "reduce_model", lambda *a, **k: Unsolvable())
     spec = resolve_spec("angle-map", tiers="analytic2,converged_full",
                         overrides=["sweep.theta_count=3", "sweep.phi_count=2"])
     _, header, rows = _read_csv(run_angle_map(spec, tmp_path / "m.csv"))
