@@ -1,4 +1,5 @@
-"""Input types and error classes shared by every layer, free of numpy.
+"""Input types, error classes and the n_excited default shared by every
+layer, free of numpy.
 
 The closed-form theory, the sweep specification and the CLI need only
 these, so importing them loads no numpy; the converged numerics import
@@ -10,6 +11,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import cos, sin
+
+# excited doublets that a converged run keeps: the [solver] n_excited
+# default of every command and the n_excited default of the numerics
+DEFAULT_N_EXCITED = 40
 
 
 class AssemblyError(ValueError):

@@ -16,7 +16,9 @@ They must agree in slope as E0 -> 0; tests enforce it.
 
 Both routes run on Python floats. The exact one builds its (gm, gp) with
 its own 4x4 Jacobi eigensolver and Zeeman and dipole templates, and shares
-only holebox.gmatrix, which evaluates the pair, with the converged numerics.
+only holebox.gmatrix with the converged numerics: MinimalExactModel holds
+the diagonals (g, p), and every caller evaluates them with
+gmatrix.frequencies or gmatrix.qubit, as the converged route does its own.
 
 Sign conventions: Lambda = -e E0 <1|y|2> > 0 for E0 > 0; h = -R/W carries
 the sign of -R; beta is real non-negative and alpha carries all the phase
@@ -410,13 +412,6 @@ class MinimalExactModel:
     g: tuple[float, float, float]
     p: tuple[float, float, float]
 
-    def qubit(self, B: float, theta: float, phi: float,
-              E_ac: float) -> tuple[float, float]:
-        """(f_R, f_L) in GHz for the field direction b at (theta, phi), by
-        holebox.gmatrix.qubit: DegenerateQubitError where the doublet does
-        not split, ValueError for E_ac < 0."""
-        return gmatrix.qubit(self.g, self.p, B, theta, phi, E_ac)
-
 
 def minimal_exact_model(material: MaterialParams, geometry: BoxGeometry,
                         orientation: Orientation, E0: float, *,
@@ -474,11 +469,12 @@ def minimal_exact_qubit(material: MaterialParams, geometry: BoxGeometry,
                         orientation: Orientation, fields: FieldConfig, *,
                         strain: StrainConfig | None = None,
                         ) -> tuple[float, float]:
-    """(f_R, f_L) in GHz from exact minimal-basis eigenstates: one direction
-    of MinimalExactModel.qubit."""
+    """(f_R, f_L) in GHz from exact minimal-basis eigenstates: gmatrix.qubit
+    on a fresh model's (g, p)."""
     model = minimal_exact_model(material, geometry, orientation, fields.E0,
                                 strain=strain)
-    return model.qubit(fields.B, fields.theta, fields.phi, fields.E_ac)
+    return gmatrix.qubit(model.g, model.p, fields.B, fields.theta, fields.phi,
+                         fields.E_ac)
 
 
 def minimal_exact_rabi(material: MaterialParams, geometry: BoxGeometry,

@@ -4,10 +4,12 @@ The static Hamiltonian (kinetic + electric + strain) is diagonalized at
 B = 0, where every level is a Kramers doublet. The magnetic part, linear
 in B, is then treated at first order: its 2x2 projection on the ground
 doublet gives the Larmor frequency, and the drive matrix element between
-the split qubit states comes from a sum over excited doublets. For angle
-grids, ReducedModel contracts both once into two real 3x3 matrices (gm,
-gp), whose diagonals holebox.gmatrix evaluates, as it does those of the
-exact minimal route; rabi_sum_over_states, with no (gm, gp), checks it.
+the split qubit states comes from a sum over excited doublets.
+ReducedModel.g_matrices contracts both once into two real 3x3 matrices
+(gm, gp). Their diagonals (g, p) = gmatrix.diagonal(gm, gp) are the hand-off
+to holebox.gmatrix, which evaluates every direction of both routes; the
+exact minimal route hands over its own (g, p). rabi_sum_over_states,
+which forms no (gm, gp), checks that route direction by direction.
 
 The static problem is solved in one mirror sector. H0 commutes with
 M_z = P_z exp(-i pi J_z) (P_z: z parity, which is (-1)^(n_z + 1) on the
@@ -57,13 +59,13 @@ from .gmatrix import MIN_SPLIT
 from .hamiltonian import (APPLY_COLUMNS, HamiltonianMatrix,
                           assemble_paramagnetic, assemble_static,
                           assemble_zeeman, dipole_y)
-from .inputs import (BasisCutoff, BoxGeometry, DegenerateQubitError,
-                     FieldConfig, Orientation, SolverError, StrainConfig)
+from .inputs import (DEFAULT_N_EXCITED, BasisCutoff, BoxGeometry,
+                     DegenerateQubitError, FieldConfig, Orientation,
+                     SolverError, StrainConfig)
 from .materials import MaterialParams
 
 DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
-DEFAULT_N_EXCITED = 40
 
 # the tiers a RabiResult can carry, indexed by include_paramagnetic
 CONVERGED_TIERS = ("converged_zeeman", "converged_full")
@@ -408,9 +410,10 @@ class ReducedModel:
     angle grid be swept with small-matrix algebra only. In this basis the
     ground doublet is the first two unit vectors, and first order in B needs
     only the generators' columns on it: their 2x2 ground block and their
-    couplings to the excited states. Only those columns are kept. A grid
-    contracts them once into two real 3x3 matrices (g_matrices) and then
-    costs a few products of their diagonals per direction.
+    couplings to the excited states. Only those columns are kept.
+    g_matrices contracts them once into two real 3x3 matrices; an angle grid
+    then evaluates their diagonals with gmatrix.frequencies, a few products
+    per direction.
     """
     e: np.ndarray              # (n/2,) kept doublet energies, meV
     zeeman: np.ndarray         # (3, n, 2) unit-B generators, axes x, y, z
@@ -450,29 +453,14 @@ class ReducedModel:
         return tuple(np.einsum("jab,iba->ji", _PAULI, X).real
                      for X in (G[:, :2], C + C.mT.conj()))
 
-    def rabi_grid(self, B: float, thetas, phis, E_ac: float, *,
-                  include_paramagnetic: bool = True,
-                  n_excited: int | None = None,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """f_L and f_R (GHz) for every direction of the broadcast
-        (thetas, phis): gmatrix.frequencies on g_matrices' diagonals, NaN
-        where the qubit splitting is below MIN_SPLIT. Raises ValueError for
-        E_ac < 0 or a non-diagonal pair, and DegenerateQubitError for an
-        excited doublet degenerate with the ground one (not for excited
-        doublets degenerate with each other).
-        """
-        t, p = np.broadcast_arrays(thetas, phis)
-        pair = self.g_matrices(include_paramagnetic, n_excited)
-        f_R, f_L = gmatrix.frequencies(*gmatrix.diagonal(*pair), B,
-                                       t.ravel().tolist(), p.ravel().tolist(),
-                                       E_ac)
-        return np.reshape(f_L, t.shape), np.reshape(f_R, t.shape)
-
     def rabi(self, B: float, theta: float, phi: float, E_ac: float, *,
              include_paramagnetic: bool = True,
              n_excited: int | None = None) -> RabiResult:
-        """One direction, by holebox.gmatrix.qubit: raises
-        DegenerateQubitError where rabi_grid gives NaN."""
+        """One direction, by holebox.gmatrix.qubit on g_matrices'
+        diagonals: raises DegenerateQubitError where gmatrix.frequencies
+        gives NaN. No command calls it; it is kept only because the
+        benchmark's cutoff ladder (bench/ladder.py) calls it with n_excited,
+        and goes with that call."""
         pair = self.g_matrices(include_paramagnetic, n_excited)
         f_R, f_L = gmatrix.qubit(*gmatrix.diagonal(*pair), B, theta, phi, E_ac)
         return RabiResult(f_L=f_L, f_R=f_R,

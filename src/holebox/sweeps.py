@@ -39,9 +39,9 @@ from math import inf, isfinite, isnan, nan, radians, sqrt
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .inputs import (BasisCutoff, BoxGeometry, DegenerateQubitError,
-                     FieldConfig, NearDegeneracyError, Orientation,
-                     SolverError, StrainConfig)
+from .inputs import (DEFAULT_N_EXCITED, BasisCutoff, BoxGeometry,
+                     DegenerateQubitError, FieldConfig, NearDegeneracyError,
+                     Orientation, SolverError, StrainConfig)
 from .materials import (MaterialParams, builtin_materials, figures_of_merit,
                         load_materials)
 
@@ -157,7 +157,7 @@ def _default_config(command: str) -> dict[str, dict[str, str]]:
                      "orientation": "110"},
         "fields": {"B": "1.0", "theta_deg": "45", "phi_deg": "90",
                    "E0": "0.1", "E_ac": "0.03"},
-        "solver": {"cutoff": "8,8,5", "n_excited": "40"},
+        "solver": {"cutoff": "8,8,5", "n_excited": str(DEFAULT_N_EXCITED)},
     }
     if command == "materials-table":
         cfg["materials"] = {"names": "Si,Ge,InP,GaAs,InAs,InSb", "file": ""}
@@ -508,11 +508,13 @@ class _Sweep:
                 for g, f, *_ in self.static}
 
     def converged(self, include_paramagnetic: bool) -> list[float | None]:
-        # failed solves (outside _frequencies) and off-axis pairs stop the command
+        # failed solves (outside _frequencies) and off-axis pairs stop the
+        # command; g_matrices sums over the spec.n_excited excited doublets
+        # that reduce_model kept (all of them where the dimension caps it)
         from . import gmatrix
-        models, n_excited = self._reduced, self.spec.n_excited
+        models = self._reduced
         return self._frequencies(lambda g, f: gmatrix.diagonal(
-            *models[g, f.E0].g_matrices(include_paramagnetic, n_excited)))[0]
+            *models[g, f.E0].g_matrices(include_paramagnetic)))[0]
 
     def write(self, out: str | Path, leading: dict[str, list]) -> Path:
         """The CSV: the leading columns, then the f_R column of each tier."""
@@ -566,8 +568,9 @@ def _optimal_direction(spec: SweepSpec, strain: StrainConfig
                                 spec.orientation, f.E0, strain=strain)
     t_opt, p_opt = ((0.0, 0.0) if f.E_ac == 0
                     else gmatrix.best_direction(model.g, model.p))
-    return (t_opt, p_opt, *model.qubit(f.B, radians(t_opt), radians(p_opt),
-                                       f.E_ac))
+    return (t_opt, p_opt, *gmatrix.qubit(model.g, model.p, f.B,
+                                         radians(t_opt), radians(p_opt),
+                                         f.E_ac))
 
 
 def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:

@@ -311,30 +311,30 @@ def test_12_best_direction_headline_claims():
     converged tiers at cutoff (8,8,5): [110] beats [100] for Si and for Ge,
     and Si beats Ge in each orientation. On the converged tiers the best
     direction also tops a 2-degree (theta, phi) grid."""
-    from holebox.gmatrix import best_direction as _best_direction, diagonal
+    from holebox.gmatrix import (best_direction as _best_direction,
+                                 diagonal, frequencies, qubit)
 
     t0 = time.perf_counter()
     B, E_ac, n_excited = REF.B, REF.E_ac, 40
-    thetas = np.radians(np.arange(0.0, 91.0, 2.0))[:, None]
-    phis = np.radians(np.arange(0.0, 181.0, 2.0))[None, :]
+    thetas, phis = zip(*((radians(t), radians(p))
+                         for t in range(0, 91, 2) for p in range(0, 181, 2)))
     routes = {"minimal": {}, "converged_zeeman": {}, "converged_full": {}}
     for name in ("Si", "Ge"):
         m = get_material(name)
         for o in Orientation:
             model = minimal_exact_model(m, BOX, o, REF.E0)
             t, p = _best_direction(model.g, model.p)
-            routes["minimal"][name, o] = model.qubit(B, radians(t), radians(p),
-                                                     E_ac)[0]
+            routes["minimal"][name, o] = qubit(model.g, model.p, B,
+                                               radians(t), radians(p), E_ac)[0]
             red = reduce_model(m, BOX, o, BasisCutoff(8, 8, 5), E0=REF.E0,
                                n_excited=n_excited)
             for tier, flag in (("converged_zeeman", False),
                                ("converged_full", True)):
-                t, p = _best_direction(
-                    *diagonal(*red.g_matrices(flag, n_excited)))
-                kwargs = dict(include_paramagnetic=flag, n_excited=n_excited)
-                best = float(red.rabi_grid(B, radians(t), radians(p), E_ac,
-                                           **kwargs)[1])
-                grid = red.rabi_grid(B, thetas, phis, E_ac, **kwargs)[1]
+                pair = diagonal(*red.g_matrices(flag, n_excited))
+                t, p = _best_direction(*pair)
+                (best,), _ = frequencies(*pair, B, [radians(t)], [radians(p)],
+                                         E_ac)
+                grid = frequencies(*pair, B, thetas, phis, E_ac)[0]
                 assert best >= np.nanmax(grid), (tier, name, o)
                 routes[tier][name, o] = best
     D100 = Orientation.DOT_100

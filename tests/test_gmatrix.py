@@ -30,7 +30,8 @@ def _minimal(material):
     """The exact minimal route's pair, and its one-direction calls."""
     model = minimal_exact_model(material, BOX, D110, REF.E0)
     return (model.g, model.p), [
-        lambda f: model.qubit(f.B, f.theta, f.phi, f.E_ac),
+        lambda f: gmatrix.qubit(model.g, model.p, f.B, f.theta, f.phi,
+                                f.E_ac),
         lambda f: minimal_exact_qubit(material, BOX, D110, f)]
 
 
@@ -72,21 +73,6 @@ def test_zero_drive_gives_zero_rabi_on_a_split_qubit(route):
     for call in calls:
         f_R, f_L = call(fields)
         assert f_R == 0.0 and isfinite(f_L) and f_L > 0
-
-
-def test_rabi_grid_broadcasts_the_kernel():
-    red = reduce_model(SI, BOX, D110, BasisCutoff(3, 3, 2), REF.E0)
-    thetas = np.radians(np.linspace(0, 90, 46))[:, None]
-    phis = np.radians(np.linspace(0, 180, 91))[None, :]
-    t, p = (a.ravel().tolist() for a in np.broadcast_arrays(thetas, phis))
-    for flag in (False, True):
-        f_L, f_R = red.rabi_grid(REF.B, thetas, phis, REF.E_ac,
-                                 include_paramagnetic=flag)
-        want_R, want_L = gmatrix.frequencies(
-            *gmatrix.diagonal(*red.g_matrices(flag)), REF.B, t, p, REF.E_ac)
-        assert f_L.shape == f_R.shape == (46, 91)
-        assert (f_L == np.reshape(want_L, (46, 91))).all()
-        assert (f_R == np.reshape(want_R, (46, 91))).all()
 
 
 @pytest.mark.parametrize("material, orientation", [

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from math import hypot, isnan, pi, radians, sqrt
 from pathlib import Path
 
@@ -307,13 +308,14 @@ def test_excited_doublet_at_the_ground_energy_raises():
 def test_closed_forms_and_exact_route_load_no_numpy():
     code = ("import sys\n"
             "from holebox import (BoxGeometry, FieldConfig, Orientation,\n"
-            "                     get_material)\n"
+            "                     get_material, gmatrix)\n"
             "from holebox.minimal import (e0_max, minimal_exact_model,\n"
             "    mixed_subbands, qubit_coefficients, rabi_linearized,\n"
             "    subband_params)\n"
             "si, box = get_material('Si'), BoxGeometry(40.0, 30.0, 10.0)\n"
             "o = Orientation.DOT_110\n"
-            "minimal_exact_model(si, box, o, 0.1).qubit(1.0, 0.7, 1.5, 0.03)\n"
+            "model = minimal_exact_model(si, box, o, 0.1)\n"
+            "gmatrix.qubit(model.g, model.p, 1.0, 0.7, 1.5, 0.03)\n"
             "m1, _ = mixed_subbands(subband_params(si, box, o))\n"
             "qubit_coefficients(m1, 0.7, 1.5, 1.0, si)\n"
             "rabi_linearized(si, box, o, FieldConfig(1.0, 0.7, 1.5, 0.1, 0.03))\n"
@@ -381,8 +383,8 @@ def test_exact_kernel_vanishes_without_splitting():
     # and |v x w| / |v| has no limit: both frequencies are undefined
     model = minimal_exact_model(SI, BOX, D110, 0.1)
     dead = minimal_exact_model(replace(SI, kappa=0.0), BOX, D110, 0.1)
-    for call in (lambda: model.qubit(0.0, 0.7, 1.5, 0.03),
-                 lambda: dead.qubit(1.0, 0.7, 1.5, 0.03),
+    for call in (lambda: gmatrix.qubit(model.g, model.p, 0.0, 0.7, 1.5, 0.03),
+                 lambda: gmatrix.qubit(dead.g, dead.p, 1.0, 0.7, 1.5, 0.03),
                  lambda: minimal_exact_qubit(replace(SI, kappa=0.0), BOX,
                                              D110, replace(REF_FIELDS, B=0.0))):
         with pytest.raises(DegenerateQubitError, match="splitting below"):
@@ -413,7 +415,8 @@ def test_batched_exact_route_matches_8x8_reference():
               for o in Orientation]
     for m, o, E0, strain in cases:
         model = minimal_exact_model(m, BOX, o, E0, strain=strain)
-        f_R, f_L = np.vectorize(model.qubit)(1.0, THETAS, PHIS, 0.03)
+        f_R, f_L = np.vectorize(partial(gmatrix.qubit, model.g, model.p))(
+            1.0, THETAS, PHIS, 0.03)
         want = np.array([[exact_qubit8(m, BOX, o, FieldConfig(
             B=1.0, theta=t, phi=p, E0=E0, E_ac=0.03), strain)
             for p in PHIS.ravel()] for t in THETAS.ravel()])
@@ -437,7 +440,7 @@ def test_batched_exact_route_vanishes_at_zero_field():
 def test_batched_exact_route_rejects_negative_drive():
     model = minimal_exact_model(SI, BOX, D110, 0.1)
     with pytest.raises(ValueError, match="E_ac must be >= 0"):
-        model.qubit(1.0, 0.7, 1.5, -0.03)
+        gmatrix.qubit(model.g, model.p, 1.0, 0.7, 1.5, -0.03)
 
 
 @pytest.mark.parametrize("name, orientation, eps", [
@@ -489,7 +492,8 @@ def test_exact_route_mirror_symmetry(orientation, eps):
     ph = np.radians(np.linspace(0, 180, 91))[None, :]
     model = minimal_exact_model(SI, BOX, orientation, 0.1,
                                 strain=StrainConfig(eps))
-    f_R, _ = np.vectorize(model.qubit)(1.0, th, ph, 0.03)
+    f_R, _ = np.vectorize(partial(gmatrix.qubit, model.g, model.p))(
+        1.0, th, ph, 0.03)
     _assert_close(f_R[:, ::-1], f_R)
 
 
@@ -510,8 +514,8 @@ def test_strain_sweep_optimum(orientation, eps):
                                                    fields, strain=strain)
 
     def f_R(t_deg, p_deg):
-        return np.vectorize(model.qubit)(1.0, np.radians(t_deg),
-                                         np.radians(p_deg), 0.03)[0]
+        return np.vectorize(partial(gmatrix.qubit, model.g, model.p))(
+            1.0, np.radians(t_deg), np.radians(p_deg), 0.03)[0]
 
     assert 0.0 <= t_opt <= 90.0 and 0.0 <= p_opt <= 90.0
     best = f_R(t_opt, p_opt)

@@ -2,6 +2,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 from math import pi, radians
 from pathlib import Path
 from types import SimpleNamespace
@@ -302,9 +303,15 @@ def test_pipelines_sum_only_the_static_operator(monkeypatch):
     assert dense == []
 
 
+def _pair(red, include_paramagnetic=True, n_excited=None):
+    """The (g, p) that a converged angle-map hands to holebox.gmatrix."""
+    return gmatrix.diagonal(*red.g_matrices(include_paramagnetic, n_excited))
+
+
 def test_reduced_model_sums_every_kept_doublet_by_default():
-    """Without n_excited, g_matrices, rabi_grid and rabi sum over every
-    doublet that reduce_model kept, not over DEFAULT_N_EXCITED of them."""
+    """Without n_excited, g_matrices, the kernel on their pair and rabi sum
+    over every doublet that reduce_model kept, not over DEFAULT_N_EXCITED
+    of them."""
     red = reduce_model(get_material("Ge"), BOX, Orientation.DOT_100,
                        BasisCutoff(6, 6, 4), E0=0.1, n_excited=80)
     for flag in (False, True):
@@ -314,10 +321,11 @@ def test_reduced_model_sums_every_kept_doublet_by_default():
     assert red.rabi(*point) == red.rabi(*point, n_excited=80)
     assert red.rabi(*point) != red.rabi(
         *point, n_excited=numeric.DEFAULT_N_EXCITED)
-    grid = (1.0, np.radians([[0.0], [45.0]]), np.radians([[0.0, 90.0]]), 0.03)
-    for got, want in zip(red.rabi_grid(*grid),
-                         red.rabi_grid(*grid, n_excited=80)):
-        assert np.array_equal(got, want)
+    grid = ([0.0, 0.0, radians(45), radians(45)],
+            [0.0, radians(90), 0.0, radians(90)])
+    assert (gmatrix.frequencies(*_pair(red), 1.0, *grid, 0.03)
+            == gmatrix.frequencies(*_pair(red, n_excited=80), 1.0, *grid,
+                                   0.03))
 
 
 def test_reduced_model_matches_direct_pipeline():
@@ -336,64 +344,62 @@ def test_reduced_model_matches_direct_pipeline():
 
 
 def test_rabi_grid_matches_full_basis_pipeline():
-    """The batched grid agrees with the full-basis route point by point,
-    on a grid with theta = 0 and both phi endpoints, and equals the scalar
-    reduced-model call exactly."""
+    """gmatrix.frequencies on the model's (g, p), as an angle-map evaluates
+    it, agrees with the full-basis route point by point, on a grid with
+    theta = 0 and both phi endpoints, and equals the scalar reduced-model
+    call exactly."""
     cut = BasisCutoff(4, 4, 3)
     red = reduce_model(SI, BOX, D110, cut, E0=0.1, n_excited=20)
-    thetas = np.radians([0.0, 45.0, 90.0])
-    phis = np.radians([0.0, 70.0, 180.0])
+    thetas, phis = zip(*product([0.0, radians(45), radians(90)],
+                                [0.0, radians(70), radians(180)]))
     for flag in (False, True):
-        f_L, f_R = red.rabi_grid(REF_FIELDS.B, thetas[:, None], phis[None, :],
-                                 REF_FIELDS.E_ac, include_paramagnetic=flag,
-                                 n_excited=20)
-        assert f_L.shape == f_R.shape == (3, 3)
-        for i, theta in enumerate(thetas):
-            for j, phi in enumerate(phis):
-                f = replace(REF_FIELDS, theta=float(theta), phi=float(phi))
-                want = converged_rabi(SI, BOX, D110, f, cut,
-                                      include_paramagnetic=flag, n_excited=20)
-                assert f_R[i, j] == approx(want.f_R, rel=1e-10, abs=1e-14)
-                assert f_L[i, j] == approx(want.f_L, rel=1e-10)
-                one = red.rabi(f.B, f.theta, f.phi, f.E_ac,
-                               include_paramagnetic=flag, n_excited=20)
-                assert (f_R[i, j], f_L[i, j]) == (one.f_R, one.f_L)
+        f_R, f_L = gmatrix.frequencies(*_pair(red, flag, 20), REF_FIELDS.B,
+                                       thetas, phis, REF_FIELDS.E_ac)
+        assert len(f_R) == len(f_L) == 9
+        for k, (theta, phi) in enumerate(zip(thetas, phis)):
+            f = replace(REF_FIELDS, theta=theta, phi=phi)
+            want = converged_rabi(SI, BOX, D110, f, cut,
+                                  include_paramagnetic=flag, n_excited=20)
+            assert f_R[k] == approx(want.f_R, rel=1e-10, abs=1e-14)
+            assert f_L[k] == approx(want.f_L, rel=1e-10)
+            one = red.rabi(f.B, f.theta, f.phi, f.E_ac,
+                           include_paramagnetic=flag, n_excited=20)
+            assert (f_R[k], f_L[k]) == (one.f_R, one.f_L)
 
 
 def test_rabi_grid_gives_nan_where_the_splitting_vanishes():
-    """A vanishing splitting gives NaN in the grid, with no floating-point
-    warning, where the scalar call raises: at B = 0, and for a model whose
-    field generators vanish."""
+    """A vanishing splitting gives NaN in the kernel on the model's (g, p),
+    with no floating-point warning, where the scalar call raises: at B = 0,
+    and for a model whose field generators vanish."""
     red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
                        n_excited=10)
-    thetas = np.linspace(0.0, pi / 2, 7)
-    f_L, f_R = red.rabi_grid(0.0, thetas, 0.0, 0.03)
+    thetas = np.linspace(0.0, pi / 2, 7).tolist()
+    f_R, f_L = gmatrix.frequencies(*_pair(red), 0.0, thetas, [0.0] * 7, 0.03)
     assert np.all(np.isnan(f_L)) and np.all(np.isnan(f_R))
     with pytest.raises(DegenerateQubitError):
         red.rabi(0.0, 0.3, 0.0, 0.03)
     blank = replace(red, zeeman=np.zeros_like(red.zeeman),
                     paramagnetic=np.zeros_like(red.paramagnetic))
+    t, p = zip(*product(thetas, np.linspace(0.0, pi, 5).tolist()))
     for flag in (False, True):
         with np.errstate(all="raise"):
-            f_L, f_R = blank.rabi_grid(1.0, thetas[:, None],
-                                       np.linspace(0.0, pi, 5)[None, :],
-                                       0.03, include_paramagnetic=flag)
-        assert f_L.shape == f_R.shape == (7, 5)
+            f_R, f_L = gmatrix.frequencies(*_pair(blank, flag), 1.0, t, p,
+                                           0.03)
+        assert len(f_L) == len(f_R) == 7 * 5
         assert np.all(np.isnan(f_L)) and np.all(np.isnan(f_R))
 
 
 def test_rabi_grid_rejects_negative_drive():
-    # so do the one-direction call and the shared kernel under both
+    # the one-direction call and the kernel on the pair all reject E_ac < 0
     red = reduce_model(SI, BOX, D110, BasisCutoff(2, 2, 2), E0=0.1,
                        n_excited=10)
-    g, p = gmatrix.diagonal(*red.g_matrices())
-    for call in (lambda: red.rabi_grid(1.0, 0.3, 0.2, -0.03),
-                 lambda: red.rabi(1.0, 0.3, 0.2, -0.03),
+    g, p = _pair(red)
+    for call in (lambda: red.rabi(1.0, 0.3, 0.2, -0.03),
                  lambda: gmatrix.frequencies(g, p, 1.0, [0.3], [0.2], -0.03),
                  lambda: gmatrix.qubit(g, p, 1.0, 0.3, 0.2, -0.03)):
         with pytest.raises(ValueError, match="E_ac must be >= 0"):
             call()
-    assert red.rabi_grid(1.0, 0.3, 0.2, 0.0)[1] == 0.0
+    assert gmatrix.frequencies(g, p, 1.0, [0.3], [0.2], 0.0)[0] == [0.0]
 
 
 @pytest.mark.parametrize("material, orientation", [
@@ -419,13 +425,13 @@ def test_rabi_grid_accepts_degenerate_excited_doublets():
     e[2] = e[1]
     near = e.copy()
     near[2] += 1e-7
-    got = replace(red, e=e).rabi_grid(1.0, 0.3, 0.2, 0.03)
-    assert np.all(np.isfinite(got)) and got[1] > 0
-    want = replace(red, e=near).rabi_grid(1.0, 0.3, 0.2, 0.03)
+    got, want = (gmatrix.frequencies(*_pair(replace(red, e=x)), 1.0, [0.3],
+                                     [0.2], 0.03) for x in (e, near))
+    assert np.all(np.isfinite(got)) and got[0][0] > 0
     np.testing.assert_allclose(got, want, rtol=1e-5)
 
 
-@pytest.mark.parametrize("pipeline", ["converged_rabi", "rabi_grid"])
+@pytest.mark.parametrize("pipeline", ["converged_rabi", "g_matrices"])
 def test_gamma8_quadruplet_ground_is_degenerate_not_unpaired(pipeline):
     """A Ge [100] cube at E0 = 0 has a fourfold (Gamma_8) ground level: the
     first excited doublet is degenerate with the ground one, which the
@@ -440,7 +446,7 @@ def test_gamma8_quadruplet_ground_is_degenerate_not_unpaired(pipeline):
                            n_excited=10)
         else:
             reduce_model(ge, cube, Orientation.DOT_100, cut, 0.0,
-                         n_excited=10).rabi_grid(1.0, 0.3, 0.2, 0.03)
+                         n_excited=10).g_matrices()
 
 
 def test_reduced_model_scales_linearly_in_b():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+from functools import partial
 from math import radians
 from pathlib import Path
 from types import SimpleNamespace
@@ -290,8 +291,8 @@ def test_strain_sweep_reports_the_optimum_on_an_edge(tmp_path, overrides,
         strain=StrainConfig(float(cells["eps_parallel"])))
     a = np.radians(np.linspace(0.0, 90.0, 9001))
     edges = ((a, 0.0), (a, np.pi / 2), (np.pi / 2, a))
-    scan = max(np.vectorize(model.qubit)(spec.fields.B, t, p,
-                                         spec.fields.E_ac)[0].max()
+    qubit = np.vectorize(partial(gmatrix.qubit, model.g, model.p))
+    scan = max(qubit(spec.fields.B, t, p, spec.fields.E_ac)[0].max()
                for t, p in edges)
     assert float(cells["phi_opt_deg"]) == 90.0
     assert float(cells["f_R"]) >= scan
@@ -325,7 +326,8 @@ def test_best_direction_beats_the_sampled_simplex():
         g, p = rng.standard_normal(3), rng.standard_normal(3)
         model = _diagonal_model(tuple(g), tuple(p))
         t, ph = gmatrix.best_direction(model.g, model.p)
-        got = model.qubit(1.0, radians(t), radians(ph), 0.03)[0]
+        got = gmatrix.qubit(model.g, model.p, 1.0, radians(t), radians(ph),
+                            0.03)[0]
         v, w = g * b, p * b
         sampled = (CONST.e_scale * 0.03 * np.linalg.norm(np.cross(v, w), axis=1)
                    / (2 * CONST.h_planck * np.linalg.norm(v, axis=1)))
@@ -361,6 +363,18 @@ def test_readme_tier_table_matches_tiers():
                                  default == "yes")
     assert list(rows) == list(TIERS)
     assert rows == {t: (tier.commands, tier.default) for t, tier in TIERS.items()}
+
+
+def test_readme_library_examples_run():
+    # the python blocks under "## Library use" run in order in one namespace
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text("utf-8").split("\n## Library use\n")[1]
+    blocks = section.split("\n## ")[0].split("```python\n")[1:]
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(block.split("```")[0], namespace)
+    assert len(namespace["f_R"]) == len(namespace["f_L"]) == 46 * 91
 
 
 def test_point_errors_empty_a_cell_or_a_converged_column(tmp_path,
@@ -425,8 +439,9 @@ def test_converged_map_runs_where_gp_vanishes(tmp_path, E0):
     spec = resolve_spec("angle-map", overrides=[f"fields.E0={E0}"])
     red = reduce_model(spec.material, spec.geometry, spec.orientation,
                        BasisCutoff(4, 4, 3), E0)
+    t, p = (a.ravel().tolist() for a in np.broadcast_arrays(
+        np.linspace(0, 1.5, 7)[:, None], np.linspace(0, 3, 9)[None, :]))
     for flag in (False, True):
-        f_L, f_R = red.rabi_grid(1.0, np.linspace(0, 1.5, 7)[:, None],
-                                 np.linspace(0, 3, 9)[None, :], 0.03,
-                                 include_paramagnetic=flag)
+        f_R, f_L = gmatrix.frequencies(
+            *gmatrix.diagonal(*red.g_matrices(flag)), 1.0, t, p, 0.03)
         assert np.isfinite(f_L).all() and np.isfinite(f_R).all()
