@@ -1,4 +1,5 @@
-"""Command line entry point.
+"""Command line entry point: the commands of holebox.sweeps.COMMANDS, each
+with the options they all share.
 
 Exit codes: 0 on success, 1 for configuration or I/O problems, 2 when a
 solver fails on the resolved inputs.
@@ -14,25 +15,10 @@ import sys
 
 from .inputs import AssemblyError
 from .materials import MaterialError
-from .sweeps import (COMMANDS, SOLVER_ERRORS, ConfigError, resolve_spec,
-                     run_angle_map, run_e0_sweep, run_lz_sweep,
-                     run_materials_table, run_strain_sweep)
+from .sweeps import COMMANDS, SOLVER_ERRORS, ConfigError, resolve_spec
 
-_RUNNERS = {
-    "materials-table": run_materials_table,
-    "e0-sweep": run_e0_sweep,
-    "lz-sweep": run_lz_sweep,
-    "angle-map": run_angle_map,
-    "strain-sweep": run_strain_sweep,
-}
-
-_HELP = {
-    "materials-table": "figures of merit for a list of materials",
-    "e0-sweep": "Rabi and Larmor frequencies versus the static field E0",
-    "lz-sweep": "closed-form Rabi frequency versus dot height",
-    "angle-map": "Rabi frequency over magnetic field directions",
-    "strain-sweep": "qubit properties versus in-plane biaxial strain",
-}
+# main dispatches through this table, so a wrapper put in it sees the call
+_RUNNERS = {name: command.run for name, command in COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "rectangular quantum dots.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=_HELP[command])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", metavar="FILE", default=None,
                        help="INI file overriding the built-in defaults")
         p.add_argument("--out", metavar="CSV", required=True,

@@ -1,5 +1,5 @@
-"""Input types, error classes and the n_excited default shared by every
-layer, free of numpy.
+"""Input types, error classes, the n_excited default and the INI reader
+shared by every layer, free of numpy.
 
 The closed-form theory, the sweep specification and the CLI need only
 these, so importing them loads no numpy; the converged numerics import
@@ -8,9 +8,11 @@ define it (basis, hamiltonian, minimal, numeric) as the same object.
 """
 from __future__ import annotations
 
+import configparser
 import enum
 from dataclasses import dataclass
 from math import cos, sin
+from pathlib import Path
 
 # excited doublets that a converged run keeps: the [solver] n_excited
 # default of every command and the n_excited default of the numerics
@@ -104,3 +106,21 @@ class StrainConfig:
 def bhat_from_angles(theta: float, phi: float) -> tuple[float, float, float]:
     """The unit field direction (sin t cos p, sin t sin p, cos t)."""
     return (sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta))
+
+
+def read_ini(path: Path, error: type[ValueError]) -> dict[str, dict[str, str]]:
+    """The UTF-8 INI file at path (a sweep config or a material file) as
+    {section: {key: raw}}, keys case-kept. Raises error, led by the path,
+    on any read, decode or parse error and on keys in [DEFAULT]."""
+    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    parser.optionxform = str
+    try:
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except FileNotFoundError as err:
+        raise error(f"{path}: cannot read: file not found") from err
+    except (OSError, UnicodeDecodeError, configparser.Error) as err:
+        raise error(f"{path}: {err}") from err
+    if parser.defaults():
+        raise error(f"{path}: a [DEFAULT] section is not allowed")
+    return {section: dict(parser.items(section))
+            for section in parser.sections()}

@@ -8,10 +8,11 @@ computation here (four-band model, split-off band not coupled).
 """
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
+
+from .inputs import read_ini
 
 
 class MaterialError(ValueError):
@@ -110,27 +111,18 @@ _REQUIRED_FIELDS = ("gamma1", "gamma2", "gamma3", "kappa")
 _SECTION_PREFIX = "material."
 
 
-def parse_materials(text: str, origin: str = "<string>") -> list[MaterialParams]:
-    """Parse the material file format: [material.<name>] sections of key = value."""
-    cp = configparser.ConfigParser(interpolation=None, strict=True)
-    cp.optionxform = str  # keep E_g / Delta_SO capitalization
-    try:
-        cp.read_string(text, source=origin)
-    except configparser.Error as err:
-        raise MaterialError(f"{origin}: {err}") from err
-
+def load_materials(path: str | Path) -> list[MaterialParams]:
+    """Load and validate the [material.<name>] sections of key = value in a
+    material file. An empty file gives an empty list."""
+    origin = Path(path)
     out: list[MaterialParams] = []
-    seen: set[str] = set()
-    for section in cp.sections():
+    for section, items in read_ini(origin, MaterialError).items():
         if not section.startswith(_SECTION_PREFIX):
             raise MaterialError(
                 f"{origin}: section [{section}] does not match [{_SECTION_PREFIX}<name>]")
         name = section[len(_SECTION_PREFIX):]
-        if name in seen:
-            raise MaterialError(f"{origin}: duplicate material '{name}'")
-        seen.add(name)
         kwargs: dict[str, float] = {}
-        for key, raw in cp.items(section):
+        for key, raw in items.items():
             if key not in _FLOAT_FIELDS:
                 raise MaterialError(f"{origin}: [{section}] unknown field '{key}'")
             try:
@@ -149,17 +141,7 @@ def parse_materials(text: str, origin: str = "<string>") -> list[MaterialParams]
     return out
 
 
-def load_materials(path: str | Path) -> list[MaterialParams]:
-    """Load and validate materials from a file. Empty file gives an empty list."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as err:
-        raise MaterialError(f"cannot read material file {p}: {err}") from err
-    return parse_materials(text, origin=str(p))
-
-
 __all__ = [
     "MaterialError", "MaterialParams", "FigureOfMerit", "figures_of_merit",
-    "builtin_materials", "get_material", "parse_materials", "load_materials",
+    "builtin_materials", "get_material", "load_materials",
 ]

@@ -10,6 +10,8 @@ ReducedModel.g_matrices contracts both once into two real 3x3 matrices
 to holebox.gmatrix, which evaluates every direction of both routes; the
 exact minimal route hands over its own (g, p). rabi_sum_over_states,
 which forms no (gm, gp), checks that route direction by direction.
+Callers choose the operator by include_paramagnetic; no tier is named here
+(the tier names live in holebox.sweeps.TIERS).
 
 The static problem is solved in one mirror sector. H0 commutes with
 M_z = P_z exp(-i pi J_z) (P_z: z parity, which is (-1)^(n_z + 1) on the
@@ -67,9 +69,6 @@ from .materials import MaterialParams
 DEGENERACY_TOL = 1e-8   # meV; smallest ground-to-excited doublet gap
 RESIDUAL_TOL = 1e-9     # relative to the matrix norm
 
-# the tiers a RabiResult can carry, indexed by include_paramagnetic
-CONVERGED_TIERS = ("converged_zeeman", "converged_full")
-
 
 @dataclass(frozen=True)
 class KramersDoublet:
@@ -81,13 +80,11 @@ class KramersDoublet:
 
 @dataclass(frozen=True)
 class RabiResult:
+    """The Larmor and Rabi frequencies of one field direction."""
     f_L: float      # GHz
     f_R: float      # GHz
-    tier: str
 
     def __post_init__(self):
-        if self.tier not in CONVERGED_TIERS:
-            raise ValueError(f"unknown tier {self.tier!r}")
         if self.f_L < 0 or self.f_R < 0:
             raise ValueError("frequencies must be non-negative")
 
@@ -324,12 +321,12 @@ def pair_doublets(spectrum: SpinorSpectrum) -> list[KramersDoublet]:
 def rabi_sum_over_states(doublets: list[KramersDoublet],
                          Hm_prime: HamiltonianMatrix,
                          dipole_y: HamiltonianMatrix, E_ac: float,
-                         n_excited: int | None = None, *,
-                         tier: str) -> RabiResult:
+                         n_excited: int | None = None) -> RabiResult:
     """First-order-in-B Larmor and Rabi frequencies of the ground doublet,
     with the drive matrix element summed doublet by doublet over the first
-    n_excited excited doublets, or over every given one for None. tier
-    names the operator Hm_prime: converged_zeeman or converged_full."""
+    n_excited excited doublets, or over every given one for None. Hm_prime
+    is the magnetic operator at the field: Zeeman only, or Zeeman plus
+    paramagnetic."""
     if len(doublets) < 2:
         raise ValueError("need the ground doublet plus at least one excited")
     ground = doublets[0]
@@ -357,8 +354,7 @@ def rabi_sum_over_states(doublets: list[KramersDoublet],
                       + np.vdot(m_s1, v) * np.vdot(v, y_s0)) / gap
                      for v in (d.v_up, d.v_down))
     return RabiResult(f_L=split / CONST.h_planck,
-                      f_R=CONST.e_scale * E_ac * abs(total) / CONST.h_planck,
-                      tier=tier)
+                      f_R=CONST.e_scale * E_ac * abs(total) / CONST.h_planck)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +387,7 @@ def converged_rabi(material: MaterialParams, geometry: BoxGeometry,
                                         fields.theta, fields.phi, cutoff,
                                         orientation=orientation)
     return rabi_sum_over_states(doublets, Hm, dipole_y(geometry, cutoff),
-                                fields.E_ac, n_excited,
-                                tier=CONVERGED_TIERS[include_paramagnetic])
+                                fields.E_ac, n_excited)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +433,12 @@ class ReducedModel:
     def g_matrices(self, include_paramagnetic: bool = True,
                    n_excited: int | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """The tier's real 3x3 gm[j, i] = Re Tr(sigma_j A_i) (meV/T) and
+        """The real 3x3 gm[j, i] = Re Tr(sigma_j A_i) (meV/T) and
         gp[j, i] = Re Tr(sigma_j (C_i + C_i^H)) (nm/T): A_i is the ground
         block of the unit-B generator G_i on axis i (Zeeman, plus paramagnetic
-        for the full tier), C_i = G_i^H Y / (E_ground - E_e) over the first
-        n_excited excited doublets, or over every kept one when n_excited is
-        None."""
+        if include_paramagnetic), C_i = G_i^H Y / (E_ground - E_e) over the
+        first n_excited excited doublets, or over every kept one when
+        n_excited is None."""
         gaps = np.repeat(self._excited_gaps(n_excited), 2)
         G = self.zeeman
         if include_paramagnetic:
@@ -463,8 +458,7 @@ class ReducedModel:
         and goes with that call."""
         pair = self.g_matrices(include_paramagnetic, n_excited)
         f_R, f_L = gmatrix.qubit(*gmatrix.diagonal(*pair), B, theta, phi, E_ac)
-        return RabiResult(f_L=f_L, f_R=f_R,
-                          tier=CONVERGED_TIERS[include_paramagnetic])
+        return RabiResult(f_L=f_L, f_R=f_R)
 
 
 def reduce_model(material: MaterialParams, geometry: BoxGeometry,

@@ -1,9 +1,12 @@
 """Sweep orchestration and deterministic CSV emission.
 
-A sweep is described by an INI config (same key = value format as the
-material files). Built-in defaults describe the reference scenario: a
-Si 40x30x10 nm box, B = 1 T along y+z (theta = 45, phi = 90 degrees,
-azimuth from the x axis), E0 = 0.1 mV/nm, E_ac = 0.03 mV/nm.
+A sweep is described by an INI config, read by holebox.inputs.read_ini
+like the material files. Built-in defaults describe the reference
+scenario: a Si 40x30x10 nm box, B = 1 T along y+z (theta = 45, phi = 90
+degrees, azimuth from the x axis), E0 = 0.1 mV/nm, E_ac = 0.03 mV/nm.
+
+Each command is written once, in COMMANDS (help line, runner, own config
+sections), and each result tier once, in TIERS (commands, default, column).
 
 CSV files are byte-deterministic: floats use the shortest round-trip
 representation, absent values are empty cells, metadata lines are
@@ -41,7 +44,7 @@ from typing import TYPE_CHECKING
 
 from .inputs import (DEFAULT_N_EXCITED, BasisCutoff, BoxGeometry,
                      DegenerateQubitError, FieldConfig, NearDegeneracyError,
-                     Orientation, SolverError, StrainConfig)
+                     Orientation, SolverError, StrainConfig, read_ini)
 from .materials import (MaterialParams, builtin_materials, figures_of_merit,
                         load_materials)
 
@@ -56,8 +59,13 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-COMMANDS = ("materials-table", "e0-sweep", "lz-sweep", "angle-map",
-            "strain-sweep")
+
+@dataclass(frozen=True)
+class Command:
+    """A command's --help line, runner and own config sections."""
+    help: str
+    run: Callable[[SweepSpec, str | Path], Path]
+    sections: dict[str, dict[str, str]]
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,7 @@ def _check_range(section: str, key: str, value: float, low: float,
 
 
 def _default_config(command: str) -> dict[str, dict[str, str]]:
+    """The shared defaults plus copies of the command's own sections."""
     cfg = {
         "material": {"name": "Si", "file": ""},
         "geometry": {"L_x": "40", "L_y": "30", "L_z": "10",
@@ -159,19 +168,8 @@ def _default_config(command: str) -> dict[str, dict[str, str]]:
                    "E0": "0.1", "E_ac": "0.03"},
         "solver": {"cutoff": "8,8,5", "n_excited": str(DEFAULT_N_EXCITED)},
     }
-    if command == "materials-table":
-        cfg["materials"] = {"names": "Si,Ge,InP,GaAs,InAs,InSb", "file": ""}
-    sweep = {
-        "e0-sweep": {"e0_min": "0.0", "e0_max": "1.0", "e0_count": "101"},
-        "lz-sweep": {"lz_min": "1.0", "lz_max": "10.0", "lz_count": "10"},
-        "angle-map": {"theta_min_deg": "0", "theta_max_deg": "90",
-                      "theta_count": "46", "phi_min_deg": "0",
-                      "phi_max_deg": "180", "phi_count": "91"},
-        "strain-sweep": {"eps_min": "0.0", "eps_max": "0.001",
-                         "eps_count": "41"},
-    }.get(command)
-    if sweep is not None:
-        cfg["sweep"] = sweep
+    cfg.update((section, dict(keys))
+               for section, keys in COMMANDS[command].sections.items())
     return cfg
 
 
@@ -244,20 +242,12 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
     cfg = _default_config(command)
 
     if config_path is not None:
-        parser = configparser.ConfigParser(interpolation=None, strict=True)
-        parser.optionxform = str
         path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
-        except configparser.Error as err:
-            raise ConfigError(f"{path}: {err}") from err
-        for section in parser.sections():
+        for section, items in read_ini(path, ConfigError).items():
             if section not in cfg:
                 raise ConfigError(f"{path}: unknown section [{section}] "
                                   f"for {command}")
-            for key, value in parser[section].items():
+            for key, value in items.items():
                 if key not in cfg[section]:
                     raise ConfigError(f"{path}: unknown key {key!r} in "
                                       f"[{section}]")
@@ -283,7 +273,7 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
                               f"{', '.join(allowed) or 'none'}")
     # canonical order, duplicates dropped
     tier_tuple = tuple(t for t in allowed if t in requested)
-    if not tier_tuple and command != "materials-table":
+    if not tier_tuple and allowed:
         raise ConfigError("no valid tiers requested")
 
     materials = _resolve_material(cfg, "material", "name")
@@ -292,7 +282,7 @@ def resolve_spec(command: str, config_path: str | Path | None = None,
                           f"got {cfg['material']['name']!r}")
     material = materials[0]
     table = ()
-    if command == "materials-table":
+    if "materials" in cfg:
         table = tuple(_resolve_material(cfg, "materials", "names"))
 
     g = cfg["geometry"]
@@ -602,3 +592,25 @@ def run_strain_sweep(spec: SweepSpec, out: str | Path) -> Path:
         lz_eff = sqrt(lz2) if 0.0 < lz2 < inf else None
         rows.append([eps, hh, f_R, f_L, t_opt, p_opt, lz_eff, eps == 0.0])
     return _write_csv(out, spec, columns, rows)
+
+
+# The commands in --help order, after the runners they name
+COMMANDS = {
+    "materials-table": Command(
+        "figures of merit for a list of materials", run_materials_table,
+        {"materials": {"names": "Si,Ge,InP,GaAs,InAs,InSb", "file": ""}}),
+    "e0-sweep": Command(
+        "Rabi and Larmor frequencies versus the static field E0", run_e0_sweep,
+        {"sweep": {"e0_min": "0.0", "e0_max": "1.0", "e0_count": "101"}}),
+    "lz-sweep": Command(
+        "closed-form Rabi frequency versus dot height", run_lz_sweep,
+        {"sweep": {"lz_min": "1.0", "lz_max": "10.0", "lz_count": "10"}}),
+    "angle-map": Command(
+        "Rabi frequency over magnetic field directions", run_angle_map,
+        {"sweep": {"theta_min_deg": "0", "theta_max_deg": "90",
+                   "theta_count": "46", "phi_min_deg": "0",
+                   "phi_max_deg": "180", "phi_count": "91"}}),
+    "strain-sweep": Command(
+        "qubit properties versus in-plane biaxial strain", run_strain_sweep,
+        {"sweep": {"eps_min": "0.0", "eps_max": "0.001", "eps_count": "41"}}),
+}

@@ -275,8 +275,7 @@ def test_11_pseudospin_gauge_invariance():
     doublets = pair_doublets(solve_spectrum(H0, 16))
     HZ = assemble_zeeman(SI, REF.B, REF.theta, REF.phi, cut)
     Y = dipole_y(BOX, cut)
-    ref = rabi_sum_over_states(doublets, HZ, Y, REF.E_ac, n_excited=7,
-                               tier="converged_zeeman")
+    ref = rabi_sum_over_states(doublets, HZ, Y, REF.E_ac, n_excited=7)
     rng = np.random.default_rng(404)
     for _ in range(20):
         rotated = []
@@ -289,8 +288,7 @@ def test_11_pseudospin_gauge_invariance():
                 v_up=U[0, 0] * d.v_up + U[1, 0] * d.v_down,
                 v_down=U[0, 1] * d.v_up + U[1, 1] * d.v_down,
                 index=d.index))
-        got = rabi_sum_over_states(rotated, HZ, Y, REF.E_ac, n_excited=7,
-                                   tier="converged_zeeman")
+        got = rabi_sum_over_states(rotated, HZ, Y, REF.E_ac, n_excited=7)
         assert got.f_R == approx(ref.f_R, rel=1e-10)
         assert got.f_L == approx(ref.f_L, rel=1e-10)
     _finish("11 pseudospin-gauge", 60.0, t0)

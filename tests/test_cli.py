@@ -46,6 +46,58 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
+def test_help_lists_the_command_table(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")    # one line per command
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    rows = [line.split(None, 1) for line in out.splitlines()
+            if line.startswith("    ")]
+    assert [name for name, _ in rows] == ["materials-table", "e0-sweep",
+                                          "lz-sweep", "angle-map",
+                                          "strain-sweep"]
+    assert rows == [[name, command.help]
+                    for name, command in sweeps.COMMANDS.items()]
+
+
+# configparser would ignore the first [DEFAULT], copy B into [fields] in the
+# second, and make the third an unknown key of [geometry]
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nB = 5\n",
+    "[DEFAULT]\nB = 5\n[fields]\nE0 = 0.2\n",
+    "[DEFAULT]\nB = 5\n[geometry]\nL_z = 8\n",
+], ids=["alone", "with-fields", "with-geometry"])
+def test_default_section_in_config_exits_one(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    rc = cli.main(["e0-sweep", "--config", str(cfg), "--out", str(out),
+                   "--set", "sweep.e0_count=2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"holebox: config error: {cfg}: ")
+    assert "[DEFAULT]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--config", "material.file"])
+def test_non_utf8_file_exits_one(tmp_path, capsys, option):
+    bad = tmp_path / "bad.cfg"
+    if option == "--config":
+        bad.write_bytes(b"[fields]\nB = 2\xff\n")
+        argv = ["--config", str(bad)]
+    else:
+        bad.write_bytes(b"[material.X]\ngamma1 = 9\xff\n")
+        argv = ["--set", "material.name=X", "--set", f"material.file={bad}"]
+    out = tmp_path / "x.csv"
+    assert cli.main(["e0-sweep", "--out", str(out)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"holebox: config error: {bad}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lz-sweep", "--set", "fields.E0=nan"],
     ["e0-sweep", "--set", "sweep.e0_max=inf", "--set", "sweep.e0_count=2"],

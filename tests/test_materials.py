@@ -3,7 +3,14 @@ from pytest import approx
 
 from holebox import (MaterialError, MaterialParams, builtin_materials,
                      figures_of_merit, get_material, load_materials)
-from holebox.materials import parse_materials
+
+
+def _load(tmp_path, text: str | bytes):
+    p = tmp_path / "mats.cfg"
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    p.write_bytes(text)
+    return load_materials(p)
 
 
 def test_builtin_roster():
@@ -60,32 +67,41 @@ def test_strain_parameters_presence():
         ge.require_strain()
 
 
-def test_parse_rejects_malformed_input():
+def test_parse_rejects_malformed_input(tmp_path):
     with pytest.raises(MaterialError, match="unknown field"):
-        parse_materials("[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1\n"
+        _load(tmp_path, "[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1\n"
                         "kappa = 1\ncolor = red\n")
     with pytest.raises(MaterialError, match="missing"):
-        parse_materials("[material.X]\ngamma1 = 9\n")
+        _load(tmp_path, "[material.X]\ngamma1 = 9\n")
     with pytest.raises(MaterialError, match="not a number"):
-        parse_materials("[material.X]\ngamma1 = nine\ngamma2 = 1\n"
+        _load(tmp_path, "[material.X]\ngamma1 = nine\ngamma2 = 1\n"
                         "gamma3 = 1\nkappa = 1\n")
-    with pytest.raises(MaterialError, match="already exists|duplicate"):
-        parse_materials("[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1\n"
+    with pytest.raises(MaterialError, match="already exists"):
+        _load(tmp_path, "[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1\n"
                         "kappa = 1\n[material.X]\ngamma1 = 9\ngamma2 = 1\n"
                         "gamma3 = 1\nkappa = 1\n")
     with pytest.raises(MaterialError, match="does not match"):
-        parse_materials("[notes]\nauthor = someone\n")
+        _load(tmp_path, "[notes]\nauthor = someone\n")
     with pytest.raises(MaterialError, match="'kappa': not finite"):
-        parse_materials("[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1\n"
+        _load(tmp_path, "[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1\n"
                         "kappa = nan\n")
     with pytest.raises(MaterialError, match="'gamma3': not finite"):
-        parse_materials("[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = inf\n"
+        _load(tmp_path, "[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = inf\n"
                         "kappa = 1\n")
+    # configparser would copy [DEFAULT] keys into every material, and load a
+    # file holding only [DEFAULT] as no material at all
+    with pytest.raises(MaterialError, match=r"\[DEFAULT\]"):
+        _load(tmp_path, "[DEFAULT]\ngamma3 = 1\n[material.X]\ngamma1 = 9\n"
+                        "gamma2 = 1\nkappa = 1\n")
+    with pytest.raises(MaterialError, match=r"\[DEFAULT\]"):
+        _load(tmp_path, "[DEFAULT]\ngamma1 = 9\n")
+    with pytest.raises(MaterialError, match="mats.cfg: 'utf-8' codec"):
+        _load(tmp_path, b"[material.X]\ngamma1 = 9\xff\n")
 
 
-def test_parse_minimal_section():
+def test_parse_minimal_section(tmp_path):
     text = "[material.X]\ngamma1 = 9\ngamma2 = 1\ngamma3 = 1.2\nkappa = -0.5\n"
-    (mat,) = parse_materials(text)
+    (mat,) = _load(tmp_path, text)
     assert mat.name == "X"
     assert mat.kappa == approx(-0.5)
     assert not mat.has_strain_params

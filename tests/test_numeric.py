@@ -82,10 +82,8 @@ def test_pair_doublets_keeps_degenerate_pairs():
 
 
 def test_rabi_result_validation():
-    with pytest.raises(ValueError, match="tier"):
-        RabiResult(f_L=1.0, f_R=0.1, tier="nonsense")
     with pytest.raises(ValueError, match="non-negative"):
-        RabiResult(f_L=-1.0, f_R=0.1, tier="converged_full")
+        RabiResult(f_L=-1.0, f_R=0.1)
 
 
 def test_degenerate_qubit_raises_in_sum():
@@ -96,8 +94,7 @@ def test_degenerate_qubit_raises_in_sum():
     HZ = assemble_zeeman(SI, 0.0, 0.0, 0.0, cut)
     Y = dipole_y(BOX, cut)
     with pytest.raises(DegenerateQubitError):
-        rabi_sum_over_states(doublets, HZ, Y, 0.03, n_excited=3,
-                             tier="converged_zeeman")
+        rabi_sum_over_states(doublets, HZ, Y, 0.03, n_excited=3)
 
 
 def test_minimal_cutoff_reproduces_exact_minimal_route():
@@ -114,7 +111,6 @@ def test_minimal_cutoff_reproduces_exact_minimal_route():
                              include_paramagnetic=False, n_excited=3)
         assert got.f_R == approx(want_r, rel=1e-10, abs=1e-15)
         assert got.f_L == approx(want_l, rel=1e-10)
-        assert got.tier == "converged_zeeman"
 
 
 def test_gauge_invariance_under_doublet_rotations():
@@ -126,8 +122,7 @@ def test_gauge_invariance_under_doublet_rotations():
     HZ = assemble_zeeman(SI, REF_FIELDS.B, REF_FIELDS.theta, REF_FIELDS.phi,
                          cut)
     Y = dipole_y(BOX, cut)
-    ref = rabi_sum_over_states(doublets, HZ, Y, 0.03, n_excited=7,
-                               tier="converged_zeeman")
+    ref = rabi_sum_over_states(doublets, HZ, Y, 0.03, n_excited=7)
     rng = np.random.default_rng(5)
     for _ in range(10):
         rotated = []
@@ -139,8 +134,7 @@ def test_gauge_invariance_under_doublet_rotations():
             vu = U[0, 0] * d.v_up + U[1, 0] * d.v_down
             vd = U[0, 1] * d.v_up + U[1, 1] * d.v_down
             rotated.append(type(d)(E=d.E, v_up=vu, v_down=vd, index=d.index))
-        got = rabi_sum_over_states(rotated, HZ, Y, 0.03, n_excited=7,
-                                   tier="converged_zeeman")
+        got = rabi_sum_over_states(rotated, HZ, Y, 0.03, n_excited=7)
         assert got.f_R == approx(ref.f_R, rel=1e-10)
         assert got.f_L == approx(ref.f_L, rel=1e-10)
 
@@ -158,18 +152,11 @@ def test_sum_over_states_defaults_to_every_given_doublet():
 
     def f_R(**kwargs):
         return rabi_sum_over_states(doublets, HZ, Y, REF_FIELDS.E_ac,
-                                    tier="converged_zeeman", **kwargs).f_R
+                                    **kwargs).f_R
     assert f_R() == f_R(n_excited=80)
     assert f_R() == approx(0.014292, abs=5e-7)
     assert f_R(n_excited=numeric.DEFAULT_N_EXCITED) == approx(0.014524,
                                                               abs=5e-7)
-
-
-def test_converged_rabi_reports_tier():
-    res = converged_rabi(SI, BOX, D110, REF_FIELDS, BasisCutoff(3, 3, 2),
-                         include_paramagnetic=True, n_excited=15)
-    assert res.tier == "converged_full"
-    assert res.f_R > 0 and res.f_L > 0
 
 
 def test_reduced_model_keeps_ground_doublet_columns():
