@@ -141,13 +141,6 @@ class HamiltonianMatrix:
     def dimension(self) -> int:
         return self.cutoff.dimension
 
-    def hermiticity_residual(self) -> float:
-        """max |H - H^dagger| / max |H|, 0 for an all-zero matrix."""
-        scale = np.max(np.abs(self.matrix))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)) / scale)
-
     def __matmul__(self, V: np.ndarray) -> np.ndarray:
         """H V for an (N,) vector or an (N, k) block, applied factor by
         factor; no N x N object is formed."""

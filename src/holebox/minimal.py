@@ -143,15 +143,12 @@ class ElectricMixing:
 
     c_2m_1m is the amplitude of the upper-subband |2-> state mixed into
     |1->, and so on; the reversed coefficients are the negatives of these.
-    lambda_thin is the flat-dot limit of c_2m_1m (None when no material
-    was supplied to compute it).
     """
     Lambda: float
     c_2m_1m: float
     c_2p_1p: float
     c_2m_1p: float
     c_2p_1m: float
-    lambda_thin: float | None
 
     @property
     def lambda_coeffs(self) -> tuple[float, float, float, float]:
@@ -169,8 +166,7 @@ def mixing_strength(E0: float, L_y: float) -> float:
 
 
 def electric_mixing(ms: tuple[MixedSubband, MixedSubband], E0: float,
-                    geometry: BoxGeometry, *,
-                    material: MaterialParams | None = None) -> ElectricMixing:
+                    geometry: BoxGeometry) -> ElectricMixing:
     m1, m2 = ms
     lam = mixing_strength(E0, geometry.L_y)
     pairs = {
@@ -186,18 +182,12 @@ def electric_mixing(ms: tuple[MixedSubband, MixedSubband], E0: float,
                 f"{abs(de):.3g} meV < {DEGENERACY_TOL} meV")
     same = m1.h * m2.h + m1.l * m2.l
     cross = m1.h * m2.l - m2.h * m1.l
-    lam_thin = None
-    if material is not None:
-        g12 = material.gamma1 + material.gamma2
-        lam_thin = (-16 * CONST.e_scale * E0 * geometry.L_y ** 3
-                    / (27 * pi ** 4 * CONST.hbar2_over_2m0 * g12))
     return ElectricMixing(
         Lambda=lam,
         c_2m_1m=lam * same / pairs["E1- / E2-"],
         c_2p_1p=lam * same / pairs["E1+ / E2+"],
         c_2m_1p=lam * cross / pairs["E1+ / E2-"],
         c_2p_1m=-lam * cross / pairs["E1- / E2+"],
-        lambda_thin=lam_thin,
     )
 
 
@@ -551,13 +541,6 @@ def e0_max(material: MaterialParams, geometry: BoxGeometry,
     return (m2.E_minus - m1.E_minus) / (2 * sqrt(2.0) * CONST.e_scale * abs(D1))
 
 
-def e0_max_thin(material: MaterialParams, geometry: BoxGeometry) -> float:
-    """Flat-dot limit of e0_max; depends only on L_y."""
-    g12 = material.gamma1 + material.gamma2
-    return (27 * pi ** 4 * CONST.hbar2_over_2m0 * g12
-            / (32 * sqrt(2.0) * CONST.e_scale * geometry.L_y ** 3))
-
-
 def renormalized_rabi(fr_linear: float, E0: float, geometry: BoxGeometry,
                       material: MaterialParams, *,
                       orientation: Orientation,
@@ -569,29 +552,6 @@ def renormalized_rabi(fr_linear: float, E0: float, geometry: BoxGeometry,
     if e_max is None:
         e_max = e0_max(material, geometry, orientation)
     return fr_linear * (1 + 0.5 * (E0 / e_max) ** 2) ** -1.5
-
-
-# ---------------------------------------------------------------------------
-# upper-doublet (mostly light hole) qubit
-
-def light_hole_rabi(material: MaterialParams, geometry: BoxGeometry,
-                    fields: FieldConfig) -> float:
-    """Flat-dot Rabi frequency of the |1+> doublet in GHz (110 frame).
-
-    Same structure as the heavy-hole result with the in-plane light mass
-    replacing the heavy one; the angular factor peaks at theta = 90,
-    phi = 45 degrees instead of dropping to zero in the plane.
-    """
-    m = material
-    Lx, Ly, Lz = geometry.L_x, geometry.L_y, geometry.L_z
-    s, c = sin(fields.theta), cos(fields.theta)
-    s2p = sin(2 * fields.phi)
-    den = c * c + 4 * s * s
-    ang = abs(s) * sqrt((c * c + 4 * s * s * s2p * s2p) / den) if den > 0 else 0.0
-    return (256 / (81 * pi ** 8) * CONST.mu_B * fields.B * CONST.e_scale ** 2
-            * fields.E_ac * abs(fields.E0) * Ly ** 4 * Lz ** 2 * m.gamma3
-            * abs(m.kappa) / (m.gamma2 * (m.gamma1 - m.gamma2) ** 2)
-            / (CONST.hbar2_over_2m0 ** 2 * CONST.h_planck) * ang)
 
 
 # ---------------------------------------------------------------------------
@@ -617,31 +577,3 @@ def strain_equivalent_height(material: MaterialParams, L_z: float,
     if inv == 0.0:
         return inf
     return 1.0 / inv
-
-
-def strain_divergence_eps(material: MaterialParams, L_z: float) -> float:
-    """Strain where the equivalent squared height diverges."""
-    return (-(1.0 / L_z ** 2) * 2 * CONST.hbar2_over_2m0 * pi ** 2
-            * material.gamma2 / _strain_slope(material))
-
-
-def strain_transition_eps(material: MaterialParams,
-                          geometry: BoxGeometry) -> float:
-    """Strain where the lower subband's Q crosses zero (character swap)."""
-    sp = subband_params(material, geometry, Orientation.DOT_110)
-    return sp.Q1 / _strain_slope(material)
-
-
-def strain_equal_mixing_eps(material: MaterialParams, geometry: BoxGeometry,
-                            orientation: Orientation) -> float:
-    """Strain where both subbands reach the same mixing angle (h1 = h2).
-
-    At this point the cross dipole D2 vanishes and the driven matrix
-    element dips. Requires R1 != R2.
-    """
-    sp = subband_params(material, geometry, orientation)
-    if abs(sp.R2 - sp.R1) < 1e-12:
-        raise ValueError("R1 = R2: the mixing angles never cross under "
-                         "biaxial strain")
-    delta = (sp.R2 * sp.Q1 - sp.R1 * sp.Q2) / (sp.R2 - sp.R1)
-    return delta / _strain_slope(material)

@@ -6,10 +6,14 @@ principles so that only the subband constants are shared with the library
 code under test. exact_finite_field shares only the converged-basis
 assemblers: it diagonalizes the dense Hamiltonian at finite field and
 imports nothing from holebox.numeric.
+
+The paper forms that no command evaluates (the flat-dot mixing and E_max,
+the light-hole Rabi frequency and the characteristic strains) live here
+too, as closed forms the unit and acceptance tests pin.
 """
 from __future__ import annotations
 
-from math import cos, sin, sqrt
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 
@@ -210,6 +214,87 @@ def exact_finite_field(material: MaterialParams, geometry: BoxGeometry,
     (B1, B2), (x1, x2) = B_values, per_tesla
     f_L, f_R = fields.B * (B1 ** 2 * x2 - B2 ** 2 * x1) / (B1 ** 2 - B2 ** 2)
     return float(f_L), float(f_R)
+
+
+def hermiticity_residual(H) -> float:
+    """max |H - H^dagger| / max |H| of H.matrix, 0 for an all-zero matrix."""
+    M = H.matrix
+    scale = np.max(np.abs(M))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(M - M.conj().T)) / scale)
+
+
+# ---------------------------------------------------------------------------
+# paper forms that no command evaluates
+
+def lambda_thin(material: MaterialParams, geometry: BoxGeometry,
+                E0: float) -> float:
+    """Flat-dot limit of ElectricMixing.c_2m_1m."""
+    g12 = material.gamma1 + material.gamma2
+    return (-16 * CONST.e_scale * E0 * geometry.L_y ** 3
+            / (27 * pi ** 4 * CONST.hbar2_over_2m0 * g12))
+
+
+def e0_max_thin(material: MaterialParams, geometry: BoxGeometry) -> float:
+    """Flat-dot limit of minimal.e0_max; depends only on L_y."""
+    g12 = material.gamma1 + material.gamma2
+    return (27 * pi ** 4 * CONST.hbar2_over_2m0 * g12
+            / (32 * sqrt(2.0) * CONST.e_scale * geometry.L_y ** 3))
+
+
+def light_hole_rabi(material: MaterialParams, geometry: BoxGeometry,
+                    fields) -> float:
+    """Flat-dot Rabi frequency of the |1+> doublet in GHz (110 frame).
+
+    Same structure as the heavy-hole result with the in-plane light mass
+    replacing the heavy one; the angular factor peaks at theta = 90,
+    phi = 45 degrees instead of dropping to zero in the plane.
+    """
+    m = material
+    Ly, Lz = geometry.L_y, geometry.L_z
+    s, c = sin(fields.theta), cos(fields.theta)
+    s2p = sin(2 * fields.phi)
+    den = c * c + 4 * s * s
+    ang = abs(s) * sqrt((c * c + 4 * s * s * s2p * s2p) / den) if den > 0 else 0.0
+    return (256 / (81 * pi ** 8) * CONST.mu_B * fields.B * CONST.e_scale ** 2
+            * fields.E_ac * abs(fields.E0) * Ly ** 4 * Lz ** 2 * m.gamma3
+            * abs(m.kappa) / (m.gamma2 * (m.gamma1 - m.gamma2) ** 2)
+            / (CONST.hbar2_over_2m0 ** 2 * CONST.h_planck) * ang)
+
+
+def _strain_slope(material: MaterialParams) -> float:
+    # dQ/d(eps_parallel) in meV, the rigid heavy-light splitting rate
+    material.require_strain()
+    return (material.nu + 1) * material.b_v * 1e3
+
+
+def strain_divergence_eps(material: MaterialParams, L_z: float) -> float:
+    """Strain where the equivalent squared height diverges."""
+    return (-(1.0 / L_z ** 2) * 2 * CONST.hbar2_over_2m0 * pi ** 2
+            * material.gamma2 / _strain_slope(material))
+
+
+def strain_transition_eps(material: MaterialParams,
+                          geometry: BoxGeometry) -> float:
+    """Strain where the lower subband's Q crosses zero (character swap)."""
+    sp = subband_params(material, geometry, Orientation.DOT_110)
+    return sp.Q1 / _strain_slope(material)
+
+
+def strain_equal_mixing_eps(material: MaterialParams, geometry: BoxGeometry,
+                            orientation: Orientation) -> float:
+    """Strain where both subbands reach the same mixing angle (h1 = h2).
+
+    At this point the cross dipole D2 vanishes and the driven matrix
+    element dips. Requires R1 != R2.
+    """
+    sp = subband_params(material, geometry, orientation)
+    if abs(sp.R2 - sp.R1) < 1e-12:
+        raise ValueError("R1 = R2: the mixing angles never cross under "
+                         "biaxial strain")
+    delta = (sp.R2 * sp.Q1 - sp.R1 * sp.Q2) / (sp.R2 - sp.R1)
+    return delta / _strain_slope(material)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,17 @@ from pytest import approx
 import holebox
 from holebox import (BoxGeometry, DegenerateQubitError, FieldConfig,
                      MaterialParams, NearDegeneracyError, Orientation,
-                     StrainConfig, e0_max, e0_max_thin, electric_mixing,
-                     get_material, gmatrix, light_hole_rabi,
-                     minimal_exact_model, minimal_exact_qubit,
+                     StrainConfig, e0_max, electric_mixing, get_material,
+                     gmatrix, minimal_exact_model, minimal_exact_qubit,
                      minimal_exact_rabi, mixed_subbands, qubit_coefficients,
                      rabi_linearized, rabi_thin_dot, renormalized_rabi,
-                     strain_divergence_eps, strain_equal_mixing_eps,
-                     strain_equivalent_height, strain_transition_eps,
-                     subband_params)
+                     strain_equivalent_height, subband_params)
 from holebox.constants import CONST
 from holebox.minimal import _jacobi_eigh, mixing_strength
 from holebox.sweeps import _optimal_direction, resolve_spec, run_angle_map
-from oracles import (direct_rabi_first_order, exact_qubit8,
+from oracles import (direct_rabi_first_order, e0_max_thin, exact_qubit8,
+                     lambda_thin, light_hole_rabi, strain_divergence_eps,
+                     strain_equal_mixing_eps, strain_transition_eps,
                      well_separated_sample)
 
 SI = get_material("Si")
@@ -74,7 +73,7 @@ def test_mixing_handles_zero_coupling():
 def test_electric_mixing_antisymmetry_and_thin_limit():
     sp = subband_params(SI, BOX, D110)
     ms = mixed_subbands(sp)
-    mix = electric_mixing(ms, 0.1, BOX, material=SI)
+    mix = electric_mixing(ms, 0.1, BOX)
     # swapping bra and ket flips the sign: lambda_{ab} = -lambda_{ba}, so
     # reproducing the four coefficients from raw matrix elements suffices
     lam = mix.Lambda
@@ -83,20 +82,11 @@ def test_electric_mixing_antisymmetry_and_thin_limit():
                                  / (m1.E_minus - m2.E_minus), rel=1e-12)
     assert mix.c_2p_1m == approx(-lam * (m1.h * m2.l - m2.h * m1.l)
                                  / (m1.E_minus - m2.E_plus), rel=1e-12)
-    assert mix.lambda_thin is not None
     # flattening the dot drives c_2m_1m toward the thin-dot closed form
     thin_box = BoxGeometry(400.0, 30.0, 0.5)
     thin = electric_mixing(mixed_subbands(subband_params(SI, thin_box, D110)),
-                           0.1, thin_box, material=SI)
-    assert thin.c_2m_1m == approx(thin.lambda_thin, rel=5e-3)
-
-
-def test_lambda_thin_closed_form():
-    mix = electric_mixing(mixed_subbands(subband_params(SI, BOX, D110)),
-                          0.1, BOX, material=SI)
-    want = -16 * CONST.e_scale * 0.1 * 30.0 ** 3 / (
-        27 * pi ** 4 * CONST.hbar2_over_2m0 * (SI.gamma1 + SI.gamma2))
-    assert mix.lambda_thin == approx(want, rel=1e-12)
+                           0.1, thin_box)
+    assert thin.c_2m_1m == approx(lambda_thin(SI, thin_box, 0.1), rel=5e-3)
 
 
 def test_qubit_coefficients_normalization_and_larmor():
@@ -157,7 +147,7 @@ def test_near_degenerate_subbands_raise():
     g = BoxGeometry(500.0, 1.2e5, 500.0)
     ms = mixed_subbands(subband_params(m, g, D110))
     with pytest.raises(NearDegeneracyError, match="crossing"):
-        electric_mixing(ms, 0.1, g, material=m)
+        electric_mixing(ms, 0.1, g)
 
 
 def test_thin_dot_f2_ignores_azimuth():
@@ -495,6 +485,19 @@ def test_exact_route_mirror_symmetry(orientation, eps):
     f_R, _ = np.vectorize(partial(gmatrix.qubit, model.g, model.p))(
         1.0, th, ph, 0.03)
     _assert_close(f_R[:, ::-1], f_R)
+
+
+@pytest.mark.parametrize("material", [SI, GE], ids=["Si", "Ge"])
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("E0", [0.1, 0.7])
+def test_exact_route_parity_in_e0(material, orientation, E0):
+    # y -> -y takes the box onto itself and E0 onto -E0, so gm is even and
+    # gp odd in E0; the route flips only the sign of the intersubband
+    # element, so both hold to the last bit
+    plus = minimal_exact_model(material, BOX, orientation, E0)
+    minus = minimal_exact_model(material, BOX, orientation, -E0)
+    assert minus.g == plus.g
+    assert minus.p == tuple(-p for p in plus.p)
 
 
 @pytest.mark.parametrize("orientation, eps", [
