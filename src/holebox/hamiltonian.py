@@ -48,12 +48,16 @@ from .materials import MaterialParams
 # numerics never form one. Their largest array is the real n x n mirror
 # block (n = N/2), which LAPACK's subset dsyevr (numeric.solve_spectrum)
 # overwrites in place at every size, adding only the n x k kept
-# eigenvectors and O(n) workspace: about 1 n^2 doubles plus n k (2 N^2
-# bytes, 134 MB at n = 4096). Where numpy's dsyevr cannot be bound, the
-# fallback np.linalg.eigh keeps the block and, during the call, a copy of
-# it, the n x n eigenvectors and dsyevd's ~2 n^2 workspace: measured
-# +4.2-4.4 n^2 doubles over the dsyevr peak at n = 1200 and 2016 (2-core
-# VM, numpy 2.4), so about 5 n^2 doubles (0.7 GB at n = 4096).
+# eigenvectors and O(n) workspace. Only its lower triangle, all that the
+# solver reads, is written, into an anonymous mapping whose upper pages are
+# never touched: about n^2 / 2 doubles resident plus n k (N^2 bytes, 67 MB
+# at n = 4096). The Ge [100] 3x3 converged angle-map peaks at 35.5, 42.1,
+# 56.3 and 83.1 MiB resident at cutoffs (8,8,5) to (14,14,8) (VmHWM, 2-core
+# VM, numpy 2.4). Where numpy's dsyevr cannot be bound, the fallback
+# np.linalg.eigh keeps the block and, during the call, a full copy of it,
+# the n x n eigenvectors and dsyevd's ~2 n^2 workspace: measured
+# +4.4 n^2 doubles over the dsyevr peak at n = 1200 and 2016, so about
+# 5 n^2 doubles (0.7 GB at n = 4096).
 # The guard still counts a full dense matrix, which any read of
 # HamiltonianMatrix.matrix allocates. Every HamiltonianMatrix checks it.
 MAX_DIMENSION = 8192

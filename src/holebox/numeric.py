@@ -31,8 +31,11 @@ the numpy work around it share one BLAS library and thread pool; only where
 that symbol cannot be bound does it call numpy's own np.linalg.eigh, which
 agrees to rounding. Neither path needs more than numpy.
 
-What each step allocates: the solve holds the real n x n block (n = N/2)
-and then its n x k eigenvectors w, k = n_states / 2. The SpinorSpectrum it
+What each step allocates: the solve holds the real n x n block (n = N/2),
+of which only the lower triangle, all that the solver reads, is written and
+resident, and then its n x k eigenvectors w, k = n_states / 2. The block
+has an anonymous mapping of its own, returned whole to the OS when the
+block is freed right after the solve. The SpinorSpectrum it
 returns is the solved sector: it keeps w and one energy per doublet, and
 its pairs method is the only constructor of the complex (v, T v) columns
 and of their phase factor. The residual check and reduce_model both read the
@@ -50,6 +53,7 @@ exact power of i, so every reader of the columns sees the same bits.
 from __future__ import annotations
 
 import ctypes
+import mmap
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -102,12 +106,17 @@ def _plus_sector(H: HamiltonianMatrix,
     which is real symmetric when H is time-reversal even: every term that
     flips the parity of n_x or n_z carries a matching factor i from R or S.
     The block is scattered term by term from HamiltonianMatrix.scatter_terms;
-    the phases are powers of i, so every product is exact and the block
-    equals the phased + rows of the summed H bit for bit. Returns the +
-    sector's flat indices, D on them, the real block (in Fortran order) and
-    its infinity norm (that of the whole H when H is time-reversal even);
-    raises SolverError if a term couples the sectors or a phased term is not
-    real.
+    the phases are powers of i, so every product is exact and the block's
+    lower triangle equals that of the phased + rows of the summed H bit for
+    bit. Only entries with row >= column are written, as dsyevr (uplo L)
+    and np.linalg.eigh read no others, so the pages of the strict upper
+    triangle (0.0) are never touched and never resident; both checks below
+    still see every scattered value. Returns the + sector's flat indices, D
+    on them, the real block (in Fortran order, in an anonymous mapping of
+    its own, unmapped when the block is freed) and the infinity norm of the
+    symmetric block it stands for (that of the whole H when H is
+    time-reversal even); raises SolverError if a term couples the sectors
+    or a phased term is not real.
     """
     cutoff = H.cutoff
     orbital = np.arange(cutoff.n_orbital)
@@ -115,8 +124,10 @@ def _plus_sector(H: HamiltonianMatrix,
     k = orbital % cutoff.N_x + n_z
     n = 2 * cutoff.n_orbital
     # + sector row 2 a + s // 2 holds orbital a in spin slot s, s = n_z (mod 2)
-    # (column-major, LAPACK's order, so that eigh needs no copy of the block)
-    block = np.zeros((n, n), order="F")
+    # (column-major, LAPACK's order, so that eigh needs no copy of the block),
+    # in an anonymous mapping, not a numpy array: numpy backs arrays of 4 MiB
+    # or more with huge pages, which a lower-only block makes resident whole
+    block = np.frombuffer(mmap.mmap(-1, 8 * n * n)).reshape((n, n), order="F")
     not_real = False
     for coef, a, b, o, spin in H.scatter_terms():
         # D^* at a times D at b, a power of i
@@ -131,16 +142,25 @@ def _plus_sector(H: HamiltonianMatrix,
                                   "Hamiltonian")
             value = phase[plus] * (coef * (o[plus] * spin[s, t]))
             not_real = not_real or np.any(value.imag)
-            block[2 * a[plus] + s // 2, 2 * b[plus] + t // 2] += value.real
+            row, col = 2 * a[plus] + s // 2, 2 * b[plus] + t // 2
+            lower = row >= col
+            block[row[lower], col[lower]] += value.real[lower]
     if not_real:
         raise SolverError("the phased mirror (M_z) block of H is not real; "
                           "the sector solver needs a time-reversal-even H")
     flat = np.arange(cutoff.dimension)
     in_plus = (flat // (4 * cutoff.N_x * cutoff.N_y) + flat % 4) % 2 == 0
-    # the largest column sum of |block|, the infinity norm of the symmetric
-    # block, a few contiguous columns at a time: no n x n |block| is formed
-    scale = np.max([np.sum(np.abs(block[:, j:j + APPLY_COLUMNS]), axis=0).max()
-                    for j in range(0, n, APPLY_COLUMNS)])
+    # the infinity norm of the symmetric block, its largest absolute column
+    # sum: the lower triangle's column sum plus its row sum, less the
+    # diagonal, a few contiguous columns at a time from the diagonal down, so
+    # no n x n |block| is formed and the upper triangle is read only inside
+    # each diagonal square, where it is 0.0
+    sums = -np.abs(np.diagonal(block))
+    for j in range(0, n, APPLY_COLUMNS):
+        part = np.abs(block[j:, j:j + APPLY_COLUMNS])
+        sums[j:j + APPLY_COLUMNS] += part.sum(axis=0)
+        sums[j:] += part.sum(axis=1)
+    scale = sums.max()
     return (np.flatnonzero(in_plus), np.repeat(_POWERS_OF_I[k % 4], 2), block,
             scale)
 
@@ -227,9 +247,10 @@ def _dsyevr():
 
 def _lowest_pairs(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs (e, w) of the real symmetric Fortran-order
-    block, ascending (w: n x k); raises ValueError for any other block or a
-    k outside 1..n, which the bound dsyevr, reading raw pointers, cannot
-    take.
+    block, ascending (w: n x k), read from its lower triangle only (both
+    paths ignore the strict upper one); raises ValueError for any other
+    block or a k outside 1..n, which the bound dsyevr, reading raw
+    pointers, cannot take.
 
     dsyevr from numpy's own OpenBLAS (_dsyevr) computes only those k, in
     place in the block, with its own workspace query, so the solve, the
@@ -277,9 +298,10 @@ def solve_spectrum(H: HamiltonianMatrix, n_states: int) -> SpinorSpectrum:
     HamiltonianMatrix bounds it by MAX_DIMENSION / 2 rows), and the states
     come out as exactly degenerate (v, T v) pairs. LAPACK's dsyevr
     (_lowest_pairs) computes only the lowest k = n_states / 2 states of the
-    block, overwriting the block in place: about 1 n^2 doubles plus the
-    n x k eigenvectors live (where it cannot be bound, numpy's eigh takes
-    about 4 n^2 more for the duration of the call).
+    block, overwriting the block in place: the block's lower triangle,
+    about n^2 / 2 doubles resident, plus the n x k eigenvectors live (where
+    it cannot be bound, numpy's eigh takes about 4 n^2 more for the
+    duration of the call).
     The block is freed right after the solve, and the residual of H is then
     checked over each v and its partner T v, a few pairs at a time, so no
     n x n array outlives the solve and H V is never formed whole; checking

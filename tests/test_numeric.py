@@ -662,10 +662,35 @@ def _phased_plus_block(H: HamiltonianMatrix) -> np.ndarray:
                          _STATIC_CASES)
 def test_phased_plus_block_is_exactly_real(material, orientation, cut, E0,
                                            strain):
+    """The sector block holds the phased + rows bit for bit on and below
+    the diagonal, which is all that the solver reads; its strict upper
+    triangle is never written. Its norm, taken from that triangle, is the
+    infinity norm of the whole symmetric block."""
     H0 = assemble_static(material, BOX, orientation, cut, E0=E0, strain=strain)
     want = _phased_plus_block(H0)
     assert np.all(want.imag == 0.0)
-    assert np.array_equal(numeric._plus_sector(H0)[2], want.real)
+    _, _, block, scale = numeric._plus_sector(H0)
+    assert np.array_equal(np.tril(block), np.tril(want.real))
+    assert np.all(np.triu(block, 1) == 0.0)
+    assert scale == approx(np.abs(want).sum(axis=0).max(), rel=1e-14)
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["dsyevr", "numpy"])
+def test_lowest_pairs_read_only_the_lower_triangle(bound, monkeypatch):
+    """dsyevr is called with uplo L and np.linalg.eigh reads L by default,
+    so on both paths the lower-only block gives the bits of the full
+    symmetric block."""
+    if not bound:
+        monkeypatch.setattr(numeric, "_dsyevr", lambda: None)
+    H0 = assemble_static(get_material("Ge"), BOX, Orientation.DOT_100,
+                         BasisCutoff(2, 3, 3), E0=0.2)
+    lower = numeric._plus_sector(H0)[2]
+    full = np.asfortranarray(lower + np.tril(lower, -1).T)
+    assert np.array_equal(full, _phased_plus_block(H0).real)
+    e, w = numeric._lowest_pairs(lower, 6)
+    e_full, w_full = numeric._lowest_pairs(full, 6)
+    assert np.array_equal(e, e_full)
+    assert np.array_equal(w, w_full)
 
 
 def test_sector_solve_rejects_complex_phased_block():
@@ -714,10 +739,13 @@ def test_converged_rabi_stays_below_two_dense_matrices():
 
 def test_openblas_sector_solve_holds_one_block():
     """dsyevr solves the block in place and it is freed before the vectors
-    are built: at (8,8,5) the traced peak of solve_spectrum stays below one
-    real n x n block (n = N/2) plus two N x n_states complex arrays.
-    LAPACKE allocates dsyevr's workspace itself, with malloc, which
-    tracemalloc does not see, so the peak leaves that workspace out."""
+    are built: at (8,8,5) the traced peak of solve_spectrum stays below two
+    N x n_states complex arrays. The block lives in an anonymous mapping,
+    which tracemalloc does not see, so the bound has no n x n term: any
+    numpy copy of the block (8 n^2 bytes, n = N/2) would break it (the
+    peak is 2.5 MB against a bound of 3.4 MB, and a numpy-allocated block
+    puts it at 3.9 MB). LAPACKE allocates dsyevr's workspace itself, with
+    malloc, which tracemalloc does not see either."""
     # a first solve, so that binding the LAPACK library is not traced
     solve_spectrum(assemble_static(SI, BOX, D110, BasisCutoff(2, 2, 2)), 4)
     cut = BasisCutoff(8, 8, 5)
@@ -730,7 +758,7 @@ def test_openblas_sector_solve_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (N // 2) ** 2 + 2 * 16 * N * n_states
+    assert peak < 2 * 16 * N * n_states
 
 
 # Relative bound of the first-order routes against exact diagonalization at
