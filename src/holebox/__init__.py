@@ -25,12 +25,11 @@ _EXPORTS = {
                   "builtin_materials", "figures_of_merit", "get_material",
                   "load_materials"),
     "minimal": ("ElectricMixing", "MinimalExactModel", "MixedSubband",
-                "QubitCoefficients", "SubbandParams", "e0_max",
-                "electric_mixing", "minimal_exact_model",
-                "minimal_exact_qubit", "minimal_exact_rabi", "mixed_subbands",
-                "qubit_coefficients", "rabi_linearized", "rabi_thin_dot",
-                "renormalized_rabi", "strain_equivalent_height",
-                "subband_params"),
+                "SubbandParams", "e0_max", "electric_mixing",
+                "minimal_exact_model", "minimal_exact_qubit",
+                "minimal_exact_rabi", "mixed_subbands", "rabi_linearized",
+                "rabi_thin_dot", "renormalized_rabi",
+                "strain_equivalent_height", "subband_params"),
     "numeric": ("KramersDoublet", "RabiResult", "ReducedModel",
                 "SpinorSpectrum", "converged_rabi", "pair_doublets",
                 "rabi_sum_over_states", "reduce_model", "solve_spectrum"),

@@ -3,26 +3,28 @@
 The basis keeps the two lowest y subbands (n_x = n_z = 1, n_y = 1, 2), each
 a heavy-light doublet mixed by the in-plane anisotropy term R. Everything
 downstream is written in terms of the six subband constants P_i, Q_i, R_i:
-mixing amplitudes (h_i, l_i), the electric couplings between subbands, the
-principal g-factors of the ground doublet, and the transverse matrix element
-that yields the Rabi frequency at first order in B.
+mixing amplitudes (h_i, l_i), the electric couplings between subbands, and
+the diagonals (g, p) of the ground doublet's two g-matrices, from which
+holebox.gmatrix reads the Larmor and Rabi frequencies at first order in B.
 
-Two independent evaluation routes coexist on purpose:
-- rabi_linearized: channel-resolved closed forms, first order in E0;
+Two independent routes build that pair on purpose:
+- rabi_linearized: channel-resolved closed forms, first order in E0: g of
+  the lower subband's doublet and p summed over the 2-, 2+ and 1+
+  channels (_linearized_pair);
 - minimal_exact_rabi: exact static eigenstates of the 8x8 minimal
-  Hamiltonian, nonperturbative in E0 and first order in B, summed over the
-  three excited doublets into two g-matrices (MinimalExactModel).
-They must agree in slope as E0 -> 0; tests enforce it.
+  Hamiltonian, nonperturbative in E0, summed over the three excited
+  doublets (MinimalExactModel).
+The linearized pair is the exact one's g at E0 = 0 and its slope of p in
+E0; tests enforce it.
 
-Both routes run on Python floats. The exact one builds its (gm, gp) with
-its own 4x4 Jacobi eigensolver and Zeeman and dipole templates, and shares
-only holebox.gmatrix with the converged numerics: MinimalExactModel holds
-the diagonals (g, p), and every caller evaluates them with
-gmatrix.frequencies or gmatrix.qubit, as the converged route does its own.
+Both routes run on Python floats, and each evaluates its pair with
+gmatrix.qubit or gmatrix.frequencies, as the converged route does its own:
+gmatrix is all they share with the converged numerics. The exact route
+builds its (gm, gp) with its own 4x4 Jacobi eigensolver and Zeeman and
+dipole templates; the linearized one uses neither.
 
 Sign conventions: Lambda = -e E0 <1|y|2> > 0 for E0 > 0; h = -R/W carries
-the sign of -R; beta is real non-negative and alpha carries all the phase
-of the qubit amplitudes.
+the sign of -R.
 """
 from __future__ import annotations
 
@@ -34,8 +36,7 @@ from . import gmatrix
 from .basis import position_element
 from .constants import CONST
 from .inputs import (BoxGeometry, DegenerateQubitError, FieldConfig,
-                     NearDegeneracyError, Orientation, StrainConfig,
-                     bhat_from_angles)
+                     NearDegeneracyError, Orientation, StrainConfig)
 from .materials import MaterialParams
 
 _SQ3 = sqrt(3.0)
@@ -192,120 +193,73 @@ def electric_mixing(ms: tuple[MixedSubband, MixedSubband], E0: float,
 
 
 # ---------------------------------------------------------------------------
-# ground-doublet qubit
-
-@dataclass(frozen=True)
-class QubitCoefficients:
-    g_x: float
-    g_y: float
-    g_z: float
-    alpha: complex | None
-    beta: float | None
-    f_L: float  # GHz
-    degenerate: bool
-
-
-def qubit_coefficients(m1: MixedSubband, theta: float, phi: float, B: float,
-                       material: MaterialParams) -> QubitCoefficients:
-    """Principal g-factors and qubit amplitudes of the lower doublet, from
-    the lower subband m1 alone."""
-    h1, l1 = m1.h, m1.l
-    kap = material.kappa
-    gx = 4 * kap * (_SQ3 * h1 * l1 + l1 * l1)
-    gy = 4 * kap * (_SQ3 * h1 * l1 - l1 * l1)
-    gz = 2 * kap * (3 * h1 * h1 - l1 * l1)
-    bx, by, bz = bhat_from_angles(theta, phi)
-    S = sqrt((gx * bx) ** 2 + (gy * by) ** 2 + (gz * bz) ** 2)
-    f_L = CONST.mu_B * B * S / CONST.h_planck
-    scale = max(abs(gx), abs(gy), abs(gz), 1e-300)
-    if B == 0.0 or S <= 1e-12 * scale:
-        return QubitCoefficients(gx, gy, gz, None, None, 0.0, True)
-    N = sqrt((gx * bx) ** 2 + (gy * by) ** 2 + (gz * bz + S) ** 2)
-    if N < 1e-12 * S:
-        # exactly at the parametrization's south pole; the lower state is
-        # the first pseudo-spin slot
-        alpha, beta = complex(1.0), 0.0
-    else:
-        alpha = (-gx * bx + 1j * gy * by) / N
-        beta = (gz * bz + S) / N
-    return QubitCoefficients(gx, gy, gz, alpha, beta, f_L, False)
-
-
-# ---------------------------------------------------------------------------
 # linearized Rabi frequency (first order in E0)
 
-def rabi_linearized(material: MaterialParams, geometry: BoxGeometry,
-                    orientation: Orientation, fields: FieldConfig, *,
-                    strain: StrainConfig | None = None) -> float:
-    """Rabi frequency in GHz from the channel-resolved closed forms.
+def _zeeman_g(u: tuple[float, float],
+              v: tuple[float, float]) -> tuple[float, float, float]:
+    """Re Tr(sigma_i Z_i) per kappa mu_B, i = x, y, z, between the doublets
+    of two mixed states u = (a0, a1) and v = (b0, b1) of one subband, with
+    amplitudes on |+-3/2> and |-+1/2>."""
+    (a0, a1), (b0, b1) = u, v
+    s, t = _SQ3 * (a0 * b1 + a1 * b0), 2 * a1 * b1
+    return 2 * (s + t), 2 * (s - t), 2 * (3 * a0 * b0 - a1 * b1)
 
-    Each excited doublet contributes one transverse matrix element built
-    from its Zeeman blocks (Z factors), its electric admixtures (the four
-    c coefficients) and the bare dipoles D. B and E0 enter linearly and
-    live inside those factors. Raises DegenerateQubitError where |1+> is
-    degenerate with the ground doublet (Q1 = R1 = 0, as in a cube), whose
-    channel divides by E1- - E1+.
+
+def _linearized_pair(material: MaterialParams, geometry: BoxGeometry,
+                     orientation: Orientation, E0: float, *,
+                     strain: StrainConfig | None = None,
+                     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(g, p) of the ground doublet at first order in E0, from the
+    channel-resolved closed forms: g (meV/T) at E0 = 0 and p (nm/T)
+    linear in E0, summed over the three excited doublets 2-, 2+ and 1+.
+    Raises DegenerateQubitError where |1+> is degenerate with the ground
+    doublet (Q1 = R1 = 0, as in a cube), whose channel divides by E1- - E1+.
     """
-    if fields.B == 0.0 or fields.E0 == 0.0 or fields.E_ac == 0.0:
-        return 0.0
     sp = subband_params(material, geometry, orientation, strain=strain)
     m1, m2 = mixed_subbands(sp)
     if m1.E_plus - m1.E_minus <= DEGENERACY_TOL:
         raise DegenerateQubitError(
             f"|1+> at E = {m1.E_plus:.9f} meV is degenerate with the ground "
             "doublet; first-order sum invalid")
-    em = electric_mixing((m1, m2), fields.E0, geometry)
-    qc = qubit_coefficients(m1, fields.theta, fields.phi, fields.B, material)
-    if qc.degenerate:
-        raise DegenerateQubitError(
-            "ground doublet does not split in this field; Rabi frequency undefined")
-    al, be = qc.alpha, qc.beta
-    bx, by, bz = bhat_from_angles(fields.theta, fields.phi)
-    bp, bm = bx + 1j * by, bx - 1j * by
-    k = material.kappa * CONST.mu_B * fields.B
-    hh = (m1.h, m2.h)
-    ll = (m1.l, m2.l)
-
-    def Z1(i):
-        return k * (3 * hh[i - 1] ** 2 - ll[i - 1] ** 2) * bz
-
-    def Z2(i):
-        return 2 * k * (_SQ3 * hh[i - 1] * ll[i - 1] * bm + ll[i - 1] ** 2 * bp)
-
-    def Z3(i):
-        return -4 * k * hh[i - 1] * ll[i - 1] * bz
-
-    def Z4(i):
-        return 2 * k * (_SQ3 / 2 * (hh[i - 1] ** 2 - ll[i - 1] ** 2) * bm
-                        + hh[i - 1] * ll[i - 1] * bp)
-
-    def Z5(i):
-        return k * (3 * ll[i - 1] ** 2 - hh[i - 1] ** 2) * bz
-
-    def Z6(i):
-        return 2 * k * (-_SQ3 * hh[i - 1] * ll[i - 1] * bm + hh[i - 1] ** 2 * bp)
-
+    em = electric_mixing((m1, m2), E0, geometry)
+    c2m1m, c2p1p, c2m1p, c2p1m = em.lambda_coeffs
+    E1m, E1p, E2m, E2p = m1.E_minus, m1.E_plus, m2.E_minus, m2.E_plus
     y12 = position_element(1, 2, geometry.L_y)
     D1 = y12 * (m1.h * m2.h + m1.l * m2.l)
     D2 = y12 * (m2.h * m1.l - m1.h * m2.l)
+    k = material.kappa * CONST.mu_B
 
-    def bra(z3, z4):
-        # <1| projection of a doublet-changing Zeeman block
-        return -4 * al * be * z3 - 2 * be ** 2 * z4 + 2 * al ** 2 * z4.conjugate()
+    def channels(z1m1m, z1m1p, z2m2m, z2m2p, z2p2p):
+        # one axis of p; zanbm is _zeeman_g between the states an and bm
+        pi_2m = D1 / (E1m - E2m) * (c2m1m * (z2m2m - z1m1m) + c2p1m * z2m2p
+                                    - c2m1p * z1m1p)
+        pi_2p = D2 / (E1m - E2p) * (c2m1m * z2m2p - c2p1p * z1m1p
+                                    + c2p1m * (z2p2p - z1m1m))
+        pi_1p = (z1m1p / (E1m - E1p)
+                 * (D1 * (c2m1p + c2p1m) + D2 * (c2p1p - c2m1m)))
+        return 2 * k * (pi_2m + pi_2p + pi_1p)
 
-    c2m1m, c2p1p, c2m1p, c2p1m = em.lambda_coeffs
-    E1m, E1p, E2m, E2p = m1.E_minus, m1.E_plus, m2.E_minus, m2.E_plus
+    s1m, s1p = (m1.h, m1.l), (-m1.l, m1.h)
+    s2m, s2p = (m2.h, m2.l), (-m2.l, m2.h)
+    z1m1m = _zeeman_g(s1m, s1m)
+    p = tuple(map(channels, z1m1m, _zeeman_g(s1m, s1p), _zeeman_g(s2m, s2m),
+                  _zeeman_g(s2m, s2p), _zeeman_g(s2p, s2p)))
+    return tuple(k * z for z in z1m1m), p
 
-    pi_2m = D1 / (E1m - E2m) * (c2m1m * bra(Z1(2) - Z1(1), Z2(2) - Z2(1))
-                                + c2p1m * bra(Z3(2), Z4(2))
-                                - c2m1p * bra(Z3(1), Z4(1)))
-    pi_2p = D2 / (E1m - E2p) * (c2m1m * bra(Z3(2), Z4(2))
-                                - c2p1p * bra(Z3(1), Z4(1))
-                                + c2p1m * bra(Z5(2) - Z1(1), Z6(2) - Z2(1)))
-    pi_1p = (bra(Z3(1), Z4(1)) / (E1m - E1p)
-             * (D1 * (c2m1p + c2p1m) + D2 * (c2p1p - c2m1m)))
-    total = pi_2m + pi_2p + pi_1p
-    return CONST.e_scale * fields.E_ac * abs(total) / CONST.h_planck
+
+def rabi_linearized(material: MaterialParams, geometry: BoxGeometry,
+                    orientation: Orientation, fields: FieldConfig, *,
+                    strain: StrainConfig | None = None) -> float:
+    """Rabi frequency in GHz at first order in B and E0: gmatrix.qubit on
+    the channel-resolved (g, p) of _linearized_pair. 0.0 where B, E0 or
+    E_ac is zero; raises DegenerateQubitError where |1+> is degenerate with
+    the ground doublet or the doublet does not split in this field."""
+    if fields.B == 0.0 or fields.E0 == 0.0 or fields.E_ac == 0.0:
+        return 0.0
+    g, p = _linearized_pair(material, geometry, orientation, fields.E0,
+                            strain=strain)
+    return gmatrix.qubit(g, p, fields.B, fields.theta, fields.phi,
+                         fields.E_ac)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +489,14 @@ def rabi_thin_dot(material: MaterialParams, geometry: BoxGeometry,
 
 def e0_max(material: MaterialParams, geometry: BoxGeometry,
            orientation: Orientation) -> float:
-    """Field scale (mV/nm) where the ground-state dipole saturates."""
+    """Field scale (mV/nm) where the ground-state dipole saturates; inf
+    where the dipole D1 vanishes (the two lowest subbands' mixing vectors
+    are orthogonal, as for L_z = L_x < L_y < 2 L_x), which no field
+    saturates."""
     m1, m2 = mixed_subbands(subband_params(material, geometry, orientation))
     D1 = position_element(1, 2, geometry.L_y) * (m1.h * m2.h + m1.l * m2.l)
+    if D1 == 0.0:
+        return inf
     return (m2.E_minus - m1.E_minus) / (2 * sqrt(2.0) * CONST.e_scale * abs(D1))
 
 

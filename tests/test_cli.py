@@ -405,6 +405,23 @@ def test_cube_dot_exits_zero_with_empty_cells_not_nan(tmp_path):
     assert "" not in rows[1][2:6]
 
 
+def test_e0_sweep_on_a_dot_without_ground_dipole_exits_zero(tmp_path):
+    # L_z = L_x < L_y < 2 L_x makes the two lowest subbands' mixing vectors
+    # orthogonal, so the dipole D1 is 0: no field saturates it, E_max is
+    # infinite and renormalizing leaves the linearized column as it is
+    out = tmp_path / "d1.csv"
+    assert cli.main(["e0-sweep", "--out", str(out),
+                     "--set", "geometry.L_x=20", "--set", "geometry.L_y=30",
+                     "--set", "geometry.L_z=20"]) == 0
+    lines = out.read_text("utf-8").splitlines()
+    header = lines[4].split(",")
+    lin, ren = (header.index(c) for c in ("f_R_linearized",
+                                          "f_R_renormalized"))
+    rows = [line.split(",") for line in lines[5:]]
+    assert len(rows) == 101
+    assert all(row[ren] == row[lin] != "" for row in rows)
+
+
 @pytest.mark.parametrize("setting", ["fields.E_ac=0", "fields.B=0"])
 def test_strain_sweep_on_a_flat_map_reports_the_origin(tmp_path, setting):
     # without drive f_R is 0 in every direction, so no direction beats

@@ -14,11 +14,11 @@ from holebox import (BoxGeometry, DegenerateQubitError, FieldConfig,
                      MaterialParams, NearDegeneracyError, Orientation,
                      StrainConfig, e0_max, electric_mixing, get_material,
                      gmatrix, minimal_exact_model, minimal_exact_qubit,
-                     minimal_exact_rabi, mixed_subbands, qubit_coefficients,
-                     rabi_linearized, rabi_thin_dot, renormalized_rabi,
+                     minimal_exact_rabi, mixed_subbands, rabi_linearized,
+                     rabi_thin_dot, renormalized_rabi,
                      strain_equivalent_height, subband_params)
 from holebox.constants import CONST
-from holebox.minimal import _jacobi_eigh, mixing_strength
+from holebox.minimal import _jacobi_eigh, _linearized_pair, mixing_strength
 from holebox.sweeps import _optimal_direction, resolve_spec, run_angle_map
 from oracles import (direct_rabi_first_order, e0_max_thin, exact_qubit8,
                      lambda_thin, light_hole_rabi, strain_divergence_eps,
@@ -89,20 +89,6 @@ def test_electric_mixing_antisymmetry_and_thin_limit():
     assert thin.c_2m_1m == approx(lambda_thin(SI, thin_box, 0.1), rel=5e-3)
 
 
-def test_qubit_coefficients_normalization_and_larmor():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m, g = well_separated_sample(rng)
-        m1, _ = mixed_subbands(subband_params(m, g, D110))
-        theta, phi = rng.uniform(0, pi), rng.uniform(0, 2 * pi)
-        qc = qubit_coefficients(m1, theta, phi, 1.0, m)
-        assert abs(qc.alpha) ** 2 + abs(qc.beta) ** 2 == approx(1.0, rel=1e-12)
-        s = sqrt((qc.g_x * np.sin(theta) * np.cos(phi)) ** 2
-                 + (qc.g_y * np.sin(theta) * np.sin(phi)) ** 2
-                 + (qc.g_z * np.cos(theta)) ** 2)
-        assert qc.f_L == approx(CONST.mu_B * s / CONST.h_planck, rel=1e-12)
-
-
 def test_exact_route_matches_perturbative_at_weak_field():
     weak = replace(REF_FIELDS, E0=1e-4)
     exact = minimal_exact_rabi(SI, BOX, D110, weak)
@@ -110,12 +96,38 @@ def test_exact_route_matches_perturbative_at_weak_field():
     assert exact == approx(lin, rel=1e-5)
 
 
-def test_exact_larmor_matches_doublet_g_at_zero_field():
-    fields = replace(REF_FIELDS, E0=0.0)
-    _, f_L = minimal_exact_qubit(SI, BOX, D110, fields)
-    m1, _ = mixed_subbands(subband_params(SI, BOX, D110))
-    qc = qubit_coefficients(m1, fields.theta, fields.phi, fields.B, SI)
-    assert f_L == approx(qc.f_L, rel=1e-10)
+_PAIR_GRID = [(get_material(name), o, geometry)
+              for name in ("Si", "Ge", "GaAs", "InSb") for o in Orientation
+              for geometry in (BOX, BoxGeometry(25.0, 35.0, 6.0))]
+
+
+def test_linearized_g_matches_exact_route_at_zero_field():
+    # the lower subband's doublet alone: the exact route's g at E0 = 0,
+    # hence its Larmor frequency in every direction
+    for m, o, g in _PAIR_GRID:
+        got, _ = _linearized_pair(m, g, o, 1.0)
+        assert got == approx(minimal_exact_model(m, g, o, 0.0).g, rel=1e-12)
+
+
+def test_linearized_p_is_the_exact_route_slope_in_e0():
+    # Richardson's five-point slope of the exact route's p at E0 = 0
+    h = 1e-3
+    for m, o, g in _PAIR_GRID:
+        _, got = _linearized_pair(m, g, o, 1.0)
+        p = {k: minimal_exact_model(m, g, o, k * h).p for k in (-2, -1, 1, 2)}
+        slope = [(8 * (p[1][i] - p[-1][i]) - (p[2][i] - p[-2][i])) / (12 * h)
+                 for i in range(3)]
+        assert got == approx(slope, rel=1e-8)
+
+
+def test_linearized_is_even_under_reflecting_theta():
+    # f_R depends on b only through b_i^2, so f_R(theta) = f_R(pi - theta)
+    # also next to the poles, where the two directions differ only in b_z
+    for theta in (1e-2, 1e-3, 1e-4, 1e-5):
+        fields = replace(REF_FIELDS, theta=theta)
+        mirrored = replace(REF_FIELDS, theta=pi - theta)
+        assert rabi_linearized(SI, BOX, D110, fields) == approx(
+            rabi_linearized(SI, BOX, D110, mirrored), rel=1e-9)
 
 
 def test_pi_sum_equals_direct_first_order():
@@ -275,13 +287,10 @@ def test_strain_equal_mixing_dips_the_drive():
     assert near < 0.01 * off
 
 
-def test_degenerate_direction_flagged():
-    # with g_x g_y g_z of mixed signs some field direction closes the
-    # splitting; kappa = 0 kills it everywhere
-    m1, _ = mixed_subbands(subband_params(SI, BOX, D110))
-    qc = qubit_coefficients(m1, 0.3, 0.1, 1.0, replace(SI, kappa=0.0))
-    assert qc.degenerate
-    assert qc.f_L == 0.0
+def test_linearized_without_zeeman_coupling_raises():
+    # kappa = 0 leaves the ground doublet unsplit in every direction
+    with pytest.raises(DegenerateQubitError, match="splitting below"):
+        rabi_linearized(replace(SI, kappa=0.0), BOX, D110, REF_FIELDS)
 
 
 def test_excited_doublet_at_the_ground_energy_raises():
@@ -300,14 +309,11 @@ def test_closed_forms_and_exact_route_load_no_numpy():
             "from holebox import (BoxGeometry, FieldConfig, Orientation,\n"
             "                     get_material, gmatrix)\n"
             "from holebox.minimal import (e0_max, minimal_exact_model,\n"
-            "    mixed_subbands, qubit_coefficients, rabi_linearized,\n"
-            "    subband_params)\n"
+            "    rabi_linearized)\n"
             "si, box = get_material('Si'), BoxGeometry(40.0, 30.0, 10.0)\n"
             "o = Orientation.DOT_110\n"
             "model = minimal_exact_model(si, box, o, 0.1)\n"
             "gmatrix.qubit(model.g, model.p, 1.0, 0.7, 1.5, 0.03)\n"
-            "m1, _ = mixed_subbands(subband_params(si, box, o))\n"
-            "qubit_coefficients(m1, 0.7, 1.5, 1.0, si)\n"
             "rabi_linearized(si, box, o, FieldConfig(1.0, 0.7, 1.5, 0.1, 0.03))\n"
             "e0_max(si, box, o)\n"
             "print('numpy' in sys.modules)")
